@@ -15,14 +15,13 @@ import random
 from cee import (
     PATH_CONFIG,
     census_csv,
-    corpus_report,
     format_local_grouped,
+    operation_census,
     random_scene_corpus,
     read_detections,
     read_targets,
     resolve_taxonomy,
-    scene_csed,
-    build_samples,
+    solve_thresholds,
 )
 
 
@@ -50,7 +49,12 @@ def main(argv=None) -> int:
         detections, targets = random_scene_corpus(rng, tax, n_images=args.n_images)
         print(f"# random corpus: {args.n_images} images over '{args.taxonomy}'")
 
-    report = corpus_report(detections, targets, thresholds, tax, PATH_CONFIG)
+    shown_t_d = thresholds[len(thresholds) // 2]
+    report = []
+    for t_d, samples, scripts in solve_thresholds(detections, targets, thresholds, tax, PATH_CONFIG):
+        report.append((t_d, operation_census(scripts)))
+        if t_d == shown_t_d:
+            shown = list(zip(scripts, samples))
     print(census_csv(report), end="")
 
     inserts = [census.n_insert for _, census in report]
@@ -58,13 +62,8 @@ def main(argv=None) -> int:
     print(f"# inserts across thresholds: {inserts} ({trend})")
 
     if args.show_scripts > 0:
-        t_d = thresholds[len(thresholds) // 2]
-        samples, _, _ = build_samples(detections, targets, t_d)
-        scored = sorted(
-            ((scene_csed(s, tax, PATH_CONFIG), s) for s in samples),
-            key=lambda pair: -pair[0].total_cost,
-        )
-        print(f"\n# worst images at threshold {t_d:g}:")
+        scored = sorted(shown, key=lambda pair: -pair[0].total_cost)
+        print(f"\n# worst images at threshold {shown_t_d:g}:")
         for script, sample in scored[: args.show_scripts]:
             print(f"image {sample.image_id} (cost {script.total_cost:g})")
             print(format_local_grouped(script))

@@ -80,13 +80,12 @@ from .scene import (
     read_detections,
     read_targets,
     scene_csed,
+    solve_thresholds,
     split_caption,
     threshold_filter,
 )
 from .story import (
     ATTRIBUTES,
-    GENERATED,
-    GROUND_TRUTH,
     N_CONCEPTS,
     ClevrObject,
     GlobalMetrics,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .edits import EditScript, brute_force_csed, csed, format_cost
+from .edits import brute_force_csed, csed, format_cost, operation_census
 from .errors import CeeError, EmptyCorpus
 from .explain import (
     Transaction,
@@ -39,14 +39,9 @@ from .harness import (
     random_spec,
     random_taxonomy,
 )
-from .scene import (
-    build_samples,
-    census_csv,
-    corpus_report,
-    read_detections,
-    read_targets,
-    scene_csed,
-)
+from .scene import CENSUS_COLUMNS, census_rows, read_detections, read_targets, solve_thresholds
+# unused here, but perfbench/tracer.py wraps these names on this module
+from .scene import build_samples, census_csv, corpus_report, scene_csed  # noqa: F401
 from .story import (
     consistency_flags,
     consistency_loss,
@@ -285,45 +280,17 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     detections = {i: detections[i] for i in common}
     targets = {i: targets[i] for i in common}
 
-    report = corpus_report(detections, targets, cfg.thresholds, tax, cost)
-    if cfg.format == "csv":
-        census_text = census_csv(report)
-    else:
-        rows = []
-        for t_d, census in report:
-            mean = "" if census.mean_total is None else f"{census.mean_total:.4f}"
-            rows.append(
-                [
-                    format_cost(t_d),
-                    str(census.n_insert), format_cost(census.cost_insert),
-                    str(census.n_delete), format_cost(census.cost_delete),
-                    str(census.n_replace), format_cost(census.cost_replace),
-                    mean,
-                ]
-            )
-        census_text = render_table(
-            [
-                "threshold",
-                "n_insert", "cost_insert",
-                "n_delete", "cost_delete",
-                "n_replace", "cost_replace",
-                "mean_csed",
-            ],
-            rows,
-            cfg.format,
-        )
-    _write(cfg.out_dir, f"census.{_EXT[cfg.format]}", census_text)
-
-    for t_d in cfg.thresholds:
-        samples, _, _ = build_samples(detections, targets, t_d)
-        transactions = [
-            Transaction.from_scripts(s.image_id, [scene_csed(s, tax, cost)])
-            for s in samples
-        ]
+    out = Path(cfg.out_dir)
+    report = []
+    for t_d, samples, scripts in solve_thresholds(detections, targets, cfg.thresholds, tax, cost):
+        report.append((t_d, operation_census(scripts)))
+        out.mkdir(parents=True, exist_ok=True)  # only once solving works: a failed run writes nothing
         write_transactions(
-            Path(cfg.out_dir) / f"transactions_td{format_cost(t_d)}.jsonl",
-            transactions,
+            out / f"transactions_td{format_cost(t_d)}.jsonl",
+            [Transaction.from_scripts(s.image_id, [script]) for s, script in zip(samples, scripts)],
         )
+    census_text = render_table(CENSUS_COLUMNS, census_rows(report), cfg.format)
+    _write(cfg.out_dir, f"census.{_EXT[cfg.format]}", census_text)
     print(census_text, end="" if census_text.endswith("\n") else "\n")
     return 0
 

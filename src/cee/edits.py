@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -38,9 +38,9 @@ _KIND_ORDER = {DELETE: 0, REPLACE: 1, INSERT: 2}
 
 ARROW = "→"
 
-# Bias used to break cost ties in favor of keeping a matched pair over
-# routing both items through dummies. Small enough that it can never flip
-# a strict cost comparison for the weight profiles used here.
+# Bias on every dummy route, so a cost tie between a matched pair and
+# routing both items through dummies resolves to the pair. Small enough that
+# it can never flip a strict cost comparison for the weight profiles used here.
 _TIE_EPS = 1e-9
 
 BRUTE_FORCE_LIMIT = 12
@@ -214,6 +214,28 @@ def _check_compatible(ms: ConceptMultiset, tax: Taxonomy) -> None:
         )
 
 
+def _assign(
+    pair: Sequence[Sequence[float]],
+    del_costs: Sequence[float],
+    ins_costs: Sequence[float],
+) -> list[tuple[int, int]]:
+    """Minimum-cost assignment on the (n+m)² dummy-padded matrix.
+
+    ``pair[i][j]`` prices turning generated item i into target item j; row i
+    may instead route to a dummy column at ``del_costs[i]`` and column j to a
+    dummy row at ``ins_costs[j]``. Returns the chosen cells other than
+    dummy-to-dummy: ``j >= m`` deletes item i, ``i >= n`` inserts item j.
+    """
+    n, m = len(del_costs), len(ins_costs)
+    cost = np.zeros((n + m, n + m))
+    if n and m:
+        cost[:n, :m] = pair
+    cost[:n, m:] = np.asarray(del_costs, dtype=float)[:, None] + _TIE_EPS
+    cost[n:, :m] = np.asarray(ins_costs, dtype=float) + _TIE_EPS
+    rows, cols = linear_sum_assignment(cost)
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < n or j < m]
+
+
 def csed(
     generated: Iterable[str] | ConceptMultiset,
     target: Iterable[str] | ConceptMultiset,
@@ -241,43 +263,27 @@ def csed(
     del_costs = [delete_cost(tax, s, cfg) for s in s_items]
     ins_costs = [insert_cost(tax, t, cfg) for t in t_items]
 
-    size = n + m
-    cost = np.zeros((size, size))
-    bias = np.zeros((size, size))
-    pair_cost = np.zeros((n, m)) if n and m else None
-    pair_is_match = [[False] * m for _ in range(n)]
+    pair = [[0.0] * m for _ in range(n)]
     for i, s in enumerate(s_items):
         for j, t in enumerate(t_items):
             if distance(tax, s, t, cfg) == 0.0:
-                c = 0.0
-                pair_is_match[i][j] = True
-            elif is_replaceable(tax, s, t, cfg):
-                c = replace_cost(tax, s, t, cfg)
+                continue
+            if is_replaceable(tax, s, t, cfg):
+                pair[i][j] = replace_cost(tax, s, t, cfg)
             else:
                 # sentinel: strictly worse than deleting s and inserting t
-                c = del_costs[i] + ins_costs[j] + 1.0
-            pair_cost[i, j] = c
-            cost[i, j] = c
-    for i in range(n):
-        cost[i, m:] = del_costs[i]
-        bias[i, m:] = 1.0
-    for j in range(m):
-        cost[n:, j] = ins_costs[j]
-        bias[n:, j] = 1.0
+                pair[i][j] = del_costs[i] + ins_costs[j] + 1.0
 
-    rows, cols = linear_sum_assignment(cost + _TIE_EPS * bias)
     ops: list[EditOp] = []
-    for i, j in zip(rows, cols):
-        if i < n and j < m:
-            if not pair_is_match[i][j] and pair_cost[i, j] > 0.0:
-                ops.append(
-                    EditOp(REPLACE, source=s_items[i], target=t_items[j],
-                           cost=float(pair_cost[i, j]))
-                )
-        elif i < n:
+    for i, j in _assign(pair, del_costs, ins_costs):
+        if j >= m:
             ops.append(EditOp(DELETE, source=s_items[i], cost=del_costs[i]))
-        elif j < m:
+        elif i >= n:
             ops.append(EditOp(INSERT, target=t_items[j], cost=ins_costs[j]))
+        elif pair[i][j] > 0.0:
+            ops.append(
+                EditOp(REPLACE, source=s_items[i], target=t_items[j], cost=float(pair[i][j]))
+            )
     return EditScript(tuple(ops))
 
 

@@ -1,14 +1,16 @@
 """Local explanation rendering and global explanation mining.
 
 Local: an edit script rendered as a human-readable row (story frames) or a
-grouped I/D/R listing (scenes). Global: association rules over replacement
-tokens mined with apriori, plus insert/delete frequency tables.
+grouped I/D/R listing (scenes). Global: replacement rules counted from the
+R tokens of each transaction, plus insert/delete frequency tables; apriori
+mines general frequent itemsets over the same transactions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -76,6 +78,15 @@ def _as_itemsets(transactions: Sequence[Transaction | Collection[str]]) -> list[
     return out
 
 
+def _min_count(min_support: float, n: int) -> int:
+    """Smallest count of n transactions whose support fraction reaches
+    min_support; the slack absorbs float error when min_support * n lands
+    on an exact integer."""
+    if not 0.0 < min_support <= 1.0:
+        raise ValueError("min_support must be in (0, 1]")
+    return max(1, math.ceil(min_support * n - 1e-9))
+
+
 def apriori(
     transactions: Sequence[Transaction | Collection[str]],
     min_support: float,
@@ -85,15 +96,10 @@ def apriori(
     Classic level-wise search: level k candidates join two frequent (k-1)
     itemsets and are pruned unless every (k-1) subset is frequent.
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support must be in (0, 1]")
     itemsets = _as_itemsets(transactions)
-    n = len(itemsets)
-    if n == 0:
+    min_count = _min_count(min_support, len(itemsets))
+    if not itemsets:
         return {}
-    # smallest count whose support fraction reaches min_support; the slack
-    # absorbs float error when min_support * n lands on an exact integer
-    min_count = max(1, math.ceil(min_support * n - 1e-9))
 
     counts: dict[frozenset[str], int] = {}
     singles: dict[frozenset[str], int] = {}
@@ -149,42 +155,30 @@ def mine_rules(
     n = len(itemsets)
     if n == 0:
         return []
-    frequent = apriori(itemsets, min_support)
+    min_count = _min_count(min_support, n)
 
-    source_members: dict[str, int] = {}
-    target_members: dict[str, int] = {}
+    # a token maps to exactly one (source, target), so pairs count tokens
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    source_members: Counter[str] = Counter()
+    target_members: Counter[str] = Counter()
     for t in itemsets:
-        sources = set()
-        targets = set()
-        for token in t:
-            parsed = split_replace_token(token)
-            if parsed:
-                sources.add(parsed[0])
-                targets.add(parsed[1])
-        for s in sources:
-            source_members[s] = source_members.get(s, 0) + 1
-        for tgt in targets:
-            target_members[tgt] = target_members.get(tgt, 0) + 1
+        pairs = [pair for pair in map(split_replace_token, t) if pair is not None]
+        pair_counts.update(pairs)
+        source_members.update({source for source, _ in pairs})
+        target_members.update({target for _, target in pairs})
 
-    rules = []
-    for itemset, count in frequent.items():
-        if len(itemset) != 1:
-            continue
-        (token,) = itemset
-        parsed = split_replace_token(token)
-        if parsed is None:
-            continue
-        source, target = parsed
-        rules.append(
-            AssociationRule(
-                source=source,
-                target=target,
-                frequency=count,
-                support=100.0 * count / n,
-                antecedent_support=100.0 * source_members[source] / n,
-                consequent_support=100.0 * target_members[target] / n,
-            )
+    rules = [
+        AssociationRule(
+            source=source,
+            target=target,
+            frequency=count,
+            support=100.0 * count / n,
+            antecedent_support=100.0 * source_members[source] / n,
+            consequent_support=100.0 * target_members[target] / n,
         )
+        for (source, target), count in pair_counts.items()
+        if count >= min_count
+    ]
     rules.sort(key=lambda r: (-r.support, r.source, r.target))
     return rules
 

@@ -16,14 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .edits import ConceptMultiset
 from .errors import SpecOutOfRange
-from .story import (
-    ATTRIBUTES,
-    GENERATED,
-    GROUND_TRUTH,
-    N_CONCEPTS,
-    ClevrObject,
-    Story,
-)
+from .story import ATTRIBUTES, N_CONCEPTS, ClevrObject, Story
 from .scene import DetectionRecord
 from .taxonomy import REPLACE_SHORTEST_PATH, CostConfig, Taxonomy
 
@@ -59,7 +52,6 @@ def generate_story(
     rng: random.Random | None = None,
     seed: int | None = None,
     story_id: str = "story-0",
-    role: str = GROUND_TRUTH,
 ) -> Story:
     """Clean cumulative story: frame k shows the first k sampled objects."""
     if length < 1:
@@ -68,7 +60,7 @@ def generate_story(
         rng = random.Random(seed)
     objects = [random_object(rng) for _ in range(length)]
     frames = [list(objects[: k + 1]) for k in range(length)]
-    return Story(id=story_id, frames=frames, role=role)
+    return Story(id=story_id, frames=frames)
 
 
 def golden_story_pair() -> tuple[Story, Story]:
@@ -91,16 +83,8 @@ def golden_story_pair() -> tuple[Story, Story]:
         gt_objects[2],
         replace(gt_objects[3], shape="sphere"),
     ]
-    gt = Story(
-        id="golden",
-        frames=[gt_objects[: k + 1] for k in range(4)],
-        role=GROUND_TRUTH,
-    )
-    gen = Story(
-        id="golden",
-        frames=[gen_objects[: k + 1] for k in range(4)],
-        role=GENERATED,
-    )
+    gt = Story(id="golden", frames=[gt_objects[: k + 1] for k in range(4)])
+    gen = Story(id="golden", frames=[gen_objects[: k + 1] for k in range(4)])
     return gen, gt
 
 
@@ -235,7 +219,7 @@ def corrupt(
             frame.pop()
         else:
             frame.append(op.obj)
-    corrupted = Story(id=story.id, frames=frames, role=GENERATED)
+    corrupted = Story(id=story.id, frames=frames)
 
     sl_delta = sum(
         _frame_cost(frames[k], story.frames[k], cfg) for k in range(story.length)

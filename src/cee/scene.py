@@ -6,15 +6,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .edits import Census, ConceptMultiset, EditScript, csed, format_cost, operation_census
 from .errors import EmptyCorpus, MalformedObject
 from .taxonomy import CostConfig, PATH_CONFIG, Taxonomy, normalize_concept
 
-CENSUS_HEADER = (
-    "threshold,n_insert,cost_insert,n_delete,cost_delete,n_replace,cost_replace,mean_csed"
+CENSUS_COLUMNS = (
+    "threshold",
+    "n_insert", "cost_insert",
+    "n_delete", "cost_delete",
+    "n_replace", "cost_replace",
+    "mean_csed",
 )
+CENSUS_HEADER = ",".join(CENSUS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,32 @@ def build_samples(
     return samples, sorted(det_ids - tgt_ids), sorted(tgt_ids - det_ids)
 
 
+def solve_thresholds(
+    detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
+    targets: Mapping[str, ConceptMultiset],
+    thresholds: Iterable[float],
+    tax: Taxonomy,
+    cfg: CostConfig | None = None,
+) -> Iterator[tuple[float, list[SceneSample], list[EditScript]]]:
+    """Joined samples and their edit scripts, one threshold at a time; each
+    (image, threshold) is solved once.
+
+    Raw detection confidences are kept so each threshold re-filters from
+    scratch; thresholds are deduplicated and yielded in ascending order. All
+    thresholds are checked before the first is solved.
+    """
+    cfg = cfg or PATH_CONFIG
+    grouped = _group_detections(detections)
+    ts = sorted({_check_threshold(t) for t in thresholds})
+    if not ts:
+        raise ValueError("no thresholds given")
+    for t_d in ts:
+        samples, _, _ = build_samples(grouped, targets, t_d)
+        if not samples:
+            raise EmptyCorpus("no image ids shared between detections and targets")
+        yield t_d, samples, [scene_csed(sample, tax, cfg) for sample in samples]
+
+
 def corpus_report(
     detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
     targets: Mapping[str, ConceptMultiset],
@@ -109,42 +140,28 @@ def corpus_report(
     tax: Taxonomy,
     cfg: CostConfig | None = None,
 ) -> list[tuple[float, Census]]:
-    """One operation census per threshold over the joined corpus.
+    """One operation census per threshold over the joined corpus, in
+    ascending threshold order."""
+    solved = solve_thresholds(detections, targets, thresholds, tax, cfg)
+    return [(t_d, operation_census(scripts)) for t_d, _, scripts in solved]
 
-    Raw detection confidences are kept so each threshold re-filters from
-    scratch; thresholds are reported in ascending order.
-    """
-    cfg = cfg or PATH_CONFIG
-    grouped = _group_detections(detections)
-    ts = sorted({_check_threshold(t) for t in thresholds})
-    if not ts:
-        raise ValueError("no thresholds given")
-    rows: list[tuple[float, Census]] = []
-    for t_d in ts:
-        samples, _, _ = build_samples(grouped, targets, t_d)
-        if not samples:
-            raise EmptyCorpus("no image ids shared between detections and targets")
-        scripts = [scene_csed(sample, tax, cfg) for sample in samples]
-        rows.append((t_d, operation_census(scripts)))
-    return rows
+
+def census_rows(rows: Iterable[tuple[float, Census]]) -> list[list[str]]:
+    """Census report rows as text cells, in ``CENSUS_COLUMNS`` order."""
+    return [
+        [
+            format_cost(t_d),
+            str(census.n_insert), format_cost(census.cost_insert),
+            str(census.n_delete), format_cost(census.cost_delete),
+            str(census.n_replace), format_cost(census.cost_replace),
+            "" if census.mean_total is None else f"{census.mean_total:.4f}",
+        ]
+        for t_d, census in rows
+    ]
 
 
 def census_csv(rows: Iterable[tuple[float, Census]]) -> str:
-    lines = [CENSUS_HEADER]
-    for t_d, census in rows:
-        mean = "" if census.mean_total is None else f"{census.mean_total:.4f}"
-        lines.append(
-            ",".join(
-                [
-                    format_cost(t_d),
-                    str(census.n_insert), format_cost(census.cost_insert),
-                    str(census.n_delete), format_cost(census.cost_delete),
-                    str(census.n_replace), format_cost(census.cost_replace),
-                    mean,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CENSUS_HEADER] + [",".join(row) for row in census_rows(rows)]) + "\n"
 
 
 # -- JSONL ingestion ---------------------------------------------------------
@@ -159,15 +176,16 @@ def read_detections(path: str | Path) -> dict[str, list[DetectionRecord]]:
         if "image_id" not in record or "detections" not in record:
             raise MalformedObject(f"detections line needs 'image_id' and 'detections': {line[:80]!r}")
         image_id = str(record["image_id"])
-        recs = grouped.setdefault(image_id, [])
-        for det in record["detections"]:
-            recs.append(
-                DetectionRecord(
-                    image_id=image_id,
-                    concept=det["concept"],
-                    confidence=float(det["confidence"]),
-                )
+        if image_id in grouped:
+            raise MalformedObject(f"{path}: duplicate image id {image_id!r}")
+        grouped[image_id] = [
+            DetectionRecord(
+                image_id=image_id,
+                concept=det["concept"],
+                confidence=float(det["confidence"]),
             )
+            for det in record["detections"]
+        ]
     return grouped
 
 
@@ -179,7 +197,10 @@ def read_targets(path: str | Path) -> dict[str, ConceptMultiset]:
         record = json.loads(line)
         if "image_id" not in record or "concepts" not in record:
             raise MalformedObject(f"targets line needs 'image_id' and 'concepts': {line[:80]!r}")
-        targets[str(record["image_id"])] = ConceptMultiset(record["concepts"])
+        image_id = str(record["image_id"])
+        if image_id in targets:
+            raise MalformedObject(f"{path}: duplicate image id {image_id!r}")
+        targets[image_id] = ConceptMultiset(record["concepts"])
     return targets
 
 

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .edits import DELETE, INSERT, ConceptMultiset, EditOp, EditScript, csed
+from .edits import DELETE, INSERT, ConceptMultiset, EditOp, EditScript, _assign, csed
 from .errors import (
     EmptyCorpus,
     EmptyStory,
@@ -35,11 +32,6 @@ from .taxonomy import (
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
-
-GENERATED = "generated"
-GROUND_TRUTH = "ground_truth"
-
-_TIE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class ClevrObject:
 class Story:
     id: str
     frames: list[list[ClevrObject]]
-    role: str = GENERATED
 
     @property
     def length(self) -> int:
@@ -90,22 +81,25 @@ class Story:
         return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, line: str, role: str = GENERATED) -> "Story":
+    def from_json(cls, line: str) -> "Story":
         record = json.loads(line)
         if "id" not in record or "frames" not in record:
             raise MalformedObject(f"story record needs 'id' and 'frames': {line[:80]!r}")
         frames = [
             [ClevrObject.from_dict(obj) for obj in frame] for frame in record["frames"]
         ]
-        return cls(id=str(record["id"]), frames=frames, role=role)
+        return cls(id=str(record["id"]), frames=frames)
 
 
-def read_stories(path: str | Path, role: str = GENERATED) -> list[Story]:
-    stories = []
+def read_stories(path: str | Path) -> list[Story]:
+    stories: dict[str, Story] = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
-            stories.append(Story.from_json(line, role=role))
-    return stories
+            story = Story.from_json(line)
+            if story.id in stories:
+                raise MalformedObject(f"{path}: duplicate story id {story.id!r}")
+            stories[story.id] = story
+    return list(stories.values())
 
 
 def write_stories(path: str | Path, stories: Iterable[Story]) -> None:
@@ -151,44 +145,34 @@ def frame_csed(
     if n == 0 and m == 0:
         return EditScript(()), 0.0
 
-    pair_scripts: dict[tuple[int, int], EditScript] = {}
     cache: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
-    size = n + m
-    cost = np.zeros((size, size))
-    bias = np.zeros((size, size))
-    for i, gen_obj in enumerate(gen_frame):
-        for j, gt_obj in enumerate(gt_frame):
+    pair_scripts = []
+    for gen_obj in gen_frame:
+        row = []
+        for gt_obj in gt_frame:
             key = (gen_obj.concepts(), gt_obj.concepts())
-            script = cache.get(key)
-            if script is None:
-                script = csed(gen_obj.multiset(), gt_obj.multiset(), tax, cfg)
-                cache[key] = script
-            pair_scripts[(i, j)] = script
-            cost[i, j] = script.total_cost
-    for i, gen_obj in enumerate(gen_frame):
-        cost[i, m:] = _object_delete_cost(gen_obj, tax, cfg)
-        bias[i, m:] = 1.0
-    for j, gt_obj in enumerate(gt_frame):
-        cost[n:, j] = _object_insert_cost(gt_obj, tax, cfg)
-        bias[n:, j] = 1.0
+            if key not in cache:
+                cache[key] = csed(gen_obj.multiset(), gt_obj.multiset(), tax, cfg)
+            row.append(cache[key])
+        pair_scripts.append(row)
+    pair = [[script.total_cost for script in row] for row in pair_scripts]
+    del_costs = [_object_delete_cost(obj, tax, cfg) for obj in gen_frame]
+    ins_costs = [_object_insert_cost(obj, tax, cfg) for obj in gt_frame]
 
-    rows, cols = linear_sum_assignment(cost + _TIE_EPS * bias)
     ops: list[EditOp] = []
-    for i, j in zip(rows, cols):
-        if i < n and j < m:
-            ops.extend(pair_scripts[(i, j)].ops)
-        elif i < n:
-            obj = gen_frame[i]
+    for i, j in _assign(pair, del_costs, ins_costs):
+        if j >= m:
             ops.extend(
                 EditOp(DELETE, source=c, cost=delete_cost(tax, c, cfg))
-                for c in obj.concepts()
+                for c in gen_frame[i].concepts()
             )
-        elif j < m:
-            obj = gt_frame[j]
+        elif i >= n:
             ops.extend(
                 EditOp(INSERT, target=c, cost=insert_cost(tax, c, cfg))
-                for c in obj.concepts()
+                for c in gt_frame[j].concepts()
             )
+        else:
+            ops.extend(pair_scripts[i][j].ops)
     script = EditScript(tuple(ops))
     return script, script.total_cost
 

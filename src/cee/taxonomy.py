@@ -132,9 +132,6 @@ class Taxonomy:
             raise UnknownConcept(norm)
         return norm
 
-    def is_virtual(self, name: str) -> bool:
-        return self.resolve(name) not in self._nodes
-
     def ancestors_or_self(self, name: str) -> frozenset[str]:
         node = self.resolve(name)
         if node not in self._nodes:
@@ -151,19 +148,6 @@ class Taxonomy:
             cached = frozenset(out)
             self._ancestors[node] = cached
         return cached
-
-    def descendants_or_self(self, name: str) -> frozenset[str]:
-        node = self.resolve(name)
-        if node not in self._nodes:
-            return frozenset({node})
-        out = {node}
-        queue = deque([node])
-        while queue:
-            for c in self._children.get(queue.popleft(), ()):
-                if c not in out:
-                    out.add(c)
-                    queue.append(c)
-        return frozenset(out)
 
     def is_descendant_or_equal(self, s: str, t: str) -> bool:
         return self.resolve(t) in self.ancestors_or_self(s)

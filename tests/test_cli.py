@@ -95,6 +95,16 @@ def test_eval_story_no_shared_ids_fails(golden_corpus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("join-miss")
 
 
+def test_eval_story_duplicate_story_id_fails(golden_corpus, tmp_path, capsys):
+    gen_path, gt_path = golden_corpus
+    doubled = tmp_path / "gen2.jsonl"
+    doubled.write_text(gen_path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    rc = cli.main(["eval-story", str(doubled), str(gt_path), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {doubled}: duplicate story id 'golden'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_story_missing_file_reports_error(tmp_path, capsys):
     rc = cli.main(["eval-story", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope.jsonl")])
     assert rc == 2
@@ -155,6 +165,121 @@ def test_eval_scene_threshold_sweep_monotone_inserts(tmp_path):
     inserts = [int(r.split(",")[1]) for r in rows]
     assert len(rows) == 3  # default sweep 0.5, 0.6, 0.7
     assert inserts == sorted(inserts)
+
+
+def test_eval_scene_duplicate_target_id_fails(tmp_path, capsys):
+    det_path = tmp_path / "det.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    _write_detections(det_path, [{"image_id": "a", "detections": []}])
+    _write_detections(
+        tgt_path,
+        [{"image_id": "a", "concepts": ["car"]}, {"image_id": "a", "concepts": ["light"]}],
+    )
+    rc = cli.main(
+        ["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tgt_path}: duplicate image id 'a'\n"
+
+
+def test_eval_scene_duplicate_detection_id_fails(tmp_path, capsys):
+    det_path = tmp_path / "det.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    _write_detections(det_path, STREET_DETECTIONS * 2)
+    _write_detections(tgt_path, STREET_TARGETS)
+    rc = cli.main(
+        ["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+         "--out-dir", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {det_path}: duplicate image id 'fig'\n"
+
+
+PINNED_DETECTIONS = [
+    {
+        "image_id": "a",
+        "detections": [
+            {"concept": "car", "confidence": 0.9},
+            {"concept": "truck", "confidence": 0.6},
+            {"concept": "traffic light", "confidence": 0.8},
+        ],
+    },
+    {
+        "image_id": "b",
+        "detections": [
+            {"concept": "person", "confidence": 0.55},
+            {"concept": "stop sign", "confidence": 0.95},
+        ],
+    },
+    {"image_id": "c", "detections": []},
+]
+PINNED_TARGETS = [
+    {"image_id": "a", "concepts": ["car", "light"]},
+    {"image_id": "b", "concepts": ["person", "buildings", "car"]},
+    {"image_id": "c", "concepts": ["truck"]},
+]
+PINNED_CENSUS = {
+    "markdown": (
+        "| threshold | n_insert | cost_insert | n_delete | cost_delete"
+        " | n_replace | cost_replace | mean_csed |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| 0.5 | 2 | 4 | 1 | 2 | 2 | 8 | 4.6667 |\n"
+        "| 0.75 | 3 | 5 | 0 | 0 | 2 | 8 | 4.3333 |\n"
+    ),
+    "json": json.dumps(
+        [
+            {
+                "threshold": "0.5", "n_insert": "2", "cost_insert": "4",
+                "n_delete": "1", "cost_delete": "2", "n_replace": "2",
+                "cost_replace": "8", "mean_csed": "4.6667",
+            },
+            {
+                "threshold": "0.75", "n_insert": "3", "cost_insert": "5",
+                "n_delete": "0", "cost_delete": "0", "n_replace": "2",
+                "cost_replace": "8", "mean_csed": "4.3333",
+            },
+        ],
+        indent=2,
+    ) + "\n",
+    "csv": (
+        "threshold,n_insert,cost_insert,n_delete,cost_delete,n_replace,cost_replace,mean_csed\n"
+        "0.5,2,4,1,2,2,8,4.6667\n"
+        "0.75,3,5,0,0,2,8,4.3333\n"
+    ),
+}
+PINNED_TRANSACTIONS = {
+    "transactions_td0.5.jsonl": (
+        '{"edits": ["D:truck", "R:traffic light→light"], "id": "a"}\n'
+        '{"edits": ["I:car", "R:stop sign→buildings"], "id": "b"}\n'
+        '{"edits": ["I:truck"], "id": "c"}\n'
+    ),
+    "transactions_td0.75.jsonl": (
+        '{"edits": ["R:traffic light→light"], "id": "a"}\n'
+        '{"edits": ["I:car", "I:person", "R:stop sign→buildings"], "id": "b"}\n'
+        '{"edits": ["I:truck"], "id": "c"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt,ext", [("markdown", "md"), ("json", "json"), ("csv", "csv")])
+def test_eval_scene_census_text_is_pinned(fmt, ext, tmp_path, capsys):
+    det_path = tmp_path / "det.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    _write_detections(det_path, PINNED_DETECTIONS)
+    _write_detections(tgt_path, PINNED_TARGETS)
+    out = tmp_path / "out"
+    rc = cli.main(
+        [
+            "eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+            "--threshold", "0.75", "--threshold", "0.5", "--format", fmt,
+            "--out-dir", str(out),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == PINNED_CENSUS[fmt]
+    written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+    assert written == {f"census.{ext}": PINNED_CENSUS[fmt], **PINNED_TRANSACTIONS}
 
 
 # -- explain ---------------------------------------------------------------------

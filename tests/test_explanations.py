@@ -146,6 +146,62 @@ def test_rule_support_bounded_by_marginals():
         assert 0 < rule.support <= 100.0
 
 
+def _rules_via_apriori(itemsets, min_support):
+    """Rules built from apriori's frequent 1-itemsets, as an oracle."""
+    n = len(itemsets)
+
+    def share(has):
+        return 100.0 * sum(1 for t in itemsets if any(has(tok) for tok in t)) / n
+
+    rules = []
+    for itemset, count in apriori(itemsets, min_support).items():
+        parsed = split_replace_token(min(itemset)) if len(itemset) == 1 else None
+        if parsed is None:
+            continue
+        source, target = parsed
+        rules.append(
+            AssociationRule(
+                source=source,
+                target=target,
+                frequency=count,
+                support=100.0 * count / n,
+                antecedent_support=share(
+                    lambda tok: tok.startswith("R:") and split_replace_token(tok)[0] == source
+                ),
+                consequent_support=share(
+                    lambda tok: tok.startswith("R:") and split_replace_token(tok)[1] == target
+                ),
+            )
+        )
+    return sorted(rules, key=lambda r: (-r.support, r.source, r.target))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.frozensets(
+            st.sampled_from(
+                ["R:a→b", "R:a→c", "R:b→c", "R:c→a", "R:a", "R:", "D:a", "I:b", "D:c", "x"]
+            ),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=15,
+    ),
+    min_support=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_mine_rules_matches_apriori_oracle(data, min_support):
+    assert mine_rules(data, min_support) == _rules_via_apriori(data, min_support)
+
+
+def test_mine_rules_rejects_bad_support():
+    with pytest.raises(ValueError):
+        mine_rules([{"R:a→b"}], 0.0)
+    with pytest.raises(ValueError):
+        mine_rules([{"R:a→b"}], 1.5)
+    assert mine_rules([], 1.5) == []  # nothing to mine, nothing to check
+
+
 def test_rule_tie_break_is_lexicographic():
     data = [{"R:b→z", "R:a→z", "R:a→y"}]
     rules = mine_rules(data, min_support=1.0)

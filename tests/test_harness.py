@@ -53,7 +53,7 @@ def test_generation_is_seed_deterministic():
 
 def test_clean_story_scores_perfectly_against_itself(clevr):
     gt = generate_story(length=4, seed=7)
-    gen = dataclasses.replace(gt, role="generated")
+    gen = dataclasses.replace(gt)
     metrics = evaluate_story(gen, gt, clevr)
     assert metrics.sl == 0.0
     assert metrics.avg_cl == 0.0
@@ -168,7 +168,6 @@ def test_first_frame_addition_flags_frame_one():
 def test_corrupted_story_role_and_frames():
     story = generate_story(length=4, seed=5)
     corrupted, _ = corrupt(story, CorruptionSpec(ops=(drop(4),)), FLATTENED_CONFIG)
-    assert corrupted.role == "generated"
     assert len(corrupted.frames[3]) == 3
     assert story.frames[3] != corrupted.frames[3]  # input untouched
     assert len(story.frames[3]) == 4

@@ -8,8 +8,6 @@ from cee import (
     EmptyCorpus,
     EmptyStory,
     FLATTENED_CONFIG,
-    GENERATED,
-    GROUND_TRUTH,
     LengthMismatch,
     MalformedObject,
     Story,
@@ -142,13 +140,13 @@ def test_story_loss_identity(clevr):
 
 def test_story_loss_length_mismatch(clevr):
     gen, gt = golden_story_pair()
-    short = Story(id=gen.id, frames=gen.frames[:2], role=GENERATED)
+    short = Story(id=gen.id, frames=gen.frames[:2])
     with pytest.raises(LengthMismatch):
         story_loss(short, gt, clevr, FLATTENED_CONFIG)
 
 
 def test_empty_story_rejected(clevr):
-    empty = Story(id="empty", frames=[], role=GENERATED)
+    empty = Story(id="empty", frames=[])
     with pytest.raises(EmptyStory):
         story_loss(empty, empty, clevr, FLATTENED_CONFIG)
 
@@ -167,7 +165,6 @@ def test_reference_story_consistency(clevr):
 def test_first_frame_object_count_penalty(clevr):
     two_up_front = Story(
         id="s", frames=[[obj(), obj(color="red")], [obj(), obj(color="red")]],
-        role=GENERATED,
     )
     trace, _ = consistency_loss(two_up_front, clevr, FLATTENED_CONFIG)
     assert trace[0] == 4.0
@@ -180,7 +177,7 @@ def test_recolor_mid_story_flags_inconsistency(clevr):
     a, b, c = obj(color="red"), obj(color="green", shape="cube"), obj(shape="cylinder")
     drifted = ClevrObject(a.size, "blue", a.material, a.shape)
     frames = [[a], [a, b], [drifted, b, c]]
-    story = Story(id="s", frames=frames, role=GENERATED)
+    story = Story(id="s", frames=frames)
     trace, avg_cl = consistency_loss(story, clevr, FLATTENED_CONFIG)
     assert trace == [0.0, 4.0, 4.0 + 4.0 + 2.0]
     assert consistency_flags(trace, FLATTENED_CONFIG) == frozenset({3})
@@ -190,7 +187,7 @@ def test_recolor_mid_story_flags_inconsistency(clevr):
 def test_consistency_ignores_ground_truth(clevr):
     gen, gt = golden_story_pair()
     # evaluating against a permuted ground truth must not change CL
-    scrambled = Story(id=gt.id, frames=list(reversed(gt.frames)), role=GROUND_TRUTH)
+    scrambled = Story(id=gt.id, frames=list(reversed(gt.frames)))
     m1 = evaluate_story(gen, gt, clevr, FLATTENED_CONFIG)
     m2_trace, m2_avg = consistency_loss(gen, clevr, FLATTENED_CONFIG)
     assert m1.cl_per_frame == m2_trace and m1.avg_cl == m2_avg
@@ -323,6 +320,6 @@ def test_attribute_replacements_cost_two_each(seed, clevr):
     for i in range(n):
         last[i] = ClevrObject(**{**last[i].to_dict(), "color": fresh[i]})
     frames = list(story.frames[:-1]) + [last]
-    corrupted = Story(id=story.id, frames=frames, role=GENERATED)
+    corrupted = Story(id=story.id, frames=frames)
     _, sl, _ = story_loss(corrupted, story, clevr, FLATTENED_CONFIG)
     assert sl == 2.0 * n
