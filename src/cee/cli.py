@@ -274,11 +274,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     cost = cfg.cost_config()
     detections = read_detections(args.detections)
     targets = read_targets(args.targets)
-    common, n_miss = _join_on_id(detections, targets, "detections", "targets")
-    if not common:
-        raise EmptyCorpus("no image ids shared between detections and targets")
-    detections = {i: detections[i] for i in common}
-    targets = {i: targets[i] for i in common}
+    _join_on_id(detections, targets, "detections", "targets")
 
     out = Path(cfg.out_dir)
     report = []
@@ -291,7 +287,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
         )
     census_text = render_table(CENSUS_COLUMNS, census_rows(report), cfg.format)
     _write(cfg.out_dir, f"census.{_EXT[cfg.format]}", census_text)
-    print(census_text, end="" if census_text.endswith("\n") else "\n")
+    print(census_text, end="")
     return 0
 
 
@@ -333,7 +329,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ext = _EXT[cfg.format]
     _write(cfg.out_dir, f"rules.{ext}", rules_text)
     _write(cfg.out_dir, f"id_frequency.{ext}", freq_text)
-    print(rules_text, end="" if rules_text.endswith("\n") else "\n")
+    print(rules_text, end="")
     return 0
 
 

@@ -240,7 +240,7 @@ def csed(
     generated: Iterable[str] | ConceptMultiset,
     target: Iterable[str] | ConceptMultiset,
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = PATH_CONFIG,
 ) -> EditScript:
     """Minimum-cost edit script turning ``generated`` into ``target``.
 
@@ -248,7 +248,6 @@ def csed(
     specific than the target) emit no op. Cost ties between a replace and the
     delete-plus-insert route resolve to the replace.
     """
-    cfg = cfg or PATH_CONFIG
     S = as_multiset(generated)
     T = as_multiset(target)
     _check_compatible(S, tax)
@@ -291,7 +290,7 @@ def brute_force_csed(
     generated: Iterable[str] | ConceptMultiset,
     target: Iterable[str] | ConceptMultiset,
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = PATH_CONFIG,
     limit: int = BRUTE_FORCE_LIMIT,
 ) -> EditScript:
     """Exhaustive-matching reference solver for small instances.
@@ -299,7 +298,6 @@ def brute_force_csed(
     Enumerates every partial matching between S and T instead of delegating
     to the assignment solver, so it can confirm ``csed`` independently.
     """
-    cfg = cfg or PATH_CONFIG
     S = as_multiset(generated)
     T = as_multiset(target)
     _check_compatible(S, tax)

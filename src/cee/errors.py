@@ -1,10 +1,14 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the JSON-lines input reader.
 
 Every error names the offending node, edge, or record so callers can report
 actionable messages without string-parsing tracebacks.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable
 
 
 class CeeError(Exception):
@@ -90,3 +94,38 @@ class EmptyCorpus(CeeError):
 class SpecOutOfRange(CeeError):
     def __init__(self, detail: str):
         super().__init__(detail)
+
+
+def _parse_line(line: str, id_key: str, list_key: str) -> dict:
+    """One input record: a JSON object holding ``id_key`` and a list under ``list_key``."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
+    if id_key not in record or list_key not in record:
+        raise MalformedObject(f"line needs {id_key!r} and {list_key!r}")
+    if not isinstance(record[list_key], list):
+        raise MalformedObject(f"{list_key!r} must be a list, got {type(record[list_key]).__name__}")
+    return record
+
+
+def _read_jsonl(
+    path: str | Path, id_key: str, list_key: str, build: Callable[[dict], Any], unique: str | None
+) -> list:
+    """``build(record)`` per non-blank line of ``path``; failures get a ``path:line`` prefix.
+    ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows them."""
+    items, seen = [], set()
+    with open(path, encoding="utf-8") as lines:
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _parse_line(line, id_key, list_key)
+                if unique is not None:
+                    record_id = str(record[id_key])
+                    if record_id in seen:
+                        raise MalformedObject(f"duplicate {unique} id {record_id!r}")
+                    seen.add(record_id)
+                items.append(build(record))
+            except (MalformedObject, ValueError, TypeError) as exc:
+                raise MalformedObject(f"{path}:{number}: {exc}") from exc
+    return items

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
-from .errors import MalformedObject
+from .errors import MalformedObject, _parse_line, _read_jsonl
 from .taxonomy import Taxonomy
 
 
@@ -44,18 +44,20 @@ class Transaction:
 
     @classmethod
     def from_json(cls, line: str) -> "Transaction":
-        record = json.loads(line)
-        if "id" not in record or "edits" not in record:
-            raise MalformedObject(f"transaction line needs 'id' and 'edits': {line[:80]!r}")
-        return cls(id=str(record["id"]), items=frozenset(record["edits"]))
+        return cls._from_record(_parse_line(line, "id", "edits"))
+
+    @classmethod
+    def _from_record(cls, record: dict) -> "Transaction":
+        items = frozenset(record["edits"])
+        for item in items:
+            if not isinstance(item, str):
+                raise MalformedObject(f"edit {item!r} is not a string")
+        return cls(id=str(record["id"]), items=items)
 
 
 def read_transactions(path: str | Path) -> list[Transaction]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(Transaction.from_json(line))
-    return out
+    """Ids may repeat: pooled per-threshold files hold each image once per threshold."""
+    return _read_jsonl(path, "id", "edits", Transaction._from_record, unique=None)
 
 
 def write_transactions(path: str | Path, transactions: Iterable[Transaction]) -> None:
@@ -153,9 +155,9 @@ def mine_rules(
     """
     itemsets = _as_itemsets(transactions)
     n = len(itemsets)
+    min_count = _min_count(min_support, n)
     if n == 0:
         return []
-    min_count = _min_count(min_support, n)
 
     # a token maps to exactly one (source, target), so pairs count tokens
     pair_counts: Counter[tuple[str, str]] = Counter()

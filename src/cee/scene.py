@@ -3,13 +3,12 @@ concepts, per image, plus threshold-sweep census reports."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .edits import Census, ConceptMultiset, EditScript, csed, format_cost, operation_census
-from .errors import EmptyCorpus, MalformedObject
+from .errors import EmptyCorpus, MalformedObject, _read_jsonl
 from .taxonomy import CostConfig, PATH_CONFIG, Taxonomy, normalize_concept
 
 CENSUS_COLUMNS = (
@@ -52,6 +51,16 @@ def _check_threshold(t_d: float) -> float:
     return float(t_d)
 
 
+def _cut(
+    detections: Mapping[str, Iterable[DetectionRecord]], t_d: float
+) -> dict[str, ConceptMultiset]:
+    _check_threshold(t_d)
+    return {
+        image_id: ConceptMultiset(rec.concept for rec in recs if rec.confidence >= t_d)
+        for image_id, recs in detections.items()
+    }
+
+
 def threshold_filter(
     detections: Iterable[DetectionRecord],
     t_d: float,
@@ -59,32 +68,18 @@ def threshold_filter(
     """Per-image multiset of concepts detected with confidence >= t_d.
     Every image id present in the input keeps a key, even when nothing
     survives the cut."""
-    _check_threshold(t_d)
-    kept: dict[str, list[str]] = {}
-    for rec in detections:
-        kept.setdefault(rec.image_id, [])
-        if rec.confidence >= t_d:
-            kept[rec.image_id].append(rec.concept)
-    return {image_id: ConceptMultiset(concepts) for image_id, concepts in kept.items()}
-
-
-def scene_csed(sample: SceneSample, tax: Taxonomy, cfg: CostConfig | None = None) -> EditScript:
-    return csed(sample.generated, sample.target, tax, cfg or PATH_CONFIG)
-
-
-def _group_detections(
-    detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
-) -> dict[str, list[DetectionRecord]]:
-    if isinstance(detections, Mapping):
-        return {str(k): list(v) for k, v in detections.items()}
     grouped: dict[str, list[DetectionRecord]] = {}
     for rec in detections:
         grouped.setdefault(rec.image_id, []).append(rec)
-    return grouped
+    return _cut(grouped, t_d)
+
+
+def scene_csed(sample: SceneSample, tax: Taxonomy, cfg: CostConfig = PATH_CONFIG) -> EditScript:
+    return csed(sample.generated, sample.target, tax, cfg)
 
 
 def build_samples(
-    detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
+    detections: Mapping[str, Sequence[DetectionRecord]],
     targets: Mapping[str, ConceptMultiset],
     t_d: float,
 ) -> tuple[list[SceneSample], list[str], list[str]]:
@@ -93,26 +88,21 @@ def build_samples(
     Returns (samples sorted by id, ids only in detections, ids only in
     targets); the one-sided ids are the join misses the caller reports.
     """
-    grouped = _group_detections(detections)
-    flat = [rec for recs in grouped.values() for rec in recs]
-    filtered = threshold_filter(flat, t_d)
-    for image_id in grouped:
-        filtered.setdefault(image_id, ConceptMultiset())
-    det_ids = set(filtered)
-    tgt_ids = set(targets)
+    generated = _cut(detections, t_d)
+    det_ids, tgt_ids = generated.keys(), targets.keys()
     samples = [
-        SceneSample(image_id=i, generated=filtered[i], target=targets[i])
+        SceneSample(image_id=i, generated=generated[i], target=targets[i])
         for i in sorted(det_ids & tgt_ids)
     ]
     return samples, sorted(det_ids - tgt_ids), sorted(tgt_ids - det_ids)
 
 
 def solve_thresholds(
-    detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
+    detections: Mapping[str, Sequence[DetectionRecord]],
     targets: Mapping[str, ConceptMultiset],
     thresholds: Iterable[float],
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = PATH_CONFIG,
 ) -> Iterator[tuple[float, list[SceneSample], list[EditScript]]]:
     """Joined samples and their edit scripts, one threshold at a time; each
     (image, threshold) is solved once.
@@ -121,24 +111,22 @@ def solve_thresholds(
     scratch; thresholds are deduplicated and yielded in ascending order. All
     thresholds are checked before the first is solved.
     """
-    cfg = cfg or PATH_CONFIG
-    grouped = _group_detections(detections)
     ts = sorted({_check_threshold(t) for t in thresholds})
     if not ts:
         raise ValueError("no thresholds given")
     for t_d in ts:
-        samples, _, _ = build_samples(grouped, targets, t_d)
+        samples, _, _ = build_samples(detections, targets, t_d)
         if not samples:
             raise EmptyCorpus("no image ids shared between detections and targets")
         yield t_d, samples, [scene_csed(sample, tax, cfg) for sample in samples]
 
 
 def corpus_report(
-    detections: Iterable[DetectionRecord] | Mapping[str, Iterable[DetectionRecord]],
+    detections: Mapping[str, Sequence[DetectionRecord]],
     targets: Mapping[str, ConceptMultiset],
     thresholds: Iterable[float],
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = PATH_CONFIG,
 ) -> list[tuple[float, Census]]:
     """One operation census per threshold over the joined corpus, in
     ascending threshold order."""
@@ -168,40 +156,23 @@ def census_csv(rows: Iterable[tuple[float, Census]]) -> str:
 
 
 def read_detections(path: str | Path) -> dict[str, list[DetectionRecord]]:
-    grouped: dict[str, list[DetectionRecord]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if "image_id" not in record or "detections" not in record:
-            raise MalformedObject(f"detections line needs 'image_id' and 'detections': {line[:80]!r}")
+    def build(record: dict) -> tuple[str, list[DetectionRecord]]:
         image_id = str(record["image_id"])
-        if image_id in grouped:
-            raise MalformedObject(f"{path}: duplicate image id {image_id!r}")
-        grouped[image_id] = [
-            DetectionRecord(
-                image_id=image_id,
-                concept=det["concept"],
-                confidence=float(det["confidence"]),
-            )
-            for det in record["detections"]
-        ]
-    return grouped
+        detections = []
+        for det in record["detections"]:
+            if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
+                raise MalformedObject(f"a detection needs 'concept' and 'confidence': {det!r}")
+            detections.append(DetectionRecord(image_id, det["concept"], float(det["confidence"])))
+        return image_id, detections
+
+    return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))
 
 
 def read_targets(path: str | Path) -> dict[str, ConceptMultiset]:
-    targets: dict[str, ConceptMultiset] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if "image_id" not in record or "concepts" not in record:
-            raise MalformedObject(f"targets line needs 'image_id' and 'concepts': {line[:80]!r}")
-        image_id = str(record["image_id"])
-        if image_id in targets:
-            raise MalformedObject(f"{path}: duplicate image id {image_id!r}")
-        targets[image_id] = ConceptMultiset(record["concepts"])
-    return targets
+    def build(record: dict) -> tuple[str, ConceptMultiset]:
+        return str(record["image_id"]), ConceptMultiset(record["concepts"])
+
+    return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))
 
 
 def split_caption(text: str) -> list[str]:

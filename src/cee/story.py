@@ -20,6 +20,8 @@ from .errors import (
     LengthMismatch,
     MalformedObject,
     UncategorizedConcept,
+    _parse_line,
+    _read_jsonl,
 )
 from .taxonomy import (
     FLATTENED_CONFIG,
@@ -82,9 +84,10 @@ class Story:
 
     @classmethod
     def from_json(cls, line: str) -> "Story":
-        record = json.loads(line)
-        if "id" not in record or "frames" not in record:
-            raise MalformedObject(f"story record needs 'id' and 'frames': {line[:80]!r}")
+        return cls._from_record(_parse_line(line, "id", "frames"))
+
+    @classmethod
+    def _from_record(cls, record: dict) -> "Story":
         frames = [
             [ClevrObject.from_dict(obj) for obj in frame] for frame in record["frames"]
         ]
@@ -92,14 +95,7 @@ class Story:
 
 
 def read_stories(path: str | Path) -> list[Story]:
-    stories: dict[str, Story] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            story = Story.from_json(line)
-            if story.id in stories:
-                raise MalformedObject(f"{path}: duplicate story id {story.id!r}")
-            stories[story.id] = story
-    return list(stories.values())
+    return _read_jsonl(path, "id", "frames", Story._from_record, unique="story")
 
 
 def write_stories(path: str | Path, stories: Iterable[Story]) -> None:
@@ -132,15 +128,13 @@ def frame_csed(
     gen_frame: Sequence[ClevrObject],
     gt_frame: Sequence[ClevrObject],
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = FLATTENED_CONFIG,
 ) -> tuple[EditScript, float]:
     """Align objects by minimum-cost assignment; object-pair cost is the
     attribute-multiset CSED. Surplus generated objects become whole-object
-    deletes, missing objects whole-object inserts."""
-    cfg = cfg or FLATTENED_CONFIG
-    for obj in list(gen_frame) + list(gt_frame):
-        validate_object(obj, tax)
+    deletes, missing objects whole-object inserts.
 
+    Objects are expected to have passed ``validate_object`` against ``tax``."""
     n, m = len(gen_frame), len(gt_frame)
     if n == 0 and m == 0:
         return EditScript(()), 0.0
@@ -181,9 +175,10 @@ def story_loss(
     gen: Story,
     gt: Story,
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = FLATTENED_CONFIG,
 ) -> tuple[list[EditScript], float, float]:
-    """Per-frame scripts, SL (their cost sum), and Avg SL (SL / L)."""
+    """Per-frame scripts, SL (their cost sum), and Avg SL (SL / L).
+    Objects are expected to have passed ``validate_object``."""
     if gen.length != gt.length:
         raise LengthMismatch(gen.length, gt.length)
     if gen.length == 0:
@@ -196,10 +191,9 @@ def story_loss(
     return scripts, sl, sl / gen.length
 
 
-def ideal_cl_trace(length: int, cfg: CostConfig | None = None) -> list[float]:
+def ideal_cl_trace(length: int, cfg: CostConfig = FLATTENED_CONFIG) -> list[float]:
     """Cumulative CL of a perfectly consistent story: one whole object
     (|C| concepts) enters per frame."""
-    cfg = cfg or FLATTENED_CONFIG
     step = N_CONCEPTS * cfg.delete_weight
     return [step * k for k in range(length)]
 
@@ -207,10 +201,10 @@ def ideal_cl_trace(length: int, cfg: CostConfig | None = None) -> list[float]:
 def consistency_loss(
     gen: Story,
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = FLATTENED_CONFIG,
 ) -> tuple[list[float], float]:
-    """Cumulative CL trace and Avg CL. Ground truth plays no part here."""
-    cfg = cfg or FLATTENED_CONFIG
+    """Cumulative CL trace and Avg CL. Ground truth plays no part here.
+    Objects are expected to have passed ``validate_object``."""
     if gen.length == 0:
         raise EmptyStory(gen.id)
     p1 = float(abs(N_CONCEPTS * len(gen.frames[0]) - N_CONCEPTS))
@@ -224,10 +218,9 @@ def consistency_loss(
     return trace, avg_cl
 
 
-def consistency_flags(trace: Sequence[float], cfg: CostConfig | None = None) -> frozenset[int]:
+def consistency_flags(trace: Sequence[float], cfg: CostConfig = FLATTENED_CONFIG) -> frozenset[int]:
     """1-based frame indices where the trace leaves the ideal cumulative path
     (frame 1 flags when the object count itself is off)."""
-    cfg = cfg or FLATTENED_CONFIG
     ideal = ideal_cl_trace(len(trace), cfg)
     flags = {k + 1 for k in range(1, len(trace)) if trace[k] != ideal[k]}
     if trace and trace[0] != 0:
@@ -294,9 +287,13 @@ def evaluate_story(
     gen: Story,
     gt: Story,
     tax: Taxonomy,
-    cfg: CostConfig | None = None,
+    cfg: CostConfig = FLATTENED_CONFIG,
 ) -> StoryMetrics:
-    cfg = cfg or FLATTENED_CONFIG
+    # each distinct object once, in first-seen order so the reported one is stable
+    for obj in dict.fromkeys(
+        obj for pair in zip(gen.frames, gt.frames) for frame in pair for obj in frame
+    ):
+        validate_object(obj, tax)
     scripts, sl, avg_sl = story_loss(gen, gt, tax, cfg)
     trace, avg_cl = consistency_loss(gen, tax, cfg)
     flags = consistency_flags(trace, cfg)

@@ -120,9 +120,6 @@ class Taxonomy:
     def parents(self, name: str) -> frozenset[str]:
         return self._parents.get(self.resolve(name), frozenset())
 
-    def children(self, name: str) -> frozenset[str]:
-        return self._children.get(self.resolve(name), frozenset())
-
     def resolve(self, name: str) -> str:
         """Normalize ``name``; unknown concepts are an error unless the
         taxonomy was built with ``attach_unknown``, in which case they behave
@@ -366,20 +363,18 @@ def clevr_taxonomy(attach_unknown: bool = False) -> Taxonomy:
 # -- cost model ------------------------------------------------------------
 
 
-def distance(tax: Taxonomy, s: str, t: str, cfg: CostConfig | None = None) -> float:
+def distance(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
     """Directed semantic distance from generated concept s to target t.
 
     Zero when s equals t or is a descendant of t (more specific output still
     satisfies the target); otherwise the weighted undirected path length.
     """
-    cfg = cfg or PATH_CONFIG
     if tax.is_descendant_or_equal(s, t):
         return 0.0
     return cfg.unit_edge_cost * tax.path_length(s, t)
 
 
-def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig | None = None) -> float:
-    cfg = cfg or PATH_CONFIG
+def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig = PATH_CONFIG) -> float:
     node = tax.resolve(s)
     if node == tax.root:
         return 0.0
@@ -387,8 +382,7 @@ def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig | None = None) -> float:
     return cfg.delete_weight * hops
 
 
-def insert_cost(tax: Taxonomy, t: str, cfg: CostConfig | None = None) -> float:
-    cfg = cfg or PATH_CONFIG
+def insert_cost(tax: Taxonomy, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
     node = tax.resolve(t)
     if node == tax.root:
         return 0.0
@@ -396,18 +390,16 @@ def insert_cost(tax: Taxonomy, t: str, cfg: CostConfig | None = None) -> float:
     return cfg.insert_weight * hops
 
 
-def replace_cost(tax: Taxonomy, s: str, t: str, cfg: CostConfig | None = None) -> float:
-    cfg = cfg or PATH_CONFIG
+def replace_cost(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
     if cfg.replace_mode == REPLACE_SHORTEST_PATH:
         return distance(tax, s, t, cfg)
     return delete_cost(tax, s, cfg) + insert_cost(tax, t, cfg)
 
 
-def is_replaceable(tax: Taxonomy, s: str, t: str, cfg: CostConfig | None = None) -> bool:
+def is_replaceable(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> bool:
     """A replace s -> t is actionable when it beats delete-plus-insert through
     the root, or when the concepts share an ancestor below the root (including
     one being an ancestor of the other)."""
-    cfg = cfg or PATH_CONFIG
     s, t = tax.resolve(s), tax.resolve(t)
     if replace_cost(tax, s, t, cfg) < delete_cost(tax, s, cfg) + insert_cost(tax, t, cfg):
         return True

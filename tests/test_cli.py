@@ -38,6 +38,9 @@ STREET_DETECTIONS = [
 STREET_TARGETS = [{"image_id": "fig", "concepts": ["light", "buildings"]}]
 
 
+MISPLACED = {"size": "red", "color": "small", "material": "rubber", "shape": "cube"}
+
+
 # -- eval-story ------------------------------------------------------------------
 
 
@@ -101,8 +104,21 @@ def test_eval_story_duplicate_story_id_fails(golden_corpus, tmp_path, capsys):
     doubled.write_text(gen_path.read_text(encoding="utf-8") * 2, encoding="utf-8")
     rc = cli.main(["eval-story", str(doubled), str(gt_path), "--out-dir", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {doubled}: duplicate story id 'golden'\n"
+    assert capsys.readouterr().err == f"error: {doubled}:2: duplicate story id 'golden'\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_eval_story_misplaced_attribute_fails(tmp_path, capsys):
+    # well-formed JSON, so only the taxonomy check in evaluate_story can reject it
+    story = tmp_path / "story.jsonl"
+    story.write_text(json.dumps({"id": "s", "frames": [[MISPLACED]]}) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["eval-story", str(story), str(story), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: attribute 'red' resolves to category 'color', expected 'size'\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_story_missing_file_reports_error(tmp_path, capsys):
@@ -180,7 +196,7 @@ def test_eval_scene_duplicate_target_id_fails(tmp_path, capsys):
          "--out-dir", str(tmp_path / "o")]
     )
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {tgt_path}: duplicate image id 'a'\n"
+    assert capsys.readouterr().err == f"error: {tgt_path}:2: duplicate image id 'a'\n"
 
 
 def test_eval_scene_duplicate_detection_id_fails(tmp_path, capsys):
@@ -193,7 +209,26 @@ def test_eval_scene_duplicate_detection_id_fails(tmp_path, capsys):
          "--out-dir", str(tmp_path / "o")]
     )
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {det_path}: duplicate image id 'fig'\n"
+    assert capsys.readouterr().err == f"error: {det_path}:2: duplicate image id 'fig'\n"
+
+
+def test_eval_scene_no_shared_ids_fails(tmp_path, capsys):
+    det_path = tmp_path / "det.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    _write_detections(det_path, STREET_DETECTIONS)
+    _write_detections(tgt_path, [{"image_id": "other", "concepts": ["car"]}])
+    out = tmp_path / "o"
+    rc = cli.main(
+        ["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+         "--out-dir", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "join-miss: id 'fig' only in detections\n"
+        "join-miss: id 'other' only in targets\n"
+        "error: no image ids shared between detections and targets\n"
+    )
+    assert not out.exists()
 
 
 PINNED_DETECTIONS = [
@@ -320,6 +355,81 @@ def test_explain_empty_transactions(tmp_path, capsys):
     assert (out / "rules.csv").read_text(encoding="utf-8").splitlines() == [
         "source,target,frequency,support_pct,antecedent_support_pct,consequent_support_pct"
     ]
+
+
+def test_explain_empty_transactions_still_checks_min_support(tmp_path, capsys):
+    tx_path = tmp_path / "tx.jsonl"
+    tx_path.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["explain", str(tx_path), "--min-support", "0", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: min_support must be in (0, 1]\n"
+    assert not out.exists()
+
+
+# -- malformed input lines ----------------------------------------------------------
+
+GOOD_DETECTIONS = '{"image_id": "a", "detections": [{"concept": "car", "confidence": 0.9}]}'
+GOOD_TARGETS = '{"image_id": "a", "concepts": ["car"]}'
+GOOD_OBJECT = {"size": "small", "color": "red", "material": "rubber", "shape": "cube"}
+GOOD_STORY = json.dumps({"id": "s", "frames": [[GOOD_OBJECT]]})
+SCENE = ["eval-scene", "--taxonomy", "street"]
+
+
+@pytest.mark.parametrize(
+    "command,texts,bad_file,bad_line",
+    [
+        pytest.param(
+            SCENE, ['{"image_id": "a", "detections": [{"concept": "car"}]}', GOOD_TARGETS],
+            0, 1, id="detection-without-confidence",
+        ),
+        pytest.param(
+            SCENE, ['{"image_id": "a", "detections": [{"confidence": 0.9}]}', GOOD_TARGETS],
+            0, 1, id="detection-without-concept",
+        ),
+        pytest.param(
+            SCENE, ['{"image_id": "a", "detections": 5}', GOOD_TARGETS],
+            0, 1, id="detections-not-a-list",
+        ),
+        pytest.param(
+            SCENE, [GOOD_DETECTIONS + "\n{not json", GOOD_TARGETS],
+            0, 2, id="bad-json-on-line-2",
+        ),
+        pytest.param(
+            SCENE + ["--attach-unknown"], [GOOD_DETECTIONS, '{"image_id": "a", "concepts": "car"}'],
+            1, 1, id="concepts-not-a-list",
+        ),
+        pytest.param(
+            SCENE, [GOOD_DETECTIONS, '["a", "car"]'],
+            1, 1, id="line-not-an-object",
+        ),
+        pytest.param(
+            ["eval-story"], [GOOD_STORY, '{"id": "s", "frames": 5}'],
+            1, 1, id="frames-not-a-list",
+        ),
+        pytest.param(
+            ["explain"], ['{"id": "t1", "edits": "R:a→b"}'],
+            0, 1, id="edits-not-a-list",
+        ),
+        pytest.param(
+            ["explain"], ['{"id": "t1", "edits": ["R:a→b"]}\n{"id": "t2", "edits": [1]}'],
+            0, 2, id="edit-not-a-string",
+        ),
+    ],
+)
+def test_malformed_line_names_path_and_line(command, texts, bad_file, bad_line, tmp_path, capsys):
+    paths = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"input{k}.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "out"
+    rc = cli.main([command[0], *paths, *command[1:], "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {paths[bad_file]}:{bad_line}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # -- gen-synthetic + round trip -----------------------------------------------------

@@ -199,7 +199,8 @@ def test_mine_rules_rejects_bad_support():
         mine_rules([{"R:a→b"}], 0.0)
     with pytest.raises(ValueError):
         mine_rules([{"R:a→b"}], 1.5)
-    assert mine_rules([], 1.5) == []  # nothing to mine, nothing to check
+    with pytest.raises(ValueError):
+        mine_rules([], 1.5)
 
 
 def test_rule_tie_break_is_lexicographic():
