@@ -317,7 +317,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         rule_rows,
         cfg.format,
     )
-    table = id_frequency_table(transactions, cfg.top_k) if transactions else {"I": [], "D": []}
+    table = id_frequency_table(transactions, cfg.top_k)
     freq_rows = [
         [kind, concept, str(count), f"{share:.2f}"]
         for kind in ("I", "D")

@@ -19,17 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import IncompatibleTaxonomy, InstanceTooLarge
-from .taxonomy import (
-    PATH_CONFIG,
-    CostConfig,
-    Taxonomy,
-    delete_cost,
-    distance,
-    insert_cost,
-    is_replaceable,
-    normalize_concept,
-    replace_cost,
-)
+from .taxonomy import PATH_CONFIG, CostConfig, Taxonomy, normalize_concept
 
 DELETE = "D"
 REPLACE = "R"
@@ -63,16 +53,6 @@ class ConceptMultiset:
             counts[normalize_concept(item)] += 1
         self._counts = counts
         self.taxonomy_id = taxonomy_id
-
-    @classmethod
-    def from_counts(cls, counts: dict[str, int], taxonomy_id: str | None = None) -> "ConceptMultiset":
-        ms = cls(taxonomy_id=taxonomy_id)
-        for name, n in counts.items():
-            if n < 0:
-                raise ValueError(f"negative multiplicity for {name!r}")
-            if n:
-                ms._counts[normalize_concept(name)] += n
-        return ms
 
     @classmethod
     def for_taxonomy(cls, items: Iterable[str], tax: Taxonomy) -> "ConceptMultiset":
@@ -172,36 +152,6 @@ class EditScript:
     def edit_tokens(self) -> list[str]:
         return [op.token for op in self.ops]
 
-    def dumps(self) -> str:
-        lines = []
-        for op in self.ops:
-            lines.append(
-                f"{op.kind}\t{op.source or ''}\t{op.target or ''}\t{format_cost(op.cost)}"
-            )
-        lines.append(f"TOTAL\t{format_cost(self.total_cost)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "EditScript":
-        ops = []
-        total: float | None = None
-        for raw in text.splitlines():
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if fields[0] == "TOTAL":
-                total = float(fields[1])
-                continue
-            kind, source, target, cost = fields
-            ops.append(
-                EditOp(kind, source=source or None, target=target or None, cost=float(cost))
-            )
-        script = cls(tuple(ops))
-        if total is not None and not math.isclose(script.total_cost, total, abs_tol=1e-9):
-            raise ValueError(f"TOTAL line {total} does not match op sum {script.total_cost}")
-        return script
-
 
 def as_multiset(items: Iterable[str] | ConceptMultiset) -> ConceptMultiset:
     return items if isinstance(items, ConceptMultiset) else ConceptMultiset(items)
@@ -212,6 +162,26 @@ def _check_compatible(ms: ConceptMultiset, tax: Taxonomy) -> None:
         raise IncompatibleTaxonomy(
             f"multiset is pinned to taxonomy {ms.taxonomy_id}, got {tax.fingerprint}"
         )
+
+
+def _priced(
+    generated: Iterable[str] | ConceptMultiset,
+    target: Iterable[str] | ConceptMultiset,
+    tax: Taxonomy,
+    cfg: CostConfig,
+) -> tuple[list[str], list[str], list[float], list[float], list[list[float | None]]]:
+    """Both sides' items, their delete and insert prices, and every pair's
+    price (None where the replace is not actionable), from the cost model."""
+    S = as_multiset(generated)
+    T = as_multiset(target)
+    _check_compatible(S, tax)
+    _check_compatible(T, tax)
+    model = tax.cost_model(cfg)
+    s_items, t_items = list(S), list(T)
+    del_costs = [model.costs(s)[0] for s in s_items]
+    ins_costs = [model.costs(t)[1] for t in t_items]
+    pair = [[model.pair(s, t) for t in t_items] for s in s_items]
+    return s_items, t_items, del_costs, ins_costs, pair
 
 
 def _assign(
@@ -248,30 +218,16 @@ def csed(
     specific than the target) emit no op. Cost ties between a replace and the
     delete-plus-insert route resolve to the replace.
     """
-    S = as_multiset(generated)
-    T = as_multiset(target)
-    _check_compatible(S, tax)
-    _check_compatible(T, tax)
-
-    s_items = [tax.resolve(x) for x in S]
-    t_items = [tax.resolve(x) for x in T]
+    s_items, t_items, del_costs, ins_costs, prices = _priced(generated, target, tax, cfg)
     n, m = len(s_items), len(t_items)
     if n == 0 and m == 0:
         return EditScript(())
 
-    del_costs = [delete_cost(tax, s, cfg) for s in s_items]
-    ins_costs = [insert_cost(tax, t, cfg) for t in t_items]
-
-    pair = [[0.0] * m for _ in range(n)]
-    for i, s in enumerate(s_items):
-        for j, t in enumerate(t_items):
-            if distance(tax, s, t, cfg) == 0.0:
-                continue
-            if is_replaceable(tax, s, t, cfg):
-                pair[i][j] = replace_cost(tax, s, t, cfg)
-            else:
-                # sentinel: strictly worse than deleting s and inserting t
-                pair[i][j] = del_costs[i] + ins_costs[j] + 1.0
+    # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
+    pair = [
+        [del_costs[i] + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)]
+        for i, row in enumerate(prices)
+    ]
 
     ops: list[EditOp] = []
     for i, j in _assign(pair, del_costs, ins_costs):
@@ -298,27 +254,10 @@ def brute_force_csed(
     Enumerates every partial matching between S and T instead of delegating
     to the assignment solver, so it can confirm ``csed`` independently.
     """
-    S = as_multiset(generated)
-    T = as_multiset(target)
-    _check_compatible(S, tax)
-    _check_compatible(T, tax)
-    s_items = [tax.resolve(x) for x in S]
-    t_items = [tax.resolve(x) for x in T]
+    s_items, t_items, del_costs, ins_costs, pair = _priced(generated, target, tax, cfg)
     n, m = len(s_items), len(t_items)
     if n + m > limit:
         raise InstanceTooLarge(n + m, limit)
-
-    del_costs = [delete_cost(tax, s, cfg) for s in s_items]
-    ins_costs = [insert_cost(tax, t, cfg) for t in t_items]
-    pair: list[list[float | None]] = [[None] * m for _ in range(n)]
-    matched: list[list[bool]] = [[False] * m for _ in range(n)]
-    for i, s in enumerate(s_items):
-        for j, t in enumerate(t_items):
-            if distance(tax, s, t, cfg) == 0.0:
-                pair[i][j] = 0.0
-                matched[i][j] = True
-            elif is_replaceable(tax, s, t, cfg):
-                pair[i][j] = replace_cost(tax, s, t, cfg)
 
     best_cost = math.inf
     best_choice: list[int] | None = None
@@ -356,7 +295,7 @@ def brute_force_csed(
             ops.append(EditOp(DELETE, source=s_items[i], cost=del_costs[i]))
         else:
             taken[j] = True
-            if not matched[i][j]:
+            if pair[i][j] > 0.0:
                 ops.append(
                     EditOp(REPLACE, source=s_items[i], target=t_items[j], cost=pair[i][j])
                 )

@@ -170,6 +170,8 @@ def read_detections(path: str | Path) -> dict[str, list[DetectionRecord]]:
 
 def read_targets(path: str | Path) -> dict[str, ConceptMultiset]:
     def build(record: dict) -> tuple[str, ConceptMultiset]:
+        if not record["concepts"]:
+            raise MalformedObject("a target needs at least one concept, got 'concepts': []")
         return str(record["image_id"]), ConceptMultiset(record["concepts"])
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))

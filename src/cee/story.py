@@ -23,14 +23,7 @@ from .errors import (
     _parse_line,
     _read_jsonl,
 )
-from .taxonomy import (
-    FLATTENED_CONFIG,
-    CostConfig,
-    Taxonomy,
-    delete_cost,
-    insert_cost,
-    normalize_concept,
-)
+from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
@@ -116,14 +109,6 @@ def validate_object(obj: ClevrObject, tax: Taxonomy) -> None:
             )
 
 
-def _object_delete_cost(obj: ClevrObject, tax: Taxonomy, cfg: CostConfig) -> float:
-    return float(sum(delete_cost(tax, c, cfg) for c in obj.concepts()))
-
-
-def _object_insert_cost(obj: ClevrObject, tax: Taxonomy, cfg: CostConfig) -> float:
-    return float(sum(insert_cost(tax, c, cfg) for c in obj.concepts()))
-
-
 def frame_csed(
     gen_frame: Sequence[ClevrObject],
     gt_frame: Sequence[ClevrObject],
@@ -150,20 +135,19 @@ def frame_csed(
             row.append(cache[key])
         pair_scripts.append(row)
     pair = [[script.total_cost for script in row] for row in pair_scripts]
-    del_costs = [_object_delete_cost(obj, tax, cfg) for obj in gen_frame]
-    ins_costs = [_object_insert_cost(obj, tax, cfg) for obj in gt_frame]
+    model = tax.cost_model(cfg)
+    del_costs = [sum(model.costs(c)[0] for c in obj.concepts()) for obj in gen_frame]
+    ins_costs = [sum(model.costs(c)[1] for c in obj.concepts()) for obj in gt_frame]
 
     ops: list[EditOp] = []
     for i, j in _assign(pair, del_costs, ins_costs):
         if j >= m:
             ops.extend(
-                EditOp(DELETE, source=c, cost=delete_cost(tax, c, cfg))
-                for c in gen_frame[i].concepts()
+                EditOp(DELETE, source=c, cost=model.costs(c)[0]) for c in gen_frame[i].concepts()
             )
         elif i >= n:
             ops.extend(
-                EditOp(INSERT, target=c, cost=insert_cost(tax, c, cfg))
-                for c in gt_frame[j].concepts()
+                EditOp(INSERT, target=c, cost=model.costs(c)[1]) for c in gt_frame[j].concepts()
             )
         else:
             ops.extend(pair_scripts[i][j].ops)
@@ -212,8 +196,7 @@ def consistency_loss(
     for k in range(1, gen.length):
         _, step = frame_csed(gen.frames[k], gen.frames[k - 1], tax, cfg)
         trace.append(trace[-1] + step)
-    ideal = ideal_cl_trace(gen.length, cfg)
-    violations = sum(1 for k in range(1, gen.length) if trace[k] != ideal[k])
+    violations = len(consistency_flags(trace, cfg) - {1})
     avg_cl = p1 / gen.length + violations / gen.length
     return trace, avg_cl
 

@@ -10,6 +10,7 @@ specific concept still satisfies the target.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 from collections import deque
@@ -33,8 +34,11 @@ _WS = re.compile(r"\s+")
 
 
 def normalize_concept(name: str) -> str:
-    """Trim, lowercase, and collapse internal whitespace. Idempotent."""
-    out = _WS.sub(" ", str(name).strip().lower())
+    """Trim, lowercase, and collapse internal whitespace. Idempotent.
+    Anything but a string is a ``ValueError``, never a concept."""
+    if not isinstance(name, str):
+        raise ValueError(f"concept name must be a string, got {type(name).__name__}")
+    out = _WS.sub(" ", name.strip().lower())
     if not out:
         raise ValueError("concept name is empty after trimming")
     return out
@@ -59,6 +63,9 @@ class CostConfig:
     def __post_init__(self):
         if self.replace_mode not in _REPLACE_MODES:
             raise ValueError(f"replace_mode must be one of {_REPLACE_MODES}")
+        for name in ("unit_edge_cost", "delete_weight", "insert_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.unit_edge_cost, self.delete_weight, self.insert_weight) <= 0:
             raise ValueError("cost weights must be positive")
 
@@ -73,7 +80,8 @@ class Taxonomy:
     """Immutable rooted concept hierarchy with cached path queries.
 
     Instances are safe to share across threads once constructed; the lazy
-    distance cache is only ever filled with idempotent values.
+    caches (ancestors, distances, cost models) are only ever filled with
+    idempotent values.
     """
 
     def __init__(
@@ -93,6 +101,7 @@ class Taxonomy:
         self._children = {n: frozenset(c) for n, c in children.items()}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._dist: dict[str, dict[str, int]] = {}
+        self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
         self._fingerprint: str | None = None
 
@@ -203,25 +212,12 @@ class Taxonomy:
     def depth(self, name: str) -> int:
         return self.path_length(name, self.root)
 
-    def shortest_path(self, s: str, t: str) -> list[str]:
-        """One shortest node sequence from s to t; ties resolve to the
-        lexicographically smallest sequence."""
-        s, t = self.resolve(s), self.resolve(t)
-        if s == t:
-            return [s]
-        # attached unknowns hang off the root
-        if s not in self._nodes:
-            return [s] + self.shortest_path(self.root, t)
-        if t not in self._nodes:
-            return self.shortest_path(s, self.root) + [t]
-        dist_to_t = self._bfs(t)
-        path = [s]
-        node = s
-        while node != t:
-            nbrs = self._parents.get(node, frozenset()) | self._children.get(node, frozenset())
-            node = min(n for n in nbrs if dist_to_t.get(n, -1) == dist_to_t[node] - 1)
-            path.append(node)
-        return path
+    def cost_model(self, cfg: CostConfig) -> "CostModel":
+        """The one cost model of this taxonomy under ``cfg``."""
+        model = self._models.get(cfg)
+        if model is None:
+            model = self._models[cfg] = CostModel(self, cfg)
+        return model
 
     # -- serialization ---------------------------------------------------
 
@@ -405,3 +401,43 @@ def is_replaceable(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG)
         return True
     shared = (tax.ancestors_or_self(s) & tax.ancestors_or_self(t)) - {tax.root}
     return bool(shared)
+
+
+class CostModel:
+    """The prices of one (taxonomy, cost config), each computed once.
+
+    Reached through ``Taxonomy.cost_model``. Every price comes from the free
+    functions above, which stay the only copy of each formula; the model only
+    remembers them by name, or by (s, t) name pair. An unknown concept raises
+    ``UnknownConcept`` on every call, since failures are not remembered.
+    """
+
+    def __init__(self, tax: Taxonomy, cfg: CostConfig):
+        self.tax = tax
+        self.cfg = cfg
+        self._costs: dict[str, tuple[float, float]] = {}
+        self._pairs: dict[tuple[str, str], float | None] = {}
+
+    def costs(self, name: str) -> tuple[float, float]:
+        """(delete, insert) price of one concept."""
+        price = self._costs.get(name)
+        if price is None:
+            tax, cfg = self.tax, self.cfg
+            price = self._costs[name] = (delete_cost(tax, name, cfg), insert_cost(tax, name, cfg))
+        return price
+
+    def pair(self, s: str, t: str) -> float | None:
+        """Price of turning generated s into target t: 0.0 when s satisfies
+        t, the replace cost when s -> t is actionable, None otherwise."""
+        key = (s, t)
+        if key in self._pairs:
+            return self._pairs[key]
+        tax, cfg = self.tax, self.cfg
+        if distance(tax, s, t, cfg) == 0.0:
+            price = 0.0
+        elif is_replaceable(tax, s, t, cfg):
+            price = replace_cost(tax, s, t, cfg)
+        else:
+            price = None
+        self._pairs[key] = price
+        return price

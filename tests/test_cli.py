@@ -361,10 +361,14 @@ def test_explain_empty_transactions_still_checks_min_support(tmp_path, capsys):
     tx_path = tmp_path / "tx.jsonl"
     tx_path.write_text("", encoding="utf-8")
     out = tmp_path / "out"
-    rc = cli.main(["explain", str(tx_path), "--min-support", "0", "--out-dir", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: min_support must be in (0, 1]\n"
-    assert not out.exists()
+    for flag, message in [
+        ("--min-support", "min_support must be in (0, 1]"),
+        ("--top-k", "top_k must be at least 1"),
+    ]:
+        rc = cli.main(["explain", str(tx_path), flag, "0", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 # -- malformed input lines ----------------------------------------------------------
@@ -414,6 +418,23 @@ SCENE = ["eval-scene", "--taxonomy", "street"]
         pytest.param(
             ["explain"], ['{"id": "t1", "edits": ["R:a→b"]}\n{"id": "t2", "edits": [1]}'],
             0, 2, id="edit-not-a-string",
+        ),
+        pytest.param(
+            SCENE + ["--attach-unknown"],
+            ['{"image_id": "a", "detections": [{"concept": null, "confidence": 0.9}]}', GOOD_TARGETS],
+            0, 1, id="detection-concept-null",
+        ),
+        pytest.param(
+            SCENE + ["--attach-unknown"], [GOOD_DETECTIONS, '{"image_id": "a", "concepts": [5]}'],
+            1, 1, id="target-concept-a-number",
+        ),
+        pytest.param(
+            ["eval-story"], [json.dumps({"id": "s", "frames": [[{**GOOD_OBJECT, "color": 7}]]}), GOOD_STORY],
+            0, 1, id="story-attribute-a-number",
+        ),
+        pytest.param(
+            SCENE, [GOOD_DETECTIONS, GOOD_TARGETS + '\n{"image_id": "b", "concepts": []}'],
+            1, 2, id="target-concepts-empty",
         ),
     ],
 )
@@ -493,6 +514,14 @@ def test_selftest_path_profile_skips_recovery(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "[SKIP] harness-recovery" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["unit_edge_cost", "delete_weight", "insert_weight"])
+def test_selftest_non_finite_weight_names_the_field(field, value, capsys):
+    rc = cli.main(["selftest", f"--{field.replace('_', '-')}={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
 
 
 def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cee import (
     CostConfig,
@@ -11,6 +12,8 @@ from cee import (
     FLATTENED_CONFIG,
     MultipleRoots,
     PATH_CONFIG,
+    REPLACE_DELETE_PLUS_INSERT,
+    REPLACE_SHORTEST_PATH,
     Taxonomy,
     UnknownConcept,
     delete_cost,
@@ -19,6 +22,7 @@ from cee import (
     is_replaceable,
     load_taxonomy,
     normalize_concept,
+    random_taxonomy,
     replace_cost,
     resolve_taxonomy,
 )
@@ -184,11 +188,6 @@ def test_triangle_bound_through_root(clevr):
         )
 
 
-def test_shortest_path_deterministic(clevr):
-    path = clevr.shortest_path("rubber", "metallic")
-    assert path == ["rubber", "material", "metallic"]
-
-
 # -- delete / insert / replace costs -------------------------------------------
 
 
@@ -262,3 +261,45 @@ def test_taxonomy_direct_construction():
     tax = Taxonomy(root="r", parents={"a": frozenset({"r"}), "b": frozenset({"a"})})
     assert tax.depth("b") == 2
     assert tax.category_of("b") == "a"
+
+
+# -- cost model ------------------------------------------------------------------
+
+_WEIGHT = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    replace_mode=st.sampled_from([REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH]),
+    flattened=st.booleans(),
+    weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+    attach_unknown=st.booleans(),
+)
+def test_cost_model_prices_match_the_free_functions(
+    seed, replace_mode, flattened, weights, attach_unknown
+):
+    rng = random.Random(seed)
+    tree = random_taxonomy(rng, n_nodes=rng.randint(2, 10))
+    tax = load_taxonomy(tree.to_text(), attach_unknown=attach_unknown)
+    cfg = CostConfig(*weights, replace_mode=replace_mode, flattened=flattened)
+    model = tax.cost_model(cfg)
+    assert tax.cost_model(CostConfig(*weights, replace_mode, flattened)) is model
+
+    names = sorted(tax.nodes) + [" N01 "] + (["stray"] if attach_unknown else [])
+    for _ in range(2):  # the second pass reads remembered prices
+        for s in names:
+            assert model.costs(s) == (delete_cost(tax, s, cfg), insert_cost(tax, s, cfg))
+            for t in names:
+                price = model.pair(s, t)
+                if distance(tax, s, t, cfg) == 0.0:
+                    assert price == 0.0
+                elif is_replaceable(tax, s, t, cfg):
+                    assert price == replace_cost(tax, s, t, cfg)
+                else:
+                    assert price is None
+        if not attach_unknown:
+            with pytest.raises(UnknownConcept):
+                model.costs("stray")
+            with pytest.raises(UnknownConcept):
+                model.pair(tax.root, "stray")
