@@ -40,8 +40,8 @@ def main(argv=None) -> int:
     tax = resolve_taxonomy(args.taxonomy)
     thresholds = args.thresholds or [0.5, 0.6, 0.7]
     if args.detections and args.targets:
-        detections = read_detections(args.detections)
-        targets = read_targets(args.targets)
+        detections = read_detections(args.detections, tax)
+        targets = read_targets(args.targets, tax)
     elif args.detections or args.targets:
         ap.error("--detections and --targets must be given together")
     else:

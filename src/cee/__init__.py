@@ -28,7 +28,6 @@ from .errors import (
     EmptyCorpus,
     EmptySource,
     EmptyStory,
-    IncompatibleTaxonomy,
     InstanceTooLarge,
     LengthMismatch,
     MalformedObject,

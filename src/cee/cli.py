@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import random
 import sys
+import types
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -105,13 +108,36 @@ class RunConfig:
         return resolve_taxonomy(self.taxonomy, attach_unknown=self.attach_unknown)
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a ``RunConfig`` annotation; a bool is not a number."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> RunConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in file_values.items():
+            if not _conforms(value, hints[key]):
+                raise ValueError(
+                    f"{args.config}: {key!r} must be {inspect.formatannotation(hints[key])}, "
+                    f"got {json.dumps(value)}"
+                )
     values: dict = {}
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -182,8 +208,8 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     tax = cfg.load_taxonomy()
     cost = cfg.cost_config()
-    gen_by_id = {s.id: s for s in read_stories(args.generated)}
-    gt_by_id = {s.id: s for s in read_stories(args.ground_truth)}
+    gen_by_id = {s.id: s for s in read_stories(args.generated, tax)}
+    gt_by_id = {s.id: s for s in read_stories(args.ground_truth, tax)}
     common, n_miss = _join_on_id(gen_by_id, gt_by_id, "generated corpus", "ground-truth corpus")
     if not common:
         raise EmptyCorpus("no story ids shared between generated and ground-truth corpora")
@@ -272,8 +298,8 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, scene_defaults=True)
     tax = cfg.load_taxonomy()
     cost = cfg.cost_config()
-    detections = read_detections(args.detections)
-    targets = read_targets(args.targets)
+    detections = read_detections(args.detections, tax)
+    targets = read_targets(args.targets, tax)
     _join_on_id(detections, targets, "detections", "targets")
 
     out = Path(cfg.out_dir)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import IncompatibleTaxonomy, InstanceTooLarge
+from .errors import InstanceTooLarge
 from .taxonomy import PATH_CONFIG, CostConfig, Taxonomy, normalize_concept
 
 DELETE = "D"
@@ -42,46 +42,22 @@ def format_cost(x: float) -> str:
     return str(int(xf)) if xf.is_integer() else repr(xf)
 
 
-class ConceptMultiset:
-    """Bag of normalized concept names, optionally pinned to one taxonomy."""
+class ConceptMultiset(tuple):
+    """Bag of normalized concept names, held as a tuple in sorted order.
 
-    __slots__ = ("_counts", "taxonomy_id")
+    Names are normalized once, here; length, iteration, equality and hashing
+    are the tuple's."""
 
-    def __init__(self, items: Iterable[str] = (), taxonomy_id: str | None = None):
-        counts: Counter[str] = Counter()
-        for item in items:
-            counts[normalize_concept(item)] += 1
-        self._counts = counts
-        self.taxonomy_id = taxonomy_id
+    __slots__ = ()
 
-    @classmethod
-    def for_taxonomy(cls, items: Iterable[str], tax: Taxonomy) -> "ConceptMultiset":
-        ms = cls(items, taxonomy_id=tax.fingerprint)
-        for name in ms._counts:
-            tax.resolve(name)
-        return ms
+    def __new__(cls, items: Iterable[str] = ()):
+        return super().__new__(cls, sorted(normalize_concept(item) for item in items))
 
     def counts(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
-    def __iter__(self) -> Iterator[str]:
-        for name in sorted(self._counts):
-            for _ in range(self._counts[name]):
-                yield name
+        return dict(Counter(self))
 
     def __contains__(self, name: str) -> bool:
-        return normalize_concept(name) in self._counts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConceptMultiset):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __hash__(self):
-        return hash(frozenset(self._counts.items()))
+        return super().__contains__(normalize_concept(name))
 
     def __repr__(self) -> str:
         return f"ConceptMultiset({list(self)!r})"
@@ -107,10 +83,6 @@ class EditOp:
             raise ValueError("insert needs only a target")
         if self.cost < 0:
             raise ValueError("op cost must be non-negative")
-        if self.source is not None:
-            object.__setattr__(self, "source", normalize_concept(self.source))
-        if self.target is not None:
-            object.__setattr__(self, "target", normalize_concept(self.target))
 
     @property
     def token(self) -> str:
@@ -157,31 +129,21 @@ def as_multiset(items: Iterable[str] | ConceptMultiset) -> ConceptMultiset:
     return items if isinstance(items, ConceptMultiset) else ConceptMultiset(items)
 
 
-def _check_compatible(ms: ConceptMultiset, tax: Taxonomy) -> None:
-    if ms.taxonomy_id is not None and ms.taxonomy_id != tax.fingerprint:
-        raise IncompatibleTaxonomy(
-            f"multiset is pinned to taxonomy {ms.taxonomy_id}, got {tax.fingerprint}"
-        )
-
-
 def _priced(
     generated: Iterable[str] | ConceptMultiset,
     target: Iterable[str] | ConceptMultiset,
     tax: Taxonomy,
     cfg: CostConfig,
-) -> tuple[list[str], list[str], list[float], list[float], list[list[float | None]]]:
+) -> tuple[ConceptMultiset, ConceptMultiset, list[float], list[float], list[list[float | None]]]:
     """Both sides' items, their delete and insert prices, and every pair's
     price (None where the replace is not actionable), from the cost model."""
     S = as_multiset(generated)
     T = as_multiset(target)
-    _check_compatible(S, tax)
-    _check_compatible(T, tax)
     model = tax.cost_model(cfg)
-    s_items, t_items = list(S), list(T)
-    del_costs = [model.costs(s)[0] for s in s_items]
-    ins_costs = [model.costs(t)[1] for t in t_items]
-    pair = [[model.pair(s, t) for t in t_items] for s in s_items]
-    return s_items, t_items, del_costs, ins_costs, pair
+    del_costs = [model.costs(s)[0] for s in S]
+    ins_costs = [model.costs(t)[1] for t in T]
+    pair = [[model.pair(s, t) for t in T] for s in S]
+    return S, T, del_costs, ins_costs, pair
 
 
 def _assign(

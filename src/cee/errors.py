@@ -54,11 +54,6 @@ class UncategorizedConcept(TaxonomyError):
         super().__init__(f"concept {concept!r} has no category ancestor")
 
 
-class IncompatibleTaxonomy(CeeError):
-    def __init__(self, detail: str = "concept sets come from different taxonomies"):
-        super().__init__(detail)
-
-
 class InstanceTooLarge(CeeError):
     def __init__(self, size: int, limit: int):
         self.size = size
@@ -126,6 +121,6 @@ def _read_jsonl(
                         raise MalformedObject(f"duplicate {unique} id {record_id!r}")
                     seen.add(record_id)
                 items.append(build(record))
-            except (MalformedObject, ValueError, TypeError) as exc:
+            except (MalformedObject, UnknownConcept, ValueError, TypeError) as exc:
                 raise MalformedObject(f"{path}:{number}: {exc}") from exc
     return items

@@ -308,9 +308,7 @@ def random_multiset(
 ) -> ConceptMultiset:
     pool = sorted(tax.nodes - {tax.root})
     size = rng.randint(0, max_size)
-    return ConceptMultiset.for_taxonomy(
-        [rng.choice(pool) for _ in range(size)], tax
-    )
+    return ConceptMultiset(rng.choice(pool) for _ in range(size))
 
 
 def random_scene_corpus(
@@ -333,7 +331,7 @@ def random_scene_corpus(
             )
             for _ in range(rng.randint(0, max_detections))
         ]
-        targets[image_id] = ConceptMultiset.for_taxonomy(
-            [rng.choice(pool) for _ in range(rng.randint(1, 4))], tax
+        targets[image_id] = ConceptMultiset(
+            rng.choice(pool) for _ in range(rng.randint(1, 4))
         )
     return detections, targets

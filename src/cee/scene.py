@@ -155,24 +155,33 @@ def census_csv(rows: Iterable[tuple[float, Census]]) -> str:
 # -- JSONL ingestion ---------------------------------------------------------
 
 
-def read_detections(path: str | Path) -> dict[str, list[DetectionRecord]]:
+def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[DetectionRecord]]:
+    """Detections of ``path`` by image id; every concept must resolve in ``tax``."""
+
     def build(record: dict) -> tuple[str, list[DetectionRecord]]:
         image_id = str(record["image_id"])
         detections = []
         for det in record["detections"]:
             if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
                 raise MalformedObject(f"a detection needs 'concept' and 'confidence': {det!r}")
-            detections.append(DetectionRecord(image_id, det["concept"], float(det["confidence"])))
+            rec = DetectionRecord(image_id, det["concept"], float(det["confidence"]))
+            tax.resolve(rec.concept)
+            detections.append(rec)
         return image_id, detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))
 
 
-def read_targets(path: str | Path) -> dict[str, ConceptMultiset]:
+def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
+    """Target multisets of ``path`` by image id; every concept must resolve in ``tax``."""
+
     def build(record: dict) -> tuple[str, ConceptMultiset]:
         if not record["concepts"]:
             raise MalformedObject("a target needs at least one concept, got 'concepts': []")
-        return str(record["image_id"]), ConceptMultiset(record["concepts"])
+        concepts = ConceptMultiset(record["concepts"])
+        for name in concepts:
+            tax.resolve(name)
+        return str(record["image_id"]), concepts
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))
 

@@ -9,7 +9,7 @@ whole object (|C| concepts) per frame, and any deviation flags the frame.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -31,22 +31,21 @@ N_CONCEPTS = len(ATTRIBUTES)
 
 @dataclass(frozen=True)
 class ClevrObject:
-    """One object as its four attribute concepts."""
+    """One object as its four attribute concepts, and their multiset."""
 
     size: str
     color: str
     material: str
     shape: str
+    multiset: ConceptMultiset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in ATTRIBUTES:
             object.__setattr__(self, attr, normalize_concept(getattr(self, attr)))
+        object.__setattr__(self, "multiset", ConceptMultiset(self.concepts()))
 
     def concepts(self) -> tuple[str, str, str, str]:
         return (self.size, self.color, self.material, self.shape)
-
-    def multiset(self) -> ConceptMultiset:
-        return ConceptMultiset(self.concepts())
 
     @classmethod
     def from_dict(cls, record: Mapping[str, str]) -> "ClevrObject":
@@ -87,8 +86,17 @@ class Story:
         return cls(id=str(record["id"]), frames=frames)
 
 
-def read_stories(path: str | Path) -> list[Story]:
-    return _read_jsonl(path, "id", "frames", Story._from_record, unique="story")
+def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
+    """Stories of ``path``; every object passes ``validate_object`` against ``tax``."""
+
+    def build(record: dict) -> Story:
+        story = Story._from_record(record)
+        # each distinct object once: frames repeat the objects of earlier frames
+        for obj in dict.fromkeys(obj for frame in story.frames for obj in frame):
+            validate_object(obj, tax)
+        return story
+
+    return _read_jsonl(path, "id", "frames", build, unique="story")
 
 
 def write_stories(path: str | Path, stories: Iterable[Story]) -> None:
@@ -124,14 +132,14 @@ def frame_csed(
     if n == 0 and m == 0:
         return EditScript(()), 0.0
 
-    cache: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
+    cache: dict[tuple[ConceptMultiset, ConceptMultiset], EditScript] = {}
     pair_scripts = []
     for gen_obj in gen_frame:
         row = []
         for gt_obj in gt_frame:
-            key = (gen_obj.concepts(), gt_obj.concepts())
+            key = (gen_obj.multiset, gt_obj.multiset)
             if key not in cache:
-                cache[key] = csed(gen_obj.multiset(), gt_obj.multiset(), tax, cfg)
+                cache[key] = csed(gen_obj.multiset, gt_obj.multiset, tax, cfg)
             row.append(cache[key])
         pair_scripts.append(row)
     pair = [[script.total_cost for script in row] for row in pair_scripts]
@@ -263,7 +271,6 @@ class StoryMetrics:
     cl: float
     avg_cl: float
     cl_flags: frozenset[int]
-    semantic_losses: dict[str, int]
 
 
 def evaluate_story(
@@ -272,19 +279,11 @@ def evaluate_story(
     tax: Taxonomy,
     cfg: CostConfig = FLATTENED_CONFIG,
 ) -> StoryMetrics:
-    # each distinct object once, in first-seen order so the reported one is stable
-    for obj in dict.fromkeys(
-        obj for pair in zip(gen.frames, gt.frames) for frame in pair for obj in frame
-    ):
-        validate_object(obj, tax)
+    """Objects are expected to have passed ``validate_object``, as
+    ``read_stories`` does."""
     scripts, sl, avg_sl = story_loss(gen, gt, tax, cfg)
     trace, avg_cl = consistency_loss(gen, tax, cfg)
     flags = consistency_flags(trace, cfg)
-    losses: dict[str, int] = {c: 0 for c in tax.categories}
-    for script in scripts:
-        for op in script:
-            for cat in _op_categories(op, tax):
-                losses[cat] = losses.get(cat, 0) + 1
     return StoryMetrics(
         story_id=gen.id,
         per_frame_csed=[s.total_cost for s in scripts],
@@ -295,7 +294,6 @@ def evaluate_story(
         cl=trace[-1],
         avg_cl=avg_cl,
         cl_flags=flags,
-        semantic_losses=losses,
     )
 
 

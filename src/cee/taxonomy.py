@@ -9,7 +9,6 @@ specific concept still satisfies the target.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
@@ -103,7 +102,6 @@ class Taxonomy:
         self._dist: dict[str, dict[str, int]] = {}
         self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
-        self._fingerprint: str | None = None
 
     # -- basic queries --------------------------------------------------
 
@@ -227,13 +225,6 @@ class Taxonomy:
             for parent in sorted(self._parents[child]):
                 lines.append(f"{child}\t{parent}")
         return "\n".join(lines) + "\n"
-
-    @property
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            digest = hashlib.sha1(self.to_text().encode("utf-8")).hexdigest()
-            self._fingerprint = digest[:16]
-        return self._fingerprint
 
 
 def _detect_cycle(parents: dict[str, frozenset[str]]) -> None:

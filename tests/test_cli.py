@@ -109,14 +109,14 @@ def test_eval_story_duplicate_story_id_fails(golden_corpus, tmp_path, capsys):
 
 
 def test_eval_story_misplaced_attribute_fails(tmp_path, capsys):
-    # well-formed JSON, so only the taxonomy check in evaluate_story can reject it
+    # well-formed JSON, so only the taxonomy check at ingest can reject it
     story = tmp_path / "story.jsonl"
     story.write_text(json.dumps({"id": "s", "frames": [[MISPLACED]]}) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     rc = cli.main(["eval-story", str(story), str(story), "--out-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: attribute 'red' resolves to category 'color', expected 'size'\n"
+        f"error: {story}:1: attribute 'red' resolves to category 'color', expected 'size'\n"
     )
     assert not out.exists()
 
@@ -379,6 +379,34 @@ GOOD_OBJECT = {"size": "small", "color": "red", "material": "rubber", "shape": "
 GOOD_STORY = json.dumps({"id": "s", "frames": [[GOOD_OBJECT]]})
 SCENE = ["eval-scene", "--taxonomy", "street"]
 
+def _write_inputs(tmp_path, texts):
+    paths = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"input{k}.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+# concepts unknown to the taxonomy, on lines the solve never reads (below every
+# threshold, or on an id without a partner), then on a joined id: (id, texts, bad file, bad line)
+UNKNOWN_SCENE_CONCEPTS = [
+    ("detection-unknown-below-threshold",
+     ['{"image_id": "a", "detections": [{"concept": "zebra", "confidence": 0.1}]}', GOOD_TARGETS],
+     0, 1),
+    ("detection-unknown-on-unjoined-id",
+     [GOOD_DETECTIONS
+      + '\n{"image_id": "b", "detections": [{"concept": "zebra", "confidence": 0.9}]}',
+      GOOD_TARGETS],
+     0, 2),
+    ("target-unknown-on-unjoined-id",
+     [GOOD_DETECTIONS, GOOD_TARGETS + '\n{"image_id": "b", "concepts": ["zebra"]}'],
+     1, 2),
+    ("target-unknown-on-joined-id",
+     [GOOD_DETECTIONS, '{"image_id": "a", "concepts": ["car", "zebra"]}'],
+     1, 1),
+]
+
 
 @pytest.mark.parametrize(
     "command,texts,bad_file,bad_line",
@@ -436,14 +464,17 @@ SCENE = ["eval-scene", "--taxonomy", "street"]
             SCENE, [GOOD_DETECTIONS, GOOD_TARGETS + '\n{"image_id": "b", "concepts": []}'],
             1, 2, id="target-concepts-empty",
         ),
+        pytest.param(
+            ["eval-story"],
+            [GOOD_STORY, GOOD_STORY.replace('"s"', '"t"').replace('"red"', '"mauve"')],
+            1, 1, id="story-attribute-unknown-on-unjoined-id",
+        ),
+        *(pytest.param(SCENE, texts, bad_file, bad_line, id=case)
+          for case, texts, bad_file, bad_line in UNKNOWN_SCENE_CONCEPTS),
     ],
 )
 def test_malformed_line_names_path_and_line(command, texts, bad_file, bad_line, tmp_path, capsys):
-    paths = []
-    for k, text in enumerate(texts):
-        path = tmp_path / f"input{k}.jsonl"
-        path.write_text(text + "\n", encoding="utf-8")
-        paths.append(str(path))
+    paths = _write_inputs(tmp_path, texts)
     out = tmp_path / "out"
     rc = cli.main([command[0], *paths, *command[1:], "--out-dir", str(out)])
     err = capsys.readouterr().err
@@ -451,6 +482,15 @@ def test_malformed_line_names_path_and_line(command, texts, bad_file, bad_line, 
     assert err.startswith(f"error: {paths[bad_file]}:{bad_line}: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "texts", [pytest.param(texts, id=case) for case, texts, _, _ in UNKNOWN_SCENE_CONCEPTS]
+)
+def test_attach_unknown_accepts_unknown_scene_concepts(texts, tmp_path):
+    rc = cli.main(["eval-scene", *_write_inputs(tmp_path, texts), "--taxonomy", "street", "--attach-unknown",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
 
 
 # -- gen-synthetic + round trip -----------------------------------------------------
@@ -564,6 +604,25 @@ def test_json_format_output(golden_corpus, tmp_path):
     rows = json.loads((out / "story_metrics.json").read_text(encoding="utf-8"))
     assert rows[0]["story_id"] == "golden"
     assert rows[0]["sl"] == "10"
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        pytest.param("delete_weight", "2", "float | None", id="weight-a-string"),
+        pytest.param("delete_weight", True, "float | None", id="weight-a-bool"),
+        pytest.param("min_support", "0.1", "float", id="support-a-string"),
+        pytest.param("thresholds", 0.5, "tuple[float, ...]", id="thresholds-not-a-list"),
+    ],
+)
+def test_config_value_of_wrong_type_names_file_and_key(key, value, expected, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    rc = cli.main(["selftest", "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg_path}: {key!r} must be {expected}, got {json.dumps(value)}\n"
+    )
 
 
 def test_unknown_config_key_rejected(golden_corpus, tmp_path, capsys):

@@ -25,6 +25,7 @@ from cee import (
     random_object,
     random_spec,
     random_taxonomy,
+    semantic_loss_table,
 )
 
 
@@ -84,7 +85,15 @@ def test_golden_pair_reference_values(clevr):
     assert metrics.cl_per_frame == [0.0, 4.0, 8.0, 12.0]
     assert metrics.avg_cl == 0.0
     assert metrics.cl_flags == frozenset()
-    assert metrics.semantic_losses == {"material": 4, "shape": 1, "size": 0, "color": 0}
+    table = semantic_loss_table(
+        enumerate(metrics.frame_scripts, start=1), clevr, {1: 1, 2: 2, 3: 3, 4: 4}
+    )
+    assert table == {
+        "color": {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
+        "material": {1: 100.0, 2: 50.0, 3: 100.0 / 3, 4: 25.0},
+        "shape": {1: 0.0, 2: 0.0, 3: 0.0, 4: 25.0},
+        "size": {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0},
+    }
 
 
 # -- spec validation ----------------------------------------------------------------

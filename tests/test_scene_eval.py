@@ -195,7 +195,7 @@ def test_census_csv_shape_and_determinism(street):
     )
 
 
-def test_read_detections_and_targets(tmp_path):
+def test_read_detections_and_targets(tmp_path, street):
     det_path = tmp_path / "det.jsonl"
     det_path.write_text(
         '{"image_id": "x", "detections": [{"concept": "car", "confidence": 0.9}]}\n'
@@ -204,18 +204,18 @@ def test_read_detections_and_targets(tmp_path):
     )
     tgt_path = tmp_path / "tgt.jsonl"
     tgt_path.write_text('{"image_id": "x", "concepts": ["car", "light"]}\n', encoding="utf-8")
-    detections = read_detections(det_path)
+    detections = read_detections(det_path, street)
     assert set(detections) == {"x", "y"}
     assert detections["x"][0].concept == "car"
-    targets = read_targets(tgt_path)
+    targets = read_targets(tgt_path, street)
     assert targets["x"] == ConceptMultiset(["car", "light"])
 
 
-def test_read_detections_rejects_missing_keys(tmp_path):
+def test_read_detections_rejects_missing_keys(tmp_path, street):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"detections": []}\n', encoding="utf-8")
     with pytest.raises(MalformedObject):
-        read_detections(p)
+        read_detections(p, street)
 
 
 def test_split_caption_commas_keep_multiword():

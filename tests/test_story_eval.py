@@ -103,11 +103,11 @@ def test_frame_prefers_nearest_object_pairing(clevr):
 # -- story I/O ------------------------------------------------------------------
 
 
-def test_story_jsonl_round_trip(tmp_path):
+def test_story_jsonl_round_trip(tmp_path, clevr):
     gen, gt = golden_story_pair()
     path = tmp_path / "stories.jsonl"
     write_stories(path, [gt])
-    loaded = read_stories(path)
+    loaded = read_stories(path, clevr)
     assert len(loaded) == 1
     assert loaded[0].frames == gt.frames
     assert loaded[0].id == gt.id
