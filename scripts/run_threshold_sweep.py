@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 
 from cee import (
     PATH_CONFIG,
+    MalformedObject,
     census_csv,
     format_local_grouped,
     operation_census,
@@ -40,8 +42,12 @@ def main(argv=None) -> int:
     tax = resolve_taxonomy(args.taxonomy)
     thresholds = args.thresholds or [0.5, 0.6, 0.7]
     if args.detections and args.targets:
-        detections = read_detections(args.detections, tax)
-        targets = read_targets(args.targets, tax)
+        try:
+            detections = read_detections(args.detections, tax)
+            targets = read_targets(args.targets, tax)
+        except MalformedObject as exc:  # unknown concepts arrive as this too, with path:line
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     elif args.detections or args.targets:
         ap.error("--detections and --targets must be given together")
     else:

@@ -125,7 +125,10 @@ def _conforms(value, hint) -> bool:
 def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> RunConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
@@ -570,7 +573,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CeeError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CeeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InstanceTooLarge
-from .taxonomy import PATH_CONFIG, CostConfig, Taxonomy, normalize_concept
+from .taxonomy import PATH_CONFIG, CostConfig, CostModel, Taxonomy, normalize_concept
 
 DELETE = "D"
 REPLACE = "R"
@@ -52,6 +52,11 @@ class ConceptMultiset(tuple):
 
     def __new__(cls, items: Iterable[str] = ()):
         return super().__new__(cls, sorted(normalize_concept(item) for item in items))
+
+    @classmethod
+    def _from_normalized(cls, names: Iterable[str]) -> "ConceptMultiset":
+        """For names that are already normalized: sorts, normalizes nothing."""
+        return super().__new__(cls, sorted(names))
 
     def counts(self) -> dict[str, int]:
         return dict(Counter(self))
@@ -130,20 +135,14 @@ def as_multiset(items: Iterable[str] | ConceptMultiset) -> ConceptMultiset:
 
 
 def _priced(
-    generated: Iterable[str] | ConceptMultiset,
-    target: Iterable[str] | ConceptMultiset,
-    tax: Taxonomy,
-    cfg: CostConfig,
-) -> tuple[ConceptMultiset, ConceptMultiset, list[float], list[float], list[list[float | None]]]:
-    """Both sides' items, their delete and insert prices, and every pair's
-    price (None where the replace is not actionable), from the cost model."""
-    S = as_multiset(generated)
-    T = as_multiset(target)
-    model = tax.cost_model(cfg)
+    S: ConceptMultiset, T: ConceptMultiset, model: CostModel
+) -> tuple[list[float], list[float], list[list[float | None]]]:
+    """Both sides' delete and insert prices, and every pair's price (None
+    where the replace is not actionable), from the cost model."""
     del_costs = [model.costs(s)[0] for s in S]
     ins_costs = [model.costs(t)[1] for t in T]
     pair = [[model.pair(s, t) for t in T] for s in S]
-    return S, T, del_costs, ins_costs, pair
+    return del_costs, ins_costs, pair
 
 
 def _assign(
@@ -179,11 +178,25 @@ def csed(
     Pairs priced at zero (equal concepts, or generated concept strictly more
     specific than the target) emit no op. Cost ties between a replace and the
     delete-plus-insert route resolve to the replace.
+
+    Each distinct (S, T) multiset pair is solved once per cost model; later
+    calls return the same frozen script.
     """
-    s_items, t_items, del_costs, ins_costs, prices = _priced(generated, target, tax, cfg)
+    S, T = as_multiset(generated), as_multiset(target)
+    model = tax.cost_model(cfg)
+    script = model.scripts.get((S, T))
+    if script is None:
+        script = model.scripts[(S, T)] = _solve(S, T, model)
+    return script
+
+
+def _solve(
+    s_items: ConceptMultiset, t_items: ConceptMultiset, model: CostModel
+) -> EditScript:
     n, m = len(s_items), len(t_items)
     if n == 0 and m == 0:
         return EditScript(())
+    del_costs, ins_costs, prices = _priced(s_items, t_items, model)
 
     # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
     pair = [
@@ -214,9 +227,11 @@ def brute_force_csed(
     """Exhaustive-matching reference solver for small instances.
 
     Enumerates every partial matching between S and T instead of delegating
-    to the assignment solver, so it can confirm ``csed`` independently.
+    to the assignment solver, and remembers nothing, so it can confirm
+    ``csed`` independently.
     """
-    s_items, t_items, del_costs, ins_costs, pair = _priced(generated, target, tax, cfg)
+    s_items, t_items = as_multiset(generated), as_multiset(target)
+    del_costs, ins_costs, pair = _priced(s_items, t_items, tax.cost_model(cfg))
     n, m = len(s_items), len(t_items)
     if n + m > limit:
         raise InstanceTooLarge(n + m, limit)

@@ -56,7 +56,9 @@ def _cut(
 ) -> dict[str, ConceptMultiset]:
     _check_threshold(t_d)
     return {
-        image_id: ConceptMultiset(rec.concept for rec in recs if rec.confidence >= t_d)
+        image_id: ConceptMultiset._from_normalized(
+            rec.concept for rec in recs if rec.confidence >= t_d
+        )
         for image_id, recs in detections.items()
     }
 

@@ -42,7 +42,7 @@ class ClevrObject:
     def __post_init__(self):
         for attr in ATTRIBUTES:
             object.__setattr__(self, attr, normalize_concept(getattr(self, attr)))
-        object.__setattr__(self, "multiset", ConceptMultiset(self.concepts()))
+        object.__setattr__(self, "multiset", ConceptMultiset._from_normalized(self.concepts()))
 
     def concepts(self) -> tuple[str, str, str, str]:
         return (self.size, self.color, self.material, self.shape)
@@ -76,10 +76,7 @@ class Story:
 
     @classmethod
     def from_json(cls, line: str) -> "Story":
-        return cls._from_record(_parse_line(line, "id", "frames"))
-
-    @classmethod
-    def _from_record(cls, record: dict) -> "Story":
+        record = _parse_line(line, "id", "frames")
         frames = [
             [ClevrObject.from_dict(obj) for obj in frame] for frame in record["frames"]
         ]
@@ -87,14 +84,33 @@ class Story:
 
 
 def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
-    """Stories of ``path``; every object passes ``validate_object`` against ``tax``."""
+    """Stories of ``path``; every object passes ``validate_object`` against ``tax``.
+
+    Objects are interned per file: equal raw attribute values share one
+    ``ClevrObject``, built and validated once."""
+    interned: dict[tuple, ClevrObject] = {}
 
     def build(record: dict) -> Story:
-        story = Story._from_record(record)
-        # each distinct object once: frames repeat the objects of earlier frames
-        for obj in dict.fromkeys(obj for frame in story.frames for obj in frame):
+        fresh: list[ClevrObject] = []
+
+        def intern(raw) -> ClevrObject:
+            try:
+                key = tuple(raw[a] for a in ATTRIBUTES)
+                obj = interned.get(key)
+            except (KeyError, TypeError):  # not an attribute mapping, or unhashable values
+                key = obj = None
+            if obj is None:
+                obj = ClevrObject.from_dict(raw)
+                fresh.append(obj)
+                if key is not None:
+                    interned[key] = obj
+            return obj
+
+        # every object of the line is built before any is validated
+        frames = [[intern(raw) for raw in frame] for frame in record["frames"]]
+        for obj in dict.fromkeys(fresh):
             validate_object(obj, tax)
-        return story
+        return Story(id=str(record["id"]), frames=frames)
 
     return _read_jsonl(path, "id", "frames", build, unique="story")
 
@@ -132,16 +148,10 @@ def frame_csed(
     if n == 0 and m == 0:
         return EditScript(()), 0.0
 
-    cache: dict[tuple[ConceptMultiset, ConceptMultiset], EditScript] = {}
-    pair_scripts = []
-    for gen_obj in gen_frame:
-        row = []
-        for gt_obj in gt_frame:
-            key = (gen_obj.multiset, gt_obj.multiset)
-            if key not in cache:
-                cache[key] = csed(gen_obj.multiset, gt_obj.multiset, tax, cfg)
-            row.append(cache[key])
-        pair_scripts.append(row)
+    pair_scripts = [
+        [csed(gen_obj.multiset, gt_obj.multiset, tax, cfg) for gt_obj in gt_frame]
+        for gen_obj in gen_frame
+    ]
     pair = [[script.total_cost for script in row] for row in pair_scripts]
     model = tax.cost_model(cfg)
     del_costs = [sum(model.costs(c)[0] for c in obj.concepts()) for obj in gen_frame]

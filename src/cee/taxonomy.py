@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     CycleDetected,
@@ -24,6 +25,9 @@ from .errors import (
     MultipleRoots,
     UnknownConcept,
 )
+
+if TYPE_CHECKING:
+    from .edits import EditScript
 
 REPLACE_DELETE_PLUS_INSERT = "delete-plus-insert"
 REPLACE_SHORTEST_PATH = "shortest-path"
@@ -208,7 +212,11 @@ class Taxonomy:
         return self._bfs(s)[t]
 
     def depth(self, name: str) -> int:
-        return self.path_length(name, self.root)
+        """Edge count to the root, read from the one BFS out of the root."""
+        node = self.resolve(name)
+        if node not in self._nodes:
+            return 1  # an attached unknown hangs directly under the root
+        return self._bfs(self.root)[node]
 
     def cost_model(self, cfg: CostConfig) -> "CostModel":
         """The one cost model of this taxonomy under ``cfg``."""
@@ -398,9 +406,13 @@ class CostModel:
     """The prices of one (taxonomy, cost config), each computed once.
 
     Reached through ``Taxonomy.cost_model``. Every price comes from the free
-    functions above, which stay the only copy of each formula; the model only
-    remembers them by name, or by (s, t) name pair. An unknown concept raises
+    functions above, which stay the only copy of each formula (a pair is free
+    when ``is_descendant_or_equal``, the test ``distance`` starts with); the
+    model only remembers them by name, or by (s, t) name pair. An unknown concept raises
     ``UnknownConcept`` on every call, since failures are not remembered.
+
+    ``scripts`` holds the edit scripts ``edits.csed`` has solved under this
+    model, keyed by the (S, T) multiset pair.
     """
 
     def __init__(self, tax: Taxonomy, cfg: CostConfig):
@@ -408,6 +420,7 @@ class CostModel:
         self.cfg = cfg
         self._costs: dict[str, tuple[float, float]] = {}
         self._pairs: dict[tuple[str, str], float | None] = {}
+        self.scripts: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
 
     def costs(self, name: str) -> tuple[float, float]:
         """(delete, insert) price of one concept."""
@@ -424,7 +437,7 @@ class CostModel:
         if key in self._pairs:
             return self._pairs[key]
         tax, cfg = self.tax, self.cfg
-        if distance(tax, s, t, cfg) == 0.0:
+        if tax.is_descendant_or_equal(s, t):
             price = 0.0
         elif is_replaceable(tax, s, t, cfg):
             price = replace_cost(tax, s, t, cfg)

@@ -625,6 +625,17 @@ def test_config_value_of_wrong_type_names_file_and_key(key, value, expected, tmp
     )
 
 
+def test_config_file_not_json_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("{bad", encoding="utf-8")
+    rc = cli.main(["selftest", "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg_path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+    )
+
+
 def test_unknown_config_key_rejected(golden_corpus, tmp_path, capsys):
     gen_path, gt_path = golden_corpus
     cfg_path = tmp_path / "run.json"

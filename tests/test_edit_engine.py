@@ -17,7 +17,9 @@ from cee import (
     csed,
     delete_cost,
     format_cost,
+    clevr_taxonomy,
     insert_cost,
+    load_taxonomy,
     operation_census,
     random_multiset,
     random_taxonomy,
@@ -188,6 +190,45 @@ def test_assignment_matches_brute_force(seed):
     s = random_multiset(rng, tax, max_size=5)
     t = random_multiset(rng, tax, max_size=5)
     assert csed(s, t, tax, cfg).total_cost == brute_force_csed(s, t, tax, cfg).total_cost
+
+
+_WEIGHT = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    replace_mode=st.sampled_from(["delete-plus-insert", "shortest-path"]),
+    weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT),
+)
+def test_remembered_script_matches_a_fresh_solve(seed, replace_mode, weights):
+    rng = random.Random(seed)
+    tax = random_taxonomy(rng, n_nodes=rng.randint(4, 20))
+    cfg = CostConfig(*weights, replace_mode=replace_mode, flattened=rng.random() < 0.5)
+    s = list(random_multiset(rng, tax, max_size=5))
+    t = list(random_multiset(rng, tax, max_size=5))
+    first = csed(s, t, tax, cfg)
+    backward = csed(t, s, tax, cfg)
+    rng.shuffle(s)
+    rng.shuffle(t)
+    assert csed(s, t, tax, cfg) is first  # any item order reads the same script
+    for script, (a, b) in ((first, (s, t)), (backward, (t, s))):
+        fresh = load_taxonomy(tax.to_text())  # remembers no script yet
+        assert script.ops == csed(a, b, fresh, cfg).ops
+        # the oracle may pick another optimum of equal cost, so only costs compare;
+        # float sums and the tie bias differ from the oracle's far below 1e-6
+        oracle = brute_force_csed(a, b, tax, cfg)
+        assert script.total_cost == pytest.approx(oracle.total_cost, rel=1e-6)
+
+
+def test_cost_configs_never_share_scripts():
+    tax = clevr_taxonomy()
+    s, t = ["large", "red", "rubber", "cube"], ["small", "red", "metal", "sphere"]
+    configs = [PATH_CONFIG, CostConfig(delete_weight=2.0), CostConfig(replace_mode="shortest-path")]
+    totals = [csed(s, t, tax, cfg).total_cost for cfg in configs]
+    assert totals == [12.0, 18.0, 6.0]
+    for cfg in configs:
+        assert csed(s, t, tax, cfg) == csed(s, t, clevr_taxonomy(), cfg)
 
 
 @settings(max_examples=40, deadline=None)

@@ -51,3 +51,21 @@ def test_threshold_sweep_on_files(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert CENSUS_HEADER + "\n" in proc.stdout
+
+
+def test_threshold_sweep_reports_bad_input_with_path_and_line(tmp_path):
+    det_path = tmp_path / "det.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    det_path.write_text(
+        json.dumps({"image_id": "a", "detections": [{"concept": "zebra", "confidence": 0.9}]})
+        + "\n",
+        encoding="utf-8",
+    )
+    tgt_path.write_text(json.dumps({"image_id": "a", "concepts": ["car"]}) + "\n", encoding="utf-8")
+    proc = _run(
+        "run_threshold_sweep.py", "--detections", str(det_path), "--targets", str(tgt_path),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {det_path}:1: concept 'zebra' is not in the taxonomy\n"

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
+    ATTRIBUTES,
     ClevrObject,
     EmptyCorpus,
     EmptyStory,
@@ -111,6 +113,40 @@ def test_story_jsonl_round_trip(tmp_path, clevr):
     assert len(loaded) == 1
     assert loaded[0].frames == gt.frames
     assert loaded[0].id == gt.id
+
+
+def test_read_stories_interns_equal_objects(tmp_path, clevr):
+    _, gt = golden_story_pair()
+    path = tmp_path / "stories.jsonl"
+    write_stories(path, [gt, Story(id="again", frames=gt.frames)])
+    first, second = read_stories(path, clevr)
+    assert first.frames == gt.frames
+    for frame_a, frame_b in zip(first.frames, second.frames):
+        assert all(a is b for a, b in zip(frame_a, frame_b, strict=True))
+
+
+GOOD = {"size": "small", "color": "red", "material": "rubber", "shape": "cube"}
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        pytest.param({**GOOD, "color": ["red"]}, "concept name must be a string, got list",
+                     id="unhashable-attribute"),
+        pytest.param({**GOOD, "color": "large"},
+                     "attribute 'large' resolves to category 'size', expected 'color'",
+                     id="misplaced-attribute"),
+        pytest.param("cube", f"object record missing attributes {list(ATTRIBUTES)}: 'cube'",
+                     id="object-not-a-mapping"),
+    ],
+)
+def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, tmp_path, clevr):
+    path = tmp_path / "stories.jsonl"
+    lines = [{"id": "s", "frames": [[GOOD]]}, {"id": "t", "frames": [[GOOD], [GOOD, bad]]}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_stories(path, clevr)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 def test_story_rejects_missing_fields():

@@ -262,6 +262,16 @@ def test_taxonomy_direct_construction():
     assert tax.category_of("b") == "a"
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_depth_is_path_length_to_root(seed):
+    rng = random.Random(seed)
+    tree = random_taxonomy(rng, n_nodes=rng.randint(2, 30))
+    tax = load_taxonomy(tree.to_text(), attach_unknown=True)
+    for name in sorted(tax.nodes) + ["stray"]:
+        assert tax.depth(name) == tax.path_length(name, tax.root)
+
+
 # -- cost model ------------------------------------------------------------------
 
 _WEIGHT = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
