@@ -80,7 +80,6 @@ from .scene import (
     read_targets,
     scene_csed,
     solve_thresholds,
-    split_caption,
     threshold_filter,
 )
 from .story import (
@@ -116,7 +115,6 @@ from .taxonomy import (
     insert_cost,
     is_replaceable,
     load_taxonomy,
-    load_taxonomy_file,
     normalize_concept,
     replace_cost,
     resolve_taxonomy,

@@ -188,6 +188,13 @@ def _write(out_dir: str | Path, name: str, text: str) -> Path:
     return path
 
 
+def _emit(cfg: RunConfig, stem: str, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Render one table in ``cfg.format``, write it to ``<stem>.<ext>`` and return the text."""
+    text = render_table(headers, rows, cfg.format)
+    _write(cfg.out_dir, f"{stem}.{_EXT[cfg.format]}", text)
+    return text
+
+
 def _fmt_avg(x: float) -> str:
     return f"{x:.4f}"
 
@@ -196,15 +203,12 @@ def _fmt_avg(x: float) -> str:
 
 
 def _join_on_id(left: dict, right: dict, left_name: str, right_name: str):
-    common = sorted(set(left) & set(right))
-    misses = []
-    for only_id in sorted(set(left) - set(right)):
-        misses.append(f"join-miss: id {only_id!r} only in {left_name}")
-    for only_id in sorted(set(right) - set(left)):
-        misses.append(f"join-miss: id {only_id!r} only in {right_name}")
+    """Shared ids, sorted, and the number of join misses, each reported on stderr."""
+    misses = [f"join-miss: id {i!r} only in {left_name}" for i in sorted(set(left) - set(right))]
+    misses += [f"join-miss: id {i!r} only in {right_name}" for i in sorted(set(right) - set(left))]
     for line in misses:
         print(line, file=sys.stderr)
-    return common, len(misses)
+    return sorted(set(left) & set(right)), len(misses)
 
 
 def cmd_eval_story(args: argparse.Namespace) -> int:
@@ -232,57 +236,34 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
     summary = global_aggregate(per_story)
     loss_table = semantic_loss_table(indexed_scripts, tax, gt_objects_per_frame)
 
-    ext = _EXT[cfg.format]
-    story_rows = [
+    _emit(
+        cfg,
+        "story_metrics",
+        ["story_id", "length", "per_frame_csed", "sl", "avg_sl", "cl", "avg_cl", "cl_flags"],
         [
-            m.story_id,
-            str(len(m.per_frame_csed)),
-            ";".join(format_cost(c) for c in m.per_frame_csed),
-            format_cost(m.sl),
-            _fmt_avg(m.avg_sl),
-            format_cost(m.cl),
-            _fmt_avg(m.avg_cl),
-            ";".join(str(k) for k in sorted(m.cl_flags)),
-        ]
-        for m in per_story
-    ]
-    _write(
-        cfg.out_dir,
-        f"story_metrics.{ext}",
-        render_table(
-            ["story_id", "length", "per_frame_csed", "sl", "avg_sl", "cl", "avg_cl", "cl_flags"],
-            story_rows,
-            cfg.format,
-        ),
+            [m.story_id, str(len(m.per_frame_csed)), ";".join(map(format_cost, m.per_frame_csed)),
+             format_cost(m.sl), _fmt_avg(m.avg_sl), format_cost(m.cl), _fmt_avg(m.avg_cl),
+             ";".join(str(k) for k in sorted(m.cl_flags))]
+            for m in per_story
+        ],
     )
-    summary_row = [
-        str(summary.n_stories),
-        str(n_miss),
-        format_cost(summary.gsl),
-        _fmt_avg(summary.avg_gsl),
-        format_cost(summary.gcl),
-        _fmt_avg(summary.avg_gcl),
-    ]
-    _write(
-        cfg.out_dir,
-        f"global_summary.{ext}",
-        render_table(
-            ["n_stories", "n_join_miss", "gsl", "avg_gsl", "gcl", "avg_gcl"],
-            [summary_row],
-            cfg.format,
-        ),
+    _emit(
+        cfg,
+        "global_summary",
+        ["n_stories", "n_join_miss", "gsl", "avg_gsl", "gcl", "avg_gcl"],
+        [[str(summary.n_stories), str(n_miss),
+          format_cost(summary.gsl), _fmt_avg(summary.avg_gsl),
+          format_cost(summary.gcl), _fmt_avg(summary.avg_gcl)]],
     )
     frame_cols = sorted(gt_objects_per_frame)
-    loss_rows = [
-        [category] + [f"{loss_table[category][k]:.2f}" for k in frame_cols]
-        for category in sorted(loss_table)
-    ]
-    _write(
-        cfg.out_dir,
-        f"semantic_loss.{ext}",
-        render_table(
-            ["category"] + [f"frame_{k}" for k in frame_cols], loss_rows, cfg.format
-        ),
+    _emit(
+        cfg,
+        "semantic_loss",
+        ["category"] + [f"frame_{k}" for k in frame_cols],
+        [
+            [category] + [f"{loss_table[category][k]:.2f}" for k in frame_cols]
+            for category in sorted(loss_table)
+        ],
     )
     write_transactions(Path(cfg.out_dir) / "transactions.jsonl", transactions)
 
@@ -314,8 +295,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
             out / f"transactions_td{format_cost(t_d)}.jsonl",
             [Transaction.from_scripts(s.image_id, [script]) for s, script in zip(samples, scripts)],
         )
-    census_text = render_table(CENSUS_COLUMNS, census_rows(report), cfg.format)
-    _write(cfg.out_dir, f"census.{_EXT[cfg.format]}", census_text)
+    census_text = _emit(cfg, "census", CENSUS_COLUMNS, census_rows(report))
     print(census_text, end="")
     return 0
 
@@ -327,37 +307,30 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     transactions = read_transactions(args.transactions)
     rules = mine_rules(transactions, cfg.min_support)
-    rule_rows = [
-        [
-            r.source,
-            r.target,
-            str(r.frequency),
-            f"{r.support:.2f}",
-            f"{r.antecedent_support:.2f}",
-            f"{r.consequent_support:.2f}",
-        ]
-        for r in rules
-    ]
-    rules_text = render_table(
+    table = id_frequency_table(transactions, cfg.top_k)  # checks top_k before the first write
+    rules_text = _emit(
+        cfg,
+        "rules",
         [
             "source", "target", "frequency",
             "support_pct", "antecedent_support_pct", "consequent_support_pct",
         ],
-        rule_rows,
-        cfg.format,
+        [
+            [r.source, r.target, str(r.frequency), f"{r.support:.2f}",
+             f"{r.antecedent_support:.2f}", f"{r.consequent_support:.2f}"]
+            for r in rules
+        ],
     )
-    table = id_frequency_table(transactions, cfg.top_k)
-    freq_rows = [
-        [kind, concept, str(count), f"{share:.2f}"]
-        for kind in ("I", "D")
-        for concept, count, share in table.get(kind, [])
-    ]
-    freq_text = render_table(
-        ["kind", "concept", "count", "share_pct"], freq_rows, cfg.format
+    _emit(
+        cfg,
+        "id_frequency",
+        ["kind", "concept", "count", "share_pct"],
+        [
+            [kind, concept, str(count), f"{share:.2f}"]
+            for kind in ("I", "D")
+            for concept, count, share in table.get(kind, [])
+        ],
     )
-    ext = _EXT[cfg.format]
-    _write(cfg.out_dir, f"rules.{ext}", rules_text)
-    _write(cfg.out_dir, f"id_frequency.{ext}", freq_text)
     print(rules_text, end="")
     return 0
 
@@ -370,8 +343,10 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cost = cfg.cost_config()
     if not cost.flattened:
         raise ValueError("gen-synthetic requires a flattened cost profile")
-    rng = random.Random(cfg.seed)
     n_stories = args.n_stories
+    if n_stories < 1:
+        raise ValueError(f"--n-stories must be at least 1, got {n_stories}")
+    rng = random.Random(cfg.seed)
     length = args.length
     ground_truth = []
     generated = []

@@ -67,11 +67,13 @@ class MalformedObject(CeeError):
 
 
 class LengthMismatch(CeeError):
-    def __init__(self, n_generated: int, n_truth: int):
+    def __init__(self, story_id: str, n_generated: int, n_truth: int):
+        self.story_id = story_id
         self.n_generated = n_generated
         self.n_truth = n_truth
         super().__init__(
-            f"generated story has {n_generated} frames, ground truth has {n_truth}"
+            f"story {story_id!r}: generated story has {n_generated} frames, "
+            f"ground truth has {n_truth}"
         )
 
 
@@ -91,22 +93,11 @@ class SpecOutOfRange(CeeError):
         super().__init__(detail)
 
 
-def _parse_line(line: str, id_key: str, list_key: str) -> dict:
-    """One input record: a JSON object holding ``id_key`` and a list under ``list_key``."""
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
-    if id_key not in record or list_key not in record:
-        raise MalformedObject(f"line needs {id_key!r} and {list_key!r}")
-    if not isinstance(record[list_key], list):
-        raise MalformedObject(f"{list_key!r} must be a list, got {type(record[list_key]).__name__}")
-    return record
-
-
 def _read_jsonl(
     path: str | Path, id_key: str, list_key: str, build: Callable[[dict], Any], unique: str | None
 ) -> list:
-    """``build(record)`` per non-blank line of ``path``; failures get a ``path:line`` prefix.
+    """``build(record)`` per non-blank line of ``path``, where each line is a JSON object
+    holding ``id_key`` and a list under ``list_key``; failures get a ``path:line`` prefix.
     ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows them."""
     items, seen = [], set()
     with open(path, encoding="utf-8") as lines:
@@ -114,7 +105,15 @@ def _read_jsonl(
             if not line.strip():
                 continue
             try:
-                record = _parse_line(line, id_key, list_key)
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
+                if id_key not in record or list_key not in record:
+                    raise MalformedObject(f"line needs {id_key!r} and {list_key!r}")
+                if not isinstance(record[list_key], list):
+                    raise MalformedObject(
+                        f"{list_key!r} must be a list, got {type(record[list_key]).__name__}"
+                    )
                 if unique is not None:
                     record_id = str(record[id_key])
                     if record_id in seen:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
-from .errors import MalformedObject, _parse_line, _read_jsonl
+from .errors import MalformedObject, _read_jsonl
 from .taxonomy import Taxonomy
 
 
@@ -41,10 +41,6 @@ class Transaction:
             sort_keys=True,
             ensure_ascii=False,
         )
-
-    @classmethod
-    def from_json(cls, line: str) -> "Transaction":
-        return cls._from_record(_parse_line(line, "id", "edits"))
 
     @classmethod
     def _from_record(cls, record: dict) -> "Transaction":

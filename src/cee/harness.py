@@ -254,11 +254,13 @@ def random_spec(
     rng: random.Random, story: Story, max_ops: int = 2
 ) -> CorruptionSpec:
     """Valid random spec: one op per frame, never on adjacent frames."""
+    if max_ops < 1:
+        raise SpecOutOfRange(f"max_ops must be at least 1, got {max_ops}")
     length = story.length
     candidates = list(range(1, length + 1))
     rng.shuffle(candidates)
     chosen: list[int] = []
-    budget = max(1, min(max_ops, (length + 1) // 2))
+    budget = min(max_ops, (length + 1) // 2)
     n_ops = rng.randint(1, budget)
     for frame in candidates:
         if len(chosen) == n_ops:

@@ -84,19 +84,14 @@ def build_samples(
     detections: Mapping[str, Sequence[DetectionRecord]],
     targets: Mapping[str, ConceptMultiset],
     t_d: float,
-) -> tuple[list[SceneSample], list[str], list[str]]:
-    """Join detections and targets on image id at one threshold.
-
-    Returns (samples sorted by id, ids only in detections, ids only in
-    targets); the one-sided ids are the join misses the caller reports.
-    """
+) -> list[SceneSample]:
+    """Join detections and targets on image id at one threshold, sorted by
+    id; ids on one side only are left out (the CLI reports them)."""
     generated = _cut(detections, t_d)
-    det_ids, tgt_ids = generated.keys(), targets.keys()
-    samples = [
+    return [
         SceneSample(image_id=i, generated=generated[i], target=targets[i])
-        for i in sorted(det_ids & tgt_ids)
+        for i in sorted(generated.keys() & targets.keys())
     ]
-    return samples, sorted(det_ids - tgt_ids), sorted(tgt_ids - det_ids)
 
 
 def solve_thresholds(
@@ -117,7 +112,7 @@ def solve_thresholds(
     if not ts:
         raise ValueError("no thresholds given")
     for t_d in ts:
-        samples, _, _ = build_samples(detections, targets, t_d)
+        samples = build_samples(detections, targets, t_d)
         if not samples:
             raise EmptyCorpus("no image ids shared between detections and targets")
         yield t_d, samples, [scene_csed(sample, tax, cfg) for sample in samples]
@@ -166,7 +161,10 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
         for det in record["detections"]:
             if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
                 raise MalformedObject(f"a detection needs 'concept' and 'confidence': {det!r}")
-            rec = DetectionRecord(image_id, det["concept"], float(det["confidence"]))
+            confidence = det["confidence"]
+            if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+                raise MalformedObject(f"confidence must be a number, got {confidence!r}")
+            rec = DetectionRecord(image_id, det["concept"], float(confidence))
             tax.resolve(rec.concept)
             detections.append(rec)
         return image_id, detections
@@ -186,11 +184,3 @@ def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
         return str(record["image_id"]), concepts
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))
-
-
-def split_caption(text: str) -> list[str]:
-    """Convenience splitter for concept lists: commas when present (keeps
-    multiword concepts), whitespace otherwise. Tokenization only, not
-    language understanding."""
-    parts = text.split(",") if "," in text else text.split()
-    return [normalize_concept(p) for p in parts if p.strip()]

@@ -20,7 +20,6 @@ from .errors import (
     LengthMismatch,
     MalformedObject,
     UncategorizedConcept,
-    _parse_line,
     _read_jsonl,
 )
 from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
@@ -73,14 +72,6 @@ class Story:
             "frames": [[obj.to_dict() for obj in frame] for frame in self.frames],
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, line: str) -> "Story":
-        record = _parse_line(line, "id", "frames")
-        frames = [
-            [ClevrObject.from_dict(obj) for obj in frame] for frame in record["frames"]
-        ]
-        return cls(id=str(record["id"]), frames=frames)
 
 
 def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
@@ -182,7 +173,7 @@ def story_loss(
     """Per-frame scripts, SL (their cost sum), and Avg SL (SL / L).
     Objects are expected to have passed ``validate_object``."""
     if gen.length != gt.length:
-        raise LengthMismatch(gen.length, gt.length)
+        raise LengthMismatch(gen.id, gen.length, gt.length)
     if gen.length == 0:
         raise EmptyStory(gen.id)
     scripts = []

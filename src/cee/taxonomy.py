@@ -83,8 +83,8 @@ class Taxonomy:
     """Immutable rooted concept hierarchy with cached path queries.
 
     Instances are safe to share across threads once constructed; the lazy
-    caches (ancestors, distances, cost models) are only ever filled with
-    idempotent values.
+    caches (distances, cost models) are only ever filled with idempotent
+    values.
     """
 
     def __init__(
@@ -102,7 +102,7 @@ class Taxonomy:
             for p in ps:
                 children[p].add(child)
         self._children = {n: frozenset(c) for n, c in children.items()}
-        self._ancestors: dict[str, frozenset[str]] = {}
+        self._ancestors = {n: self._walk_up(n) for n in self._nodes}
         self._dist: dict[str, dict[str, int]] = {}
         self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
@@ -124,13 +124,6 @@ class Taxonomy:
         """Direct children of the root, sorted."""
         return tuple(sorted(self._children[self.root]))
 
-    @property
-    def leaves(self) -> frozenset[str]:
-        return frozenset(n for n in self._nodes if not self._children[n])
-
-    def parents(self, name: str) -> frozenset[str]:
-        return self._parents.get(self.resolve(name), frozenset())
-
     def resolve(self, name: str) -> str:
         """Normalize ``name``; unknown concepts are an error unless the
         taxonomy was built with ``attach_unknown``, in which case they behave
@@ -140,22 +133,21 @@ class Taxonomy:
             raise UnknownConcept(norm)
         return norm
 
+    def _walk_up(self, node: str) -> frozenset[str]:
+        out = {node}
+        queue = deque([node])
+        while queue:
+            for p in self._parents.get(queue.popleft(), ()):
+                if p not in out:
+                    out.add(p)
+                    queue.append(p)
+        return frozenset(out)
+
     def ancestors_or_self(self, name: str) -> frozenset[str]:
         node = self.resolve(name)
         if node not in self._nodes:
             return frozenset({node, self.root})
-        cached = self._ancestors.get(node)
-        if cached is None:
-            out = {node}
-            queue = deque([node])
-            while queue:
-                for p in self._parents.get(queue.popleft(), ()):
-                    if p not in out:
-                        out.add(p)
-                        queue.append(p)
-            cached = frozenset(out)
-            self._ancestors[node] = cached
-        return cached
+        return self._ancestors[node]
 
     def is_descendant_or_equal(self, s: str, t: str) -> bool:
         return self.resolve(t) in self.ancestors_or_self(s)
@@ -172,7 +164,7 @@ class Taxonomy:
         for node in self._nodes:
             if node == self.root:
                 continue
-            hits = sorted(self.ancestors_or_self(node) & top)
+            hits = sorted(self._ancestors[node] & top)
             if hits:
                 out[node] = node if node in top else hits[0]
         return out
@@ -326,29 +318,24 @@ def load_taxonomy(
     return Taxonomy(declared_root, all_parents, attach_unknown=attach_unknown)
 
 
-def load_taxonomy_file(path: str | Path, **kwargs) -> Taxonomy:
-    return load_taxonomy(Path(path).read_text(encoding="utf-8"), **kwargs)
-
-
 TAXONOMY_DIR_ENV = "CEE_TAXONOMY_DIR"
 
 
 def resolve_taxonomy(name_or_path: str, attach_unknown: bool = False) -> Taxonomy:
     """Load a taxonomy by file path, by name in $CEE_TAXONOMY_DIR, or by
     bundled name (``clevr``, ``street``)."""
-    p = Path(name_or_path)
-    if p.suffix == ".tax" or p.exists():
-        return load_taxonomy_file(p, attach_unknown=attach_unknown)
     env_dir = os.environ.get(TAXONOMY_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / f"{name_or_path}.tax"
-        if candidate.exists():
-            return load_taxonomy_file(candidate, attach_unknown=attach_unknown)
-    bundle = resources.files("cee") / "data" / f"{name_or_path}.tax"
-    if bundle.is_file():
-        return load_taxonomy(bundle.read_text(encoding="utf-8"), attach_unknown=attach_unknown)
-    raise FileNotFoundError(f"no taxonomy named {name_or_path!r} on disk, "
-                            f"in ${TAXONOMY_DIR_ENV}, or bundled")
+    named = f"{name_or_path}.tax"
+    source = Path(name_or_path)
+    if source.suffix != ".tax" and not source.exists():
+        if env_dir and (Path(env_dir) / named).exists():
+            source = Path(env_dir) / named
+        else:
+            source = resources.files("cee") / "data" / named
+            if not source.is_file():
+                raise FileNotFoundError(f"no taxonomy named {name_or_path!r} on disk, "
+                                        f"in ${TAXONOMY_DIR_ENV}, or bundled")
+    return load_taxonomy(source.read_text(encoding="utf-8"), attach_unknown=attach_unknown)
 
 
 def clevr_taxonomy(attach_unknown: bool = False) -> Taxonomy:

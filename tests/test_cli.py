@@ -5,7 +5,7 @@ import pytest
 
 from cee import cli
 from cee.harness import golden_story_pair
-from cee.story import write_stories
+from cee.story import Story, write_stories
 
 
 @pytest.fixture()
@@ -106,6 +106,20 @@ def test_eval_story_duplicate_story_id_fails(golden_corpus, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {doubled}:2: duplicate story id 'golden'\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_eval_story_length_mismatch_names_the_story(tmp_path, capsys):
+    gen, gt = golden_story_pair()
+    short_path, gt_path = tmp_path / "short.jsonl", tmp_path / "gt.jsonl"
+    write_stories(short_path, [Story(id=gen.id, frames=gen.frames[:3])])
+    write_stories(gt_path, [gt])
+    out = tmp_path / "out"
+    rc = cli.main(["eval-story", str(short_path), str(gt_path), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: story 'golden': generated story has 3 frames, ground truth has 4\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_story_misplaced_attribute_fails(tmp_path, capsys):
@@ -420,6 +434,18 @@ UNKNOWN_SCENE_CONCEPTS = [
             0, 1, id="detection-without-concept",
         ),
         pytest.param(
+            SCENE,
+            ['{"image_id": "a", "detections": [{"concept": "car", "confidence": "0.9"}]}',
+             GOOD_TARGETS],
+            0, 1, id="detection-confidence-a-string",
+        ),
+        pytest.param(
+            SCENE,
+            ['{"image_id": "a", "detections": [{"concept": "car", "confidence": true}]}',
+             GOOD_TARGETS],
+            0, 1, id="detection-confidence-a-bool",
+        ),
+        pytest.param(
             SCENE, ['{"image_id": "a", "detections": 5}', GOOD_TARGETS],
             0, 1, id="detections-not-a-list",
         ),
@@ -519,6 +545,22 @@ def test_gen_synthetic_manifest_recovered_by_eval(tmp_path, capsys):
         assert float(row[3]) == entry["expected_sl_delta"]
         flags = [int(x) for x in row[7].split(";")] if row[7] else []
         assert flags == entry["expected_cl_flags"]
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--n-stories", "-5", "--n-stories must be at least 1, got -5"),
+        ("--n-stories", "0", "--n-stories must be at least 1, got 0"),
+        ("--max-ops", "0", "max_ops must be at least 1, got 0"),
+    ],
+)
+def test_gen_synthetic_rejects_counts_below_one(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "synth"
+    rc = cli.main(["gen-synthetic", flag, value, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_gen_synthetic_rejects_path_profile(tmp_path, capsys):

@@ -50,9 +50,12 @@ def test_jsonl_round_trip_preserves_arrow(tmp_path):
     assert read_transactions(path) == [t]
 
 
-def test_from_json_requires_keys():
-    with pytest.raises(MalformedObject):
-        Transaction.from_json('{"id": "x"}')
+def test_read_transactions_requires_keys(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"id": "x"}\n', encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_transactions(path)
+    assert str(info.value) == f"{path}:1: line needs 'id' and 'edits'"
 
 
 def test_split_replace_token():

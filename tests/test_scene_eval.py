@@ -20,7 +20,6 @@ from cee import (
     read_detections,
     read_targets,
     scene_csed,
-    split_caption,
     threshold_filter,
 )
 
@@ -163,7 +162,7 @@ def test_corpus_report_empty_rejected(street):
 def test_census_additivity(street):
     rng = random.Random(5)
     detections, targets = random_scene_corpus(rng, street, n_images=8)
-    samples, _, _ = build_samples(detections, targets, 0.5)
+    samples = build_samples(detections, targets, 0.5)
     scripts = [scene_csed(s, street, FLATTENED_CONFIG) for s in samples]
     whole = operation_census(scripts)
     parts = [operation_census([s]) for s in scripts]
@@ -173,13 +172,11 @@ def test_census_additivity(street):
     assert whole.cost_insert == sum(p.cost_insert for p in parts)
 
 
-def test_build_samples_reports_join_misses(street):
+def test_build_samples_keeps_only_joined_ids(street):
     detections = {"a": [det("a", "car", 0.9)], "only-det": []}
     targets = {"a": ConceptMultiset(["car"]), "only-tgt": ConceptMultiset(["light"])}
-    samples, det_only, tgt_only = build_samples(detections, targets, 0.5)
+    samples = build_samples(detections, targets, 0.5)
     assert [s.image_id for s in samples] == ["a"]
-    assert det_only == ["only-det"]
-    assert tgt_only == ["only-tgt"]
 
 
 # -- serialization ----------------------------------------------------------------
@@ -216,13 +213,6 @@ def test_read_detections_rejects_missing_keys(tmp_path, street):
     p.write_text('{"detections": []}\n', encoding="utf-8")
     with pytest.raises(MalformedObject):
         read_detections(p, street)
-
-
-def test_split_caption_commas_keep_multiword():
-    assert split_caption("Traffic Light, stop sign,car") == [
-        "traffic light", "stop sign", "car",
-    ]
-    assert split_caption("car light person") == ["car", "light", "person"]
 
 
 # -- monotonicity property -----------------------------------------------------------

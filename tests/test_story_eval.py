@@ -149,9 +149,12 @@ def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, t
     assert str(info.value) == f"{path}:2: {message}"
 
 
-def test_story_rejects_missing_fields():
-    with pytest.raises(MalformedObject):
-        Story.from_json('{"frames": []}')
+def test_story_rejects_missing_fields(tmp_path, clevr):
+    path = tmp_path / "stories.jsonl"
+    path.write_text('{"frames": []}\n', encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_stories(path, clevr)
+    assert str(info.value) == f"{path}:1: line needs 'id' and 'frames'"
 
 
 # -- story loss ------------------------------------------------------------------
@@ -177,8 +180,9 @@ def test_story_loss_identity(clevr):
 def test_story_loss_length_mismatch(clevr):
     gen, gt = golden_story_pair()
     short = Story(id=gen.id, frames=gen.frames[:2])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch) as info:
         story_loss(short, gt, clevr, FLATTENED_CONFIG)
+    assert info.value.story_id == gen.id
 
 
 def test_empty_story_rejected(clevr):
