@@ -60,11 +60,18 @@ def main(argv=None) -> int:
         metrics.append(m)
         transactions.append(Transaction.from_scripts(m.story_id, m.frame_scripts))
         op_counter.update(op.kind for op in spec.ops)
-        if m.sl != impact.sl_delta or m.cl_flags != impact.cl_flags:
+        if (
+            m.sl != impact.sl_delta
+            or m.cl_per_frame != list(impact.cl_trace)
+            or m.cl_flags != impact.cl_flags
+            or m.avg_cl != impact.avg_cl
+        ):
             mismatches += 1
             print(
                 f"MISMATCH {m.story_id}: SL {m.sl} vs {impact.sl_delta}, "
-                f"flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}",
+                f"CL trace {m.cl_per_frame} vs {list(impact.cl_trace)}, "
+                f"flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}, "
+                f"Avg CL {m.avg_cl} vs {impact.avg_cl}",
                 file=sys.stderr,
             )
 

@@ -80,7 +80,6 @@ from .scene import (
     read_targets,
     scene_csed,
     solve_thresholds,
-    threshold_filter,
 )
 from .story import (
     ATTRIBUTES,
@@ -89,12 +88,10 @@ from .story import (
     GlobalMetrics,
     Story,
     StoryMetrics,
-    consistency_flags,
     consistency_loss,
     evaluate_story,
     frame_csed,
     global_aggregate,
-    ideal_cl_trace,
     read_stories,
     semantic_loss_table,
     story_loss,

@@ -45,16 +45,7 @@ from .harness import (
 from .scene import CENSUS_COLUMNS, census_rows, read_detections, read_targets, solve_thresholds
 # unused here, but perfbench/tracer.py wraps these names on this module
 from .scene import build_samples, census_csv, corpus_report, scene_csed  # noqa: F401
-from .story import (
-    consistency_flags,
-    consistency_loss,
-    evaluate_story,
-    global_aggregate,
-    read_stories,
-    semantic_loss_table,
-    story_loss,
-    write_stories,
-)
+from .story import evaluate_story, global_aggregate, read_stories, semantic_loss_table, write_stories
 from .taxonomy import (
     COST_PROFILES,
     FLATTENED_CONFIG,
@@ -133,7 +124,7 @@ def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> Run
             raise ValueError(f"{args.config}: expected a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(RunConfig)
         for key, value in file_values.items():
             if not _conforms(value, hints[key]):
@@ -416,18 +407,16 @@ def _suite_golden(cost: CostConfig) -> tuple[str, str]:
     if cost != FLATTENED_CONFIG:
         return "SKIP", "requires the default flattened unit-weight profile"
     tax = clevr_taxonomy()
-    gen, gt = golden_story_pair()
-    scripts, sl, avg_sl = story_loss(gen, gt, tax, cost)
-    trace, avg_cl = consistency_loss(gen, tax, cost)
+    m = evaluate_story(*golden_story_pair(), tax, cost)
     checks = [
-        ([s.total_cost for s in scripts] == [2.0, 2.0, 2.0, 4.0], "per-frame CSED"),
-        (sl == 10.0, "SL"),
-        (avg_sl == 2.5, "Avg SL"),
-        (trace == [0.0, 4.0, 8.0, 12.0], "CL trace"),
-        (avg_cl == 0.0, "Avg CL"),
-        (consistency_flags(trace, cost) == frozenset(), "CL flags"),
+        (m.per_frame_csed == [2.0, 2.0, 2.0, 4.0], "per-frame CSED"),
+        (m.sl == 10.0, "SL"),
+        (m.avg_sl == 2.5, "Avg SL"),
+        (m.cl_per_frame == [0.0, 4.0, 8.0, 12.0], "CL trace"),
+        (m.avg_cl == 0.0, "Avg CL"),
+        (m.cl_flags == frozenset(), "CL flags"),
         (
-            [op.token for op in scripts[3]]
+            [op.token for op in m.frame_scripts[3]]
             == ["R:rubber→metallic", "R:sphere→cylinder"],
             "frame-4 script",
         ),
@@ -448,18 +437,16 @@ def _suite_recovery(cost: CostConfig, seed: int) -> tuple[str, str]:
         gt = generate_story(length=rng.randint(2, 6), rng=rng)
         spec = random_spec(rng, gt)
         corrupted, impact = corrupt(gt, spec, cost)
-        _, sl, _ = story_loss(corrupted, gt, tax, cost)
-        trace, avg_cl = consistency_loss(corrupted, tax, cost)
-        flags = consistency_flags(trace, cost)
+        m = evaluate_story(corrupted, gt, tax, cost)
         if (
-            sl != impact.sl_delta
-            or list(trace) != list(impact.cl_trace)
-            or flags != impact.cl_flags
-            or avg_cl != impact.avg_cl
+            m.sl != impact.sl_delta
+            or m.cl_per_frame != list(impact.cl_trace)
+            or m.cl_flags != impact.cl_flags
+            or m.avg_cl != impact.avg_cl
         ):
             return "FAIL", (
-                f"recovery mismatch for spec {spec}: measured SL {sl} vs "
-                f"{impact.sl_delta}, flags {sorted(flags)} vs {sorted(impact.cl_flags)}"
+                f"recovery mismatch for spec {spec}: measured SL {m.sl} vs "
+                f"{impact.sl_delta}, flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}"
             )
     return "PASS", f"{n_cases} corrupted stories recovered exactly"
 
@@ -548,7 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CeeError, ValueError, FileNotFoundError) as exc:
+    except (CeeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

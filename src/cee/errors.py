@@ -100,11 +100,15 @@ def _read_jsonl(
     holding ``id_key`` and a list under ``list_key``; failures get a ``path:line`` prefix.
     ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows them."""
     items, seen = [], set()
-    with open(path, encoding="utf-8") as lines:
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as chunks:
+        # bytes, decoded line by line, so a bad byte is reported with its line;
+        # splitlines() breaks at "\n", "\r\n" and "\r", as text mode would
+        lines = (line for chunk in chunks for line in chunk.splitlines())
+        for number, raw in enumerate(lines, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")

@@ -51,31 +51,6 @@ def _check_threshold(t_d: float) -> float:
     return float(t_d)
 
 
-def _cut(
-    detections: Mapping[str, Iterable[DetectionRecord]], t_d: float
-) -> dict[str, ConceptMultiset]:
-    _check_threshold(t_d)
-    return {
-        image_id: ConceptMultiset._from_normalized(
-            rec.concept for rec in recs if rec.confidence >= t_d
-        )
-        for image_id, recs in detections.items()
-    }
-
-
-def threshold_filter(
-    detections: Iterable[DetectionRecord],
-    t_d: float,
-) -> dict[str, ConceptMultiset]:
-    """Per-image multiset of concepts detected with confidence >= t_d.
-    Every image id present in the input keeps a key, even when nothing
-    survives the cut."""
-    grouped: dict[str, list[DetectionRecord]] = {}
-    for rec in detections:
-        grouped.setdefault(rec.image_id, []).append(rec)
-    return _cut(grouped, t_d)
-
-
 def scene_csed(sample: SceneSample, tax: Taxonomy, cfg: CostConfig = PATH_CONFIG) -> EditScript:
     return csed(sample.generated, sample.target, tax, cfg)
 
@@ -86,11 +61,19 @@ def build_samples(
     t_d: float,
 ) -> list[SceneSample]:
     """Join detections and targets on image id at one threshold, sorted by
-    id; ids on one side only are left out (the CLI reports them)."""
-    generated = _cut(detections, t_d)
+    id; ids on one side only are left out (the CLI reports them). Each
+    sample's generated multiset holds the concepts detected with confidence
+    >= ``t_d``, and may be empty."""
+    _check_threshold(t_d)
     return [
-        SceneSample(image_id=i, generated=generated[i], target=targets[i])
-        for i in sorted(generated.keys() & targets.keys())
+        SceneSample(
+            image_id=i,
+            generated=ConceptMultiset._from_normalized(
+                rec.concept for rec in detections[i] if rec.confidence >= t_d
+            ),
+            target=targets[i],
+        )
+        for i in sorted(detections.keys() & targets.keys())
     ]
 
 

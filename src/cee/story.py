@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .edits import DELETE, INSERT, ConceptMultiset, EditOp, EditScript, _assign, csed
+from .edits import ConceptMultiset, EditOp, EditScript, _assign, csed
 from .errors import (
     EmptyCorpus,
     EmptyStory,
@@ -26,6 +26,7 @@ from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
+_NOTHING = ConceptMultiset()
 
 
 @dataclass(frozen=True)
@@ -129,39 +130,31 @@ def frame_csed(
     gt_frame: Sequence[ClevrObject],
     tax: Taxonomy,
     cfg: CostConfig = FLATTENED_CONFIG,
-) -> tuple[EditScript, float]:
-    """Align objects by minimum-cost assignment; object-pair cost is the
-    attribute-multiset CSED. Surplus generated objects become whole-object
-    deletes, missing objects whole-object inserts.
+) -> EditScript:
+    """Align objects by minimum-cost assignment, every price a ``csed``: an
+    object pair costs the CSED of their attribute multisets, a surplus
+    generated object its CSED to nothing (a whole-object delete), a missing
+    object its CSED from nothing (a whole-object insert).
 
     Objects are expected to have passed ``validate_object`` against ``tax``."""
     n, m = len(gen_frame), len(gt_frame)
     if n == 0 and m == 0:
-        return EditScript(()), 0.0
+        return EditScript(())
 
     pair_scripts = [
         [csed(gen_obj.multiset, gt_obj.multiset, tax, cfg) for gt_obj in gt_frame]
         for gen_obj in gen_frame
     ]
+    deletes = [csed(obj.multiset, _NOTHING, tax, cfg) for obj in gen_frame]
+    inserts = [csed(_NOTHING, obj.multiset, tax, cfg) for obj in gt_frame]
     pair = [[script.total_cost for script in row] for row in pair_scripts]
-    model = tax.cost_model(cfg)
-    del_costs = [sum(model.costs(c)[0] for c in obj.concepts()) for obj in gen_frame]
-    ins_costs = [sum(model.costs(c)[1] for c in obj.concepts()) for obj in gt_frame]
-
-    ops: list[EditOp] = []
-    for i, j in _assign(pair, del_costs, ins_costs):
-        if j >= m:
-            ops.extend(
-                EditOp(DELETE, source=c, cost=model.costs(c)[0]) for c in gen_frame[i].concepts()
-            )
-        elif i >= n:
-            ops.extend(
-                EditOp(INSERT, target=c, cost=model.costs(c)[1]) for c in gt_frame[j].concepts()
-            )
-        else:
-            ops.extend(pair_scripts[i][j].ops)
-    script = EditScript(tuple(ops))
-    return script, script.total_cost
+    chosen = [
+        deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
+        for i, j in _assign(
+            pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts]
+        )
+    ]
+    return EditScript(tuple(op for script in chosen for op in script.ops))
 
 
 def story_loss(
@@ -176,48 +169,38 @@ def story_loss(
         raise LengthMismatch(gen.id, gen.length, gt.length)
     if gen.length == 0:
         raise EmptyStory(gen.id)
-    scripts = []
-    for gen_frame, gt_frame in zip(gen.frames, gt.frames):
-        script, _ = frame_csed(gen_frame, gt_frame, tax, cfg)
-        scripts.append(script)
+    scripts = [
+        frame_csed(gen_frame, gt_frame, tax, cfg)
+        for gen_frame, gt_frame in zip(gen.frames, gt.frames)
+    ]
     sl = float(sum(s.total_cost for s in scripts))
     return scripts, sl, sl / gen.length
-
-
-def ideal_cl_trace(length: int, cfg: CostConfig = FLATTENED_CONFIG) -> list[float]:
-    """Cumulative CL of a perfectly consistent story: one whole object
-    (|C| concepts) enters per frame."""
-    step = N_CONCEPTS * cfg.delete_weight
-    return [step * k for k in range(length)]
 
 
 def consistency_loss(
     gen: Story,
     tax: Taxonomy,
     cfg: CostConfig = FLATTENED_CONFIG,
-) -> tuple[list[float], float]:
-    """Cumulative CL trace and Avg CL. Ground truth plays no part here.
+) -> tuple[list[float], frozenset[int], float]:
+    """Cumulative CL trace, the 1-based frames flagged inconsistent, and Avg CL.
+
+    A perfectly consistent story adds one whole object (|C| concepts) per
+    frame, so its trace reads ``N_CONCEPTS * cfg.delete_weight * k`` at index
+    k; a later frame whose trace leaves that path is flagged, and frame 1 is
+    flagged when its own object count is off. Ground truth plays no part here.
     Objects are expected to have passed ``validate_object``."""
     if gen.length == 0:
         raise EmptyStory(gen.id)
     p1 = float(abs(N_CONCEPTS * len(gen.frames[0]) - N_CONCEPTS))
     trace = [p1]
     for k in range(1, gen.length):
-        _, step = frame_csed(gen.frames[k], gen.frames[k - 1], tax, cfg)
+        step = frame_csed(gen.frames[k], gen.frames[k - 1], tax, cfg).total_cost
         trace.append(trace[-1] + step)
-    violations = len(consistency_flags(trace, cfg) - {1})
-    avg_cl = p1 / gen.length + violations / gen.length
-    return trace, avg_cl
-
-
-def consistency_flags(trace: Sequence[float], cfg: CostConfig = FLATTENED_CONFIG) -> frozenset[int]:
-    """1-based frame indices where the trace leaves the ideal cumulative path
-    (frame 1 flags when the object count itself is off)."""
-    ideal = ideal_cl_trace(len(trace), cfg)
-    flags = {k + 1 for k in range(1, len(trace)) if trace[k] != ideal[k]}
-    if trace and trace[0] != 0:
-        flags.add(1)
-    return frozenset(flags)
+    ideal_step = N_CONCEPTS * cfg.delete_weight
+    violations = {k + 1 for k in range(1, gen.length) if trace[k] != ideal_step * k}
+    flags = frozenset(violations | {1} if p1 else violations)
+    avg_cl = p1 / gen.length + len(violations) / gen.length
+    return trace, flags, avg_cl
 
 
 def _op_categories(op: EditOp, tax: Taxonomy) -> set[str]:
@@ -283,8 +266,7 @@ def evaluate_story(
     """Objects are expected to have passed ``validate_object``, as
     ``read_stories`` does."""
     scripts, sl, avg_sl = story_loss(gen, gt, tax, cfg)
-    trace, avg_cl = consistency_loss(gen, tax, cfg)
-    flags = consistency_flags(trace, cfg)
+    trace, flags, avg_cl = consistency_loss(gen, tax, cfg)
     return StoryMetrics(
         story_id=gen.id,
         per_frame_csed=[s.total_cost for s in scripts],

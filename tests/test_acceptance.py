@@ -17,6 +17,7 @@ from cee import (
     PATH_CONFIG,
     apriori,
     brute_force_csed,
+    build_samples,
     cli,
     corrupt,
     corpus_report,
@@ -28,7 +29,6 @@ from cee import (
     random_scene_corpus,
     random_spec,
     random_taxonomy,
-    threshold_filter,
 )
 
 
@@ -152,9 +152,8 @@ def test_criterion_06_threshold_monotonicity(street):
     n = 200
     for i in range(n):
         detections, targets = random_scene_corpus(rng, street, n_images=6)
-        flat = [rec for records in detections.values() for rec in records]
         sizes = [
-            {img: len(ms) for img, ms in threshold_filter(flat, t_d).items()}
+            {s.image_id: len(s.generated) for s in build_samples(detections, targets, t_d)}
             for t_d in thresholds
         ]
         for lo, hi in zip(sizes, sizes[1:]):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -139,6 +140,41 @@ def test_eval_story_missing_file_reports_error(tmp_path, capsys):
     rc = cli.main(["eval-story", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope.jsonl")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval-story", "{dir}", "{dir}"], ["explain", "{dir}"]])
+def test_directory_as_input_names_it(command, tmp_path, capsys):
+    rc = cli.main([arg.format(dir=tmp_path) for arg in command])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_non_utf8_byte_names_path_and_line(golden_corpus, tmp_path, capsys):
+    gen_path, gt_path = golden_corpus
+    gt_path.write_bytes(gt_path.read_bytes() + b'{"id": "caf\xe9", "frames": []}\n')
+    rc = cli.main(["eval-story", str(gen_path), str(gt_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {gt_path}:2: 'utf-8' codec can't decode byte 0xe9 in position 11: "
+        "invalid continuation byte\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_crlf_input_reads_like_lf(golden_corpus, tmp_path):
+    gen_path, gt_path = golden_corpus
+    outputs = []
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+        paths = []
+        for path in (gen_path, gt_path):
+            copy = tmp_path / f"{name}-{path.name}"
+            # a trailing blank line too, which must still be skipped
+            copy.write_bytes((path.read_bytes() + b"\n").replace(b"\n", newline))
+            paths.append(str(copy))
+        out = tmp_path / name
+        assert cli.main(["eval-story", *paths, "--out-dir", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 # -- eval-scene -------------------------------------------------------------------
@@ -614,6 +650,50 @@ def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_selftest_golden_mismatch_fails(monkeypatch, capsys):
+    gen, gt = golden_story_pair()
+    monkeypatch.setattr(cli, "golden_story_pair", lambda: (gt, gt))
+    rc = cli.main(["selftest"])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "[PASS] oracle-equivalence: 120 random instances, assignment == brute force\n"
+        "[FAIL] golden-story: golden story mismatch: per-frame CSED\n"
+        "[PASS] harness-recovery: 100 corrupted stories recovered exactly\n"
+        "2 passed, 1 failed, 0 skipped\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field,wrong",
+    [
+        ("sl_delta", lambda impact: impact.sl_delta + 1.0),
+        ("cl_trace", lambda impact: impact.cl_trace[:-1] + (impact.cl_trace[-1] + 1.0,)),
+        ("cl_flags", lambda impact: impact.cl_flags ^ {1}),
+        ("avg_cl", lambda impact: impact.avg_cl + 1.0),
+    ],
+)
+def test_selftest_recovery_mismatch_fails(field, wrong, monkeypatch, capsys):
+    real, seen = cli.corrupt, []
+
+    def off_by_one_field(story, spec, cost):
+        corrupted, impact = real(story, spec, cost)
+        seen.append((spec, impact))
+        return corrupted, dataclasses.replace(impact, **{field: wrong(impact)})
+
+    monkeypatch.setattr(cli, "corrupt", off_by_one_field)
+    rc = cli.main(["selftest"])
+    assert rc == 1
+    assert len(seen) == 1  # the first mismatch ends the suite
+    spec, impact = seen[0]
+    claimed = dataclasses.replace(impact, **{field: wrong(impact)})
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"[FAIL] harness-recovery: recovery mismatch for spec {spec}: measured SL "
+        f"{impact.sl_delta} vs {claimed.sl_delta}, "
+        f"flags {sorted(impact.cl_flags)} vs {sorted(claimed.cl_flags)}",
+        "2 passed, 1 failed, 0 skipped",
+    ]
+
+
 # -- config file and formats --------------------------------------------------------
 
 
@@ -685,6 +765,14 @@ def test_unknown_config_key_rejected(golden_corpus, tmp_path, capsys):
     rc = cli.main(["eval-story", str(gen_path), str(gt_path), "--config", str(cfg_path)])
     assert rc == 2
     assert "fromat" in capsys.readouterr().err
+
+
+def test_unknown_config_key_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"fromat": "csv", "seed": 1}), encoding="utf-8")
+    rc = cli.main(["selftest", "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {cfg_path}: unknown config keys: ['fromat']\n")
 
 
 # -- determinism -----------------------------------------------------------------

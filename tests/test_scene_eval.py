@@ -20,12 +20,17 @@ from cee import (
     read_detections,
     read_targets,
     scene_csed,
-    threshold_filter,
 )
 
 
 def det(image_id, concept, confidence):
     return DetectionRecord(image_id=image_id, concept=concept, confidence=confidence)
+
+
+def generated(detections, t_d):
+    """``build_samples``' generated multiset per image at ``t_d``, every image given a target."""
+    targets = {image_id: ConceptMultiset(["car"]) for image_id in detections}
+    return {s.image_id: s.generated for s in build_samples(detections, targets, t_d)}
 
 
 # -- records ------------------------------------------------------------------
@@ -47,30 +52,30 @@ def test_sample_requires_nonempty_target():
 
 
 def test_filter_drops_low_confidence():
-    kept = threshold_filter([det("i", "car", 0.65), det("i", "dog", 0.55)], 0.6)
+    kept = generated({"i": [det("i", "car", 0.65), det("i", "dog", 0.55)]}, 0.6)
     assert kept == {"i": ConceptMultiset(["car"])}
 
 
 def test_filter_boundary_inclusive():
-    kept = threshold_filter([det("i", "car", 0.60)], 0.6)
+    kept = generated({"i": [det("i", "car", 0.60)]}, 0.6)
     assert kept["i"] == ConceptMultiset(["car"])
 
 
 def test_filter_zero_keeps_everything():
-    records = [det("i", "car", 0.0), det("i", "car", 0.9), det("j", "dog", 0.4)]
-    kept = threshold_filter(records, 0.0)
+    records = {"i": [det("i", "car", 0.0), det("i", "car", 0.9)], "j": [det("j", "dog", 0.4)]}
+    kept = generated(records, 0.0)
     assert kept["i"] == ConceptMultiset(["car", "car"])
     assert kept["j"] == ConceptMultiset(["dog"])
 
 
 def test_filter_keeps_image_key_when_all_cut():
-    kept = threshold_filter([det("i", "car", 0.2)], 0.9)
+    kept = generated({"i": [det("i", "car", 0.2)]}, 0.9)
     assert kept == {"i": ConceptMultiset()}
 
 
 def test_filter_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        threshold_filter([], 1.5)
+        build_samples({}, {}, 1.5)
 
 
 # -- per-sample script ------------------------------------------------------------
@@ -226,10 +231,8 @@ def test_threshold_monotonicity(seed, street):
     thresholds = [0.5, 0.6, 0.7]
     sizes = []
     for t_d in thresholds:
-        kept = threshold_filter(
-            [r for records in detections.values() for r in records], t_d
-        )
-        sizes.append({i: len(ms) for i, ms in kept.items()})
+        samples = build_samples(detections, targets, t_d)
+        sizes.append({s.image_id: len(s.generated) for s in samples})
     for lo, hi in zip(sizes, sizes[1:]):
         assert all(hi[i] <= lo[i] for i in lo)
     report = corpus_report(detections, targets, thresholds, street, PATH_CONFIG)

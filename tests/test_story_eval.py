@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
+    REPLACE_DELETE_PLUS_INSERT,
+    REPLACE_SHORTEST_PATH,
+    CostConfig,
     ATTRIBUTES,
     ClevrObject,
     EmptyCorpus,
@@ -16,20 +19,20 @@ from cee import (
     UncategorizedConcept,
     EditOp,
     EditScript,
-    consistency_flags,
     consistency_loss,
     evaluate_story,
     frame_csed,
     generate_story,
     global_aggregate,
     golden_story_pair,
-    ideal_cl_trace,
+    random_object,
     read_stories,
     semantic_loss_table,
     story_loss,
     validate_object,
     write_stories,
 )
+from cee.harness import _frame_cost
 
 
 def obj(size="small", color="brown", material="rubber", shape="sphere"):
@@ -68,27 +71,27 @@ def test_object_concepts_multiset():
 
 
 def test_frame_single_replace(clevr):
-    script, cost = frame_csed([obj()], [obj(material="metallic")], clevr, FLATTENED_CONFIG)
-    assert cost == 2.0
+    script = frame_csed([obj()], [obj(material="metallic")], clevr, FLATTENED_CONFIG)
+    assert script.total_cost == 2.0
     assert [op.token for op in script] == ["R:rubber→metallic"]
 
 
 def test_frame_identical_zero(clevr):
     frame = [obj(), obj(color="red")]
-    _, cost = frame_csed(frame, frame, clevr, FLATTENED_CONFIG)
-    assert cost == 0.0
+    script = frame_csed(frame, frame, clevr, FLATTENED_CONFIG)
+    assert script.total_cost == 0.0
 
 
 def test_frame_extra_object_costs_whole_object(clevr):
     gen = [obj(), obj(color="red", shape="cube")]
-    script, cost = frame_csed(gen, [obj()], clevr, FLATTENED_CONFIG)
-    assert cost == 4.0
+    script = frame_csed(gen, [obj()], clevr, FLATTENED_CONFIG)
+    assert script.total_cost == 4.0
     assert [op.kind for op in script] == ["D", "D", "D", "D"]
 
 
 def test_frame_missing_object_inserts_whole_object(clevr):
-    script, cost = frame_csed([], [obj()], clevr, FLATTENED_CONFIG)
-    assert cost == 4.0
+    script = frame_csed([], [obj()], clevr, FLATTENED_CONFIG)
+    assert script.total_cost == 4.0
     assert [op.kind for op in script] == ["I", "I", "I", "I"]
 
 
@@ -98,8 +101,8 @@ def test_frame_prefers_nearest_object_pairing(clevr):
     a = obj()
     b = obj(color="red", shape="cube")
     gen = [a, ClevrObject("large", "red", "rubber", "cube")]
-    _, cost = frame_csed(gen, [a, b], clevr, FLATTENED_CONFIG)
-    assert cost == 2.0  # fix size large->small on the b-like object
+    script = frame_csed(gen, [a, b], clevr, FLATTENED_CONFIG)
+    assert script.total_cost == 2.0  # fix size large->small on the b-like object
 
 
 # -- story I/O ------------------------------------------------------------------
@@ -196,19 +199,19 @@ def test_empty_story_rejected(clevr):
 
 def test_reference_story_consistency(clevr):
     gen, _ = golden_story_pair()
-    trace, avg_cl = consistency_loss(gen, clevr, FLATTENED_CONFIG)
+    trace, flags, avg_cl = consistency_loss(gen, clevr, FLATTENED_CONFIG)
     assert trace == [0.0, 4.0, 8.0, 12.0]
     assert avg_cl == 0.0
-    assert consistency_flags(trace, FLATTENED_CONFIG) == frozenset()
+    assert flags == frozenset()
 
 
 def test_first_frame_object_count_penalty(clevr):
     two_up_front = Story(
         id="s", frames=[[obj(), obj(color="red")], [obj(), obj(color="red")]],
     )
-    trace, _ = consistency_loss(two_up_front, clevr, FLATTENED_CONFIG)
+    trace, flags, _ = consistency_loss(two_up_front, clevr, FLATTENED_CONFIG)
     assert trace[0] == 4.0
-    assert 1 in consistency_flags(trace, FLATTENED_CONFIG)
+    assert 1 in flags
 
 
 def test_recolor_mid_story_flags_inconsistency(clevr):
@@ -218,9 +221,9 @@ def test_recolor_mid_story_flags_inconsistency(clevr):
     drifted = ClevrObject(a.size, "blue", a.material, a.shape)
     frames = [[a], [a, b], [drifted, b, c]]
     story = Story(id="s", frames=frames)
-    trace, avg_cl = consistency_loss(story, clevr, FLATTENED_CONFIG)
+    trace, flags, avg_cl = consistency_loss(story, clevr, FLATTENED_CONFIG)
     assert trace == [0.0, 4.0, 4.0 + 4.0 + 2.0]
-    assert consistency_flags(trace, FLATTENED_CONFIG) == frozenset({3})
+    assert flags == frozenset({3})
     assert avg_cl == pytest.approx(1 / 3)
 
 
@@ -229,17 +232,21 @@ def test_consistency_ignores_ground_truth(clevr):
     # evaluating against a permuted ground truth must not change CL
     scrambled = Story(id=gt.id, frames=list(reversed(gt.frames)))
     m1 = evaluate_story(gen, gt, clevr, FLATTENED_CONFIG)
-    m2_trace, m2_avg = consistency_loss(gen, clevr, FLATTENED_CONFIG)
-    assert m1.cl_per_frame == m2_trace and m1.avg_cl == m2_avg
+    m2_trace, m2_flags, m2_avg = consistency_loss(gen, clevr, FLATTENED_CONFIG)
+    assert m1.cl_per_frame == m2_trace and m1.avg_cl == m2_avg and m1.cl_flags == m2_flags
     m3 = evaluate_story(gen, scrambled, clevr, FLATTENED_CONFIG)
     assert m3.cl_per_frame == m1.cl_per_frame
 
 
-def test_ideal_trace_scales_with_delete_weight():
+def test_ideal_trace_scales_with_delete_weight(clevr):
     from cee import CostConfig
 
+    # a clean story sits on the ideal path, whose step is one whole-object delete
     cfg = CostConfig(delete_weight=2.0, flattened=True)
-    assert ideal_cl_trace(4, cfg) == [0.0, 8.0, 16.0, 24.0]
+    story = generate_story(length=4, rng=random.Random(0))
+    trace, flags, avg_cl = consistency_loss(story, clevr, cfg)
+    assert trace == [0.0, 8.0, 16.0, 24.0]
+    assert flags == frozenset() and avg_cl == 0.0
 
 
 def test_faithfulness_error_invisible_to_consistency(clevr):
@@ -338,9 +345,9 @@ def test_clean_story_is_perfect_against_itself(seed, clevr):
     rng = random.Random(seed)
     story = generate_story(length=rng.randint(1, 6), rng=rng)
     _, sl, avg_sl = story_loss(story, story, clevr, FLATTENED_CONFIG)
-    trace, avg_cl = consistency_loss(story, clevr, FLATTENED_CONFIG)
+    trace, flags, avg_cl = consistency_loss(story, clevr, FLATTENED_CONFIG)
     assert sl == 0.0 and avg_sl == 0.0
-    assert trace == ideal_cl_trace(story.length, FLATTENED_CONFIG)
+    assert trace == [4.0 * k for k in range(story.length)] and flags == frozenset()
     assert avg_cl == 0.0
 
 
@@ -363,3 +370,23 @@ def test_attribute_replacements_cost_two_each(seed, clevr):
     corrupted = Story(id=story.id, frames=frames)
     _, sl, _ = story_loss(corrupted, story, clevr, FLATTENED_CONFIG)
     assert sl == 2.0 * n
+
+
+DYADIC = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    weights=st.tuples(DYADIC, DYADIC, DYADIC),
+    mode=st.sampled_from([REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH]),
+)
+def test_frame_cost_matches_the_harness_model(seed, weights, mode, clevr):
+    # dyadic weights keep every sum exact, so the two must agree to the bit
+    unit_edge_cost, delete_weight, insert_weight = weights
+    cfg = CostConfig(unit_edge_cost, delete_weight, insert_weight, mode, flattened=True)
+    rng = random.Random(seed)
+    for _ in range(20):
+        gen = [random_object(rng) for _ in range(rng.randint(0, 4))]
+        gt = [random_object(rng) for _ in range(rng.randint(0, 4))]
+        assert frame_csed(gen, gt, clevr, cfg).total_cost == _frame_cost(gen, gt, cfg)
