@@ -49,6 +49,7 @@ from .story import evaluate_story, global_aggregate, read_stories, semantic_loss
 from .taxonomy import (
     COST_PROFILES,
     FLATTENED_CONFIG,
+    REPLACE_MODES,
     CostConfig,
     Taxonomy,
     clevr_taxonomy,
@@ -118,7 +119,7 @@ def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> Run
     if getattr(args, "config", None):
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
@@ -446,7 +447,9 @@ def _suite_recovery(cost: CostConfig, seed: int) -> tuple[str, str]:
         ):
             return "FAIL", (
                 f"recovery mismatch for spec {spec}: measured SL {m.sl} vs "
-                f"{impact.sl_delta}, flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}"
+                f"{impact.sl_delta}, CL trace {m.cl_per_frame} vs {list(impact.cl_trace)}, "
+                f"flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}, "
+                f"Avg CL {m.avg_cl} vs {impact.avg_cl}"
             )
     return "PASS", f"{n_cases} corrupted stories recovered exactly"
 
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--taxonomy", help="bundled name, $CEE_TAXONOMY_DIR name, or path")
     common.add_argument("--cost-profile", dest="cost_profile", choices=sorted(COST_PROFILES))
     common.add_argument("--replace-mode", dest="replace_mode",
-                        choices=["delete-plus-insert", "shortest-path"])
+                        choices=REPLACE_MODES)
     common.add_argument("--unit-edge-cost", dest="unit_edge_cost", type=float)
     common.add_argument("--delete-weight", dest="delete_weight", type=float)
     common.add_argument("--insert-weight", dest="insert_weight", type=float)

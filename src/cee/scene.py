@@ -147,9 +147,8 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
             confidence = det["confidence"]
             if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
                 raise MalformedObject(f"confidence must be a number, got {confidence!r}")
-            rec = DetectionRecord(image_id, det["concept"], float(confidence))
-            tax.resolve(rec.concept)
-            detections.append(rec)
+            concept = tax.resolve(det["concept"])
+            detections.append(DetectionRecord(image_id, concept, float(confidence)))
         return image_id, detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))
@@ -161,9 +160,7 @@ def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
     def build(record: dict) -> tuple[str, ConceptMultiset]:
         if not record["concepts"]:
             raise MalformedObject("a target needs at least one concept, got 'concepts': []")
-        concepts = ConceptMultiset(record["concepts"])
-        for name in concepts:
-            tax.resolve(name)
+        concepts = ConceptMultiset._from_normalized(tax.resolve(c) for c in record["concepts"])
         return str(record["image_id"]), concepts
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))

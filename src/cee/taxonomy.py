@@ -23,6 +23,7 @@ from .errors import (
     DanglingEdge,
     EmptySource,
     MultipleRoots,
+    TaxonomyError,
     UnknownConcept,
 )
 
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
 
 REPLACE_DELETE_PLUS_INSERT = "delete-plus-insert"
 REPLACE_SHORTEST_PATH = "shortest-path"
-_REPLACE_MODES = (REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH)
+REPLACE_MODES = (REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH)
 
 _WS = re.compile(r"\s+")
 
@@ -64,8 +65,8 @@ class CostConfig:
     flattened: bool = False
 
     def __post_init__(self):
-        if self.replace_mode not in _REPLACE_MODES:
-            raise ValueError(f"replace_mode must be one of {_REPLACE_MODES}")
+        if self.replace_mode not in REPLACE_MODES:
+            raise ValueError(f"replace_mode must be one of {REPLACE_MODES}")
         for name in ("unit_edge_cost", "delete_weight", "insert_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -89,20 +90,35 @@ class Taxonomy:
 
     def __init__(
         self,
-        root: str,
+        root: str | None,
         parents: dict[str, frozenset[str]],
         attach_unknown: bool = False,
     ):
-        self.root = root
+        """Check the hierarchy once: no cycle, one root (inferred as the one
+        parentless concept when ``root`` is None), and every other concept
+        under it. The nodes are the keys and parents of ``parents``, and
+        ``root``."""
         self.attach_unknown = attach_unknown
         self._parents = parents
-        self._nodes = frozenset(parents) | {root}
+        self._nodes = frozenset(parents).union(*parents.values(), () if root is None else (root,))
+        # sorted, so a cycle is reported through the same node on every run
+        self._ancestors = {n: self._walk_up(n) for n in sorted(self._nodes)}
+        parentless = sorted(n for n in self._nodes if not parents.get(n))
+        if root is None:
+            if len(parentless) != 1:
+                raise MultipleRoots(parentless)
+            root = parentless[0]
+        elif parents.get(root):
+            raise DanglingEdge(root, "is the root but declares a parent")
+        strays = [n for n in parentless if n != root]
+        if strays:
+            raise DanglingEdge(strays[0], f"never attaches to root {root!r}")
+        self.root = root
         children: dict[str, set[str]] = {n: set() for n in self._nodes}
         for child, ps in parents.items():
             for p in ps:
                 children[p].add(child)
         self._children = {n: frozenset(c) for n, c in children.items()}
-        self._ancestors = {n: self._walk_up(n) for n in self._nodes}
         self._dist: dict[str, dict[str, int]] = {}
         self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
@@ -126,37 +142,44 @@ class Taxonomy:
 
     def resolve(self, name: str) -> str:
         """Normalize ``name``; unknown concepts are an error unless the
-        taxonomy was built with ``attach_unknown``, in which case they behave
-        as direct children of the root."""
+        taxonomy was built with ``attach_unknown``. This is the one check of a
+        name from outside: the queries below take names as it returns them."""
         norm = normalize_concept(name)
-        if norm not in self._nodes and not self.attach_unknown:
-            raise UnknownConcept(norm)
-        return norm
+        return norm if norm in self._nodes else self._unknown(norm)
+
+    def _unknown(self, name: str) -> str:
+        """``name``, which is no node, when the taxonomy attaches unknowns, else
+        ``UnknownConcept``. An attached unknown is a direct child of the root:
+        depth 1, ancestors ``{name, root}``, no category."""
+        if not self.attach_unknown:
+            raise UnknownConcept(name)
+        return name
 
     def _walk_up(self, node: str) -> frozenset[str]:
         out = {node}
         queue = deque([node])
         while queue:
             for p in self._parents.get(queue.popleft(), ()):
+                if p == node:
+                    raise CycleDetected(node)
                 if p not in out:
                     out.add(p)
                     queue.append(p)
         return frozenset(out)
 
     def ancestors_or_self(self, name: str) -> frozenset[str]:
-        node = self.resolve(name)
-        if node not in self._nodes:
-            return frozenset({node, self.root})
-        return self._ancestors[node]
+        found = self._ancestors.get(name)
+        if found is None:
+            return frozenset({self._unknown(name), self.root})
+        return found
 
     def is_descendant_or_equal(self, s: str, t: str) -> bool:
-        return self.resolve(t) in self.ancestors_or_self(s)
+        return (t if t in self._nodes else self._unknown(t)) in self.ancestors_or_self(s)
 
     def category_of(self, name: str) -> str | None:
         """Nearest category (direct root child) at or above ``name``.
         Root and attached unknowns have no category."""
-        node = self.resolve(name)
-        return self._category.get(node)
+        return self._category.get(name if name in self._nodes else self._unknown(name))
 
     def _derive_categories(self) -> dict[str, str]:
         top = self._children[self.root]
@@ -190,25 +213,17 @@ class Taxonomy:
 
     def path_length(self, s: str, t: str) -> int:
         """Undirected shortest-path edge count between two concepts."""
-        s, t = self.resolve(s), self.resolve(t)
-        if s == t:
-            return 0
-        s_virtual = s not in self._nodes
-        t_virtual = t not in self._nodes
-        if s_virtual and t_virtual:
-            return 2
-        if s_virtual:
-            return 1 + self._bfs(self.root)[t]
-        if t_virtual:
-            return self._bfs(s)[self.root] + 1
-        return self._bfs(s)[t]
+        if s in self._nodes and t in self._nodes:
+            return self._bfs(s)[t]
+        hops = self.depth(s) + self.depth(t)  # an attached unknown's path runs through the root
+        return 0 if s == t else hops
 
     def depth(self, name: str) -> int:
         """Edge count to the root, read from the one BFS out of the root."""
-        node = self.resolve(name)
-        if node not in self._nodes:
-            return 1  # an attached unknown hangs directly under the root
-        return self._bfs(self.root)[node]
+        if name not in self._nodes:
+            self._unknown(name)
+            return 1
+        return self._bfs(self.root)[name]
 
     def cost_model(self, cfg: CostConfig) -> "CostModel":
         """The one cost model of this taxonomy under ``cfg``."""
@@ -227,31 +242,6 @@ class Taxonomy:
         return "\n".join(lines) + "\n"
 
 
-def _detect_cycle(parents: dict[str, frozenset[str]]) -> None:
-    # iterative three-color DFS over child -> parent edges
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in parents}
-    for start in sorted(parents):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, list[str]]] = [(start, sorted(parents.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, todo = stack[-1]
-            while todo:
-                nxt = todo.pop()
-                state = color.get(nxt, BLACK)
-                if state == GREY:
-                    raise CycleDetected(nxt)
-                if state == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, sorted(parents.get(nxt, ()))))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
-
-
 def load_taxonomy(
     source: str,
     root_name: str | None = None,
@@ -264,7 +254,7 @@ def load_taxonomy(
     ``root_name`` or inferred as the unique parentless node.
     """
     declared_root: str | None = None
-    edges: list[tuple[str, str]] = []
+    parents: dict[str, set[str]] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -278,9 +268,7 @@ def load_taxonomy(
                 raise MultipleRoots([declared_root, right])
             declared_root = right
             continue
-        if left == right:
-            raise CycleDetected(left)
-        edges.append((left, right))
+        parents.setdefault(left, set()).add(right)
 
     if root_name is not None:
         root_name = normalize_concept(root_name)
@@ -288,34 +276,10 @@ def load_taxonomy(
             raise MultipleRoots([declared_root, root_name])
         declared_root = root_name
 
-    if not edges and declared_root is None:
+    if not parents and declared_root is None:
         raise EmptySource()
-
-    parents: dict[str, set[str]] = {}
-    nodes: set[str] = set() if declared_root is None else {declared_root}
-    for child, parent in edges:
-        parents.setdefault(child, set()).add(parent)
-        nodes.update((child, parent))
-
     frozen = {c: frozenset(ps) for c, ps in parents.items()}
-    all_parents = {n: frozen.get(n, frozenset()) for n in nodes}
-    _detect_cycle(all_parents)
-
-    parentless = sorted(n for n in nodes if not all_parents[n])
-    if declared_root is None:
-        if len(parentless) > 1:
-            raise MultipleRoots(parentless)
-        if not parentless:
-            raise EmptySource("no parentless node to serve as root")
-        declared_root = parentless[0]
-    else:
-        if all_parents.get(declared_root):
-            raise DanglingEdge(declared_root, "is the root but declares a parent")
-        strays = [n for n in parentless if n != declared_root]
-        if strays:
-            raise DanglingEdge(strays[0], f"never attaches to root {declared_root!r}")
-
-    return Taxonomy(declared_root, all_parents, attach_unknown=attach_unknown)
+    return Taxonomy(declared_root, frozen, attach_unknown=attach_unknown)
 
 
 TAXONOMY_DIR_ENV = "CEE_TAXONOMY_DIR"
@@ -323,7 +287,8 @@ TAXONOMY_DIR_ENV = "CEE_TAXONOMY_DIR"
 
 def resolve_taxonomy(name_or_path: str, attach_unknown: bool = False) -> Taxonomy:
     """Load a taxonomy by file path, by name in $CEE_TAXONOMY_DIR, or by
-    bundled name (``clevr``, ``street``)."""
+    bundled name (``clevr``, ``street``). A file that does not decode, parse
+    or form a valid hierarchy raises ``TaxonomyError`` naming the file."""
     env_dir = os.environ.get(TAXONOMY_DIR_ENV)
     named = f"{name_or_path}.tax"
     source = Path(name_or_path)
@@ -335,7 +300,10 @@ def resolve_taxonomy(name_or_path: str, attach_unknown: bool = False) -> Taxonom
             if not source.is_file():
                 raise FileNotFoundError(f"no taxonomy named {name_or_path!r} on disk, "
                                         f"in ${TAXONOMY_DIR_ENV}, or bundled")
-    return load_taxonomy(source.read_text(encoding="utf-8"), attach_unknown=attach_unknown)
+    try:
+        return load_taxonomy(source.read_text(encoding="utf-8"), attach_unknown=attach_unknown)
+    except (TaxonomyError, ValueError) as exc:  # a bad byte, line or hierarchy
+        raise TaxonomyError(f"{source}: {exc}") from exc
 
 
 def clevr_taxonomy(attach_unknown: bool = False) -> Taxonomy:
@@ -351,25 +319,25 @@ def distance(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> fl
     Zero when s equals t or is a descendant of t (more specific output still
     satisfies the target); otherwise the weighted undirected path length.
     """
+    s, t = tax.resolve(s), tax.resolve(t)
     if tax.is_descendant_or_equal(s, t):
         return 0.0
     return cfg.unit_edge_cost * tax.path_length(s, t)
 
 
-def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig = PATH_CONFIG) -> float:
-    node = tax.resolve(s)
+def _hops(tax: Taxonomy, node: str, cfg: CostConfig) -> int:
+    """Weighted units a delete or insert of resolved ``node`` costs."""
     if node == tax.root:
-        return 0.0
-    hops = 1 if cfg.flattened else tax.depth(node)
-    return cfg.delete_weight * hops
+        return 0
+    return 1 if cfg.flattened else tax.depth(node)
+
+
+def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig = PATH_CONFIG) -> float:
+    return cfg.delete_weight * _hops(tax, tax.resolve(s), cfg)
 
 
 def insert_cost(tax: Taxonomy, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
-    node = tax.resolve(t)
-    if node == tax.root:
-        return 0.0
-    hops = 1 if cfg.flattened else tax.depth(node)
-    return cfg.insert_weight * hops
+    return cfg.insert_weight * _hops(tax, tax.resolve(t), cfg)
 
 
 def replace_cost(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
@@ -424,6 +392,7 @@ class CostModel:
         if key in self._pairs:
             return self._pairs[key]
         tax, cfg = self.tax, self.cfg
+        s, t = tax.resolve(s), tax.resolve(t)
         if tax.is_descendant_or_equal(s, t):
             price = 0.0
         elif is_replaceable(tax, s, t, cfg):

@@ -647,7 +647,25 @@ def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
     bad.write_text("a -> b\nb -> a\n", encoding="utf-8")
     rc = cli.main(["selftest", "--taxonomy", str(bad)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 1: expected 'child<TAB>parent', got 'a -> b'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "content,detail",
+    [
+        pytest.param(b"a\tb\nb\ta\n", "cycle detected through concept 'a'", id="cycle"),
+        pytest.param(b"!root\tr\na\tr\xff\n", "'utf-8' codec can't decode byte 0xff",
+                     id="non-utf8"),
+    ],
+)
+def test_bad_taxonomy_file_names_the_file(content, detail, tmp_path, capsys):
+    bad = tmp_path / "bad.tax"
+    bad.write_bytes(content)
+    rc = cli.main(["selftest", "--taxonomy", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
 
 
 def test_selftest_golden_mismatch_fails(monkeypatch, capsys):
@@ -689,7 +707,9 @@ def test_selftest_recovery_mismatch_fails(field, wrong, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[2:] == [
         f"[FAIL] harness-recovery: recovery mismatch for spec {spec}: measured SL "
         f"{impact.sl_delta} vs {claimed.sl_delta}, "
-        f"flags {sorted(impact.cl_flags)} vs {sorted(claimed.cl_flags)}",
+        f"CL trace {list(impact.cl_trace)} vs {list(claimed.cl_trace)}, "
+        f"flags {sorted(impact.cl_flags)} vs {sorted(claimed.cl_flags)}, "
+        f"Avg CL {impact.avg_cl} vs {claimed.avg_cl}",
         "2 passed, 1 failed, 0 skipped",
     ]
 
@@ -755,6 +775,17 @@ def test_config_file_not_json_names_the_file(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: {cfg_path}: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)\n"
+    )
+
+
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b'{"seed": 1}\xff')
+    rc = cli.main(["selftest", "--config", str(cfg_path)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg_path}: 'utf-8' codec can't decode byte 0xff in position 11: "
+            "invalid start byte\n"
     )
 
 

@@ -15,6 +15,7 @@ from cee import (
     REPLACE_DELETE_PLUS_INSERT,
     REPLACE_SHORTEST_PATH,
     Taxonomy,
+    TaxonomyError,
     UnknownConcept,
     delete_cost,
     distance,
@@ -99,6 +100,34 @@ def test_load_stray_parentless_node_rejected():
         load_taxonomy("!root\tr\na\tr\nb\tother\n")
 
 
+# (text for load_taxonomy, root and parents for Taxonomy, error, message)
+BAD_HIERARCHIES = [
+    pytest.param("!root\tr\na\tr\nb\ta\nb\tc\nc\tb\n",
+                 "r", {"a": {"r"}, "b": {"a", "c"}, "c": {"b"}},
+                 CycleDetected, "cycle detected through concept 'b'", id="two-cycle"),
+    pytest.param("!root\tr\na\tr\nb\tx\n", "r", {"a": {"r"}, "b": {"x"}},
+                 DanglingEdge, "concept 'x' never attaches to root 'r'", id="parent-no-concept"),
+    pytest.param("!root\tr\na\tr\nb\ts\n", "r", {"a": {"r"}, "b": {"s"}, "s": set()},
+                 DanglingEdge, "concept 's' never attaches to root 'r'", id="stray-parentless"),
+    pytest.param("!root\tr\nr\ta\n", "r", {"r": {"a"}},
+                 DanglingEdge, "concept 'r' is the root but declares a parent",
+                 id="root-with-parent"),
+    pytest.param("a\tr1\nb\tr2\n", None, {"a": {"r1"}, "b": {"r2"}},
+                 MultipleRoots, "expected exactly one root, found ['r1', 'r2']",
+                 id="two-roots"),
+]
+
+
+@pytest.mark.parametrize("text,root,parents,error,message", BAD_HIERARCHIES)
+def test_every_route_checks_the_hierarchy(text, root, parents, error, message):
+    frozen = {child: frozenset(ps) for child, ps in parents.items()}
+    with pytest.raises(error) as direct:
+        Taxonomy(root, frozen)
+    with pytest.raises(error) as loaded:
+        load_taxonomy(text)
+    assert str(direct.value) == str(loaded.value) == message
+
+
 def test_load_empty_rejected():
     with pytest.raises(EmptySource):
         load_taxonomy("# only a comment\n")
@@ -132,6 +161,15 @@ def test_resolve_taxonomy_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CEE_TAXONOMY_DIR", str(tmp_path))
     tax = resolve_taxonomy("mini")
     assert tax.depth("small") == 2
+
+
+def test_resolve_taxonomy_bad_file_names_it(tmp_path):
+    bad = tmp_path / "bad.tax"
+    bad.write_text("a\tb\nb\ta\n", encoding="utf-8")
+    with pytest.raises(TaxonomyError) as exc:
+        resolve_taxonomy(str(bad))
+    assert str(exc.value) == f"{bad}: cycle detected through concept 'a'"
+    assert isinstance(exc.value.__cause__, CycleDetected)
 
 
 def test_resolve_taxonomy_unknown_name():
@@ -270,6 +308,27 @@ def test_taxonomy_direct_construction():
     tax = Taxonomy(root="r", parents={"a": frozenset({"r"}), "b": frozenset({"a"})})
     assert tax.depth("b") == 2
     assert tax.category_of("b") == "a"
+    inferred = Taxonomy(None, {"a": frozenset({"r"}), "b": frozenset({"a"})})
+    assert inferred.root == "r"
+    assert inferred.to_text() == tax.to_text()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        pytest.param(lambda tax: tax.depth("zebra"), id="depth"),
+        pytest.param(lambda tax: tax.depth(" Large "), id="depth-unnormalised"),
+        pytest.param(lambda tax: tax.ancestors_or_self("zebra"), id="ancestors_or_self"),
+        pytest.param(lambda tax: tax.category_of("zebra"), id="category_of"),
+        pytest.param(lambda tax: tax.path_length("zebra", "large"), id="path_length-source"),
+        pytest.param(lambda tax: tax.path_length("large", "zebra"), id="path_length-target"),
+        pytest.param(lambda tax: tax.is_descendant_or_equal("large", "zebra"),
+                     id="is_descendant_or_equal-target"),
+    ],
+)
+def test_queries_reject_a_name_that_is_no_node(query):
+    with pytest.raises(UnknownConcept):
+        query(load_taxonomy(SIZE_TAX))
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,8 +337,13 @@ def test_depth_is_path_length_to_root(seed):
     rng = random.Random(seed)
     tree = random_taxonomy(rng, n_nodes=rng.randint(2, 30))
     tax = load_taxonomy(tree.to_text(), attach_unknown=True)
-    for name in sorted(tax.nodes) + ["stray"]:
+    names = sorted(tax.nodes) + ["stray"]
+    for name in names:
         assert tax.depth(name) == tax.path_length(name, tax.root)
+    # an attached unknown hangs under the root, so its paths run through it
+    for name in names + ["other"]:
+        expected = 0 if name == "stray" else 1 + tax.depth(name)
+        assert tax.path_length("stray", name) == tax.path_length(name, "stray") == expected
 
 
 # -- cost model ------------------------------------------------------------------
