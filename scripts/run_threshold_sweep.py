@@ -16,6 +16,7 @@ import sys
 from cee import (
     PATH_CONFIG,
     MalformedObject,
+    TaxonomyError,
     census_csv,
     format_local_grouped,
     operation_census,
@@ -39,7 +40,11 @@ def main(argv=None) -> int:
                     help="print grouped edit scripts for the N worst images")
     args = ap.parse_args(argv)
 
-    tax = resolve_taxonomy(args.taxonomy)
+    try:
+        tax = resolve_taxonomy(args.taxonomy)
+    except (TaxonomyError, FileNotFoundError) as exc:  # a TaxonomyError names the file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     thresholds = args.thresholds or [0.5, 0.6, 0.7]
     if args.detections and args.targets:
         try:

@@ -5,18 +5,20 @@ Delete, and Insert operations priced by the taxonomy cost model. The optimum
 is found as an assignment problem on an (|S|+|T|) square matrix: real-to-real
 cells price replacements (or a sentinel when the pair is not actionable),
 real-to-dummy cells price deletions, dummy-to-real cells price insertions,
-and dummy-to-dummy cells are free.
+and dummy-to-dummy cells are free. The matrix is solved by
+``linear_sum_assignment``, a pure-Python shortest-augmenting-path solver
+that reproduces scipy's choice among equal-cost optima.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InstanceTooLarge
 from .taxonomy import PATH_CONFIG, CostConfig, CostModel, Taxonomy, normalize_concept
@@ -120,12 +122,6 @@ class EditScript:
     def __iter__(self) -> Iterator[EditOp]:
         return iter(self.ops)
 
-    def count(self, kind: str) -> int:
-        return sum(1 for op in self.ops if op.kind == kind)
-
-    def cost_of(self, kind: str) -> float:
-        return float(sum(op.cost for op in self.ops if op.kind == kind))
-
     def edit_tokens(self) -> list[str]:
         return [op.token for op in self.ops]
 
@@ -136,35 +132,110 @@ def as_multiset(items: Iterable[str] | ConceptMultiset) -> ConceptMultiset:
 
 def _priced(
     S: ConceptMultiset, T: ConceptMultiset, model: CostModel
-) -> tuple[list[float], list[float], list[list[float | None]]]:
+) -> tuple[tuple[float, ...], tuple[float, ...], list[list[float | None]]]:
     """Both sides' delete and insert prices, and every pair's price (None
     where the replace is not actionable), from the cost model."""
-    del_costs = [model.costs(s)[0] for s in S]
-    ins_costs = [model.costs(t)[1] for t in T]
+    del_costs = tuple([model.costs(s)[0] for s in S])
+    ins_costs = tuple([model.costs(t)[1] for t in T])
     pair = [[model.pair(s, t) for t in T] for s in S]
     return del_costs, ins_costs, pair
 
 
+def linear_sum_assignment(cost: Sequence[Sequence[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost perfect matching on a square matrix: ``(rows, cols)``
+    with ``rows == [0, ..., N-1]`` and row i matched to column ``cols[i]``.
+
+    A port of scipy's ``rectangular_lsap`` (the shortest augmenting path of
+    Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016) restricted to square matrices. It returns scipy's column
+    vector bit for bit, which pins the choice among equal-cost optima: the
+    remaining columns are scanned from N-1 down and removed by swapping in
+    the last one, a tie in path cost goes to a column no row holds yet, and
+    the reduced cost is summed left to right as
+    ``min_val + cost[i][j] - u[i] - v[j]``. Regrouping that sum changes
+    which optimum is found.
+    """
+    size = len(cost)
+    inf = math.inf
+    u = [0.0] * size
+    v = [0.0] * size
+    col4row = [-1] * size
+    row4col = [-1] * size
+    path = [-1] * size
+    all_inf = [inf] * size
+    all_cols = list(range(size - 1, -1, -1))
+    for cur_row in range(size):
+        shortest = all_inf[:]
+        remaining = all_cols[:]
+        reached: list[int] = []  # columns in the order the search took them
+        min_val = 0.0
+        i = cur_row
+        while i != -1:
+            row, u_i = cost[i], u[i]
+            lowest = inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                else:
+                    r = shortest[j]
+                if r <= lowest and (r < lowest or row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            reached.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row4col[j]  # -1: j is free, the sink
+        sink = j
+
+        # the rows reached besides cur_row are those holding the reached
+        # columns other than the sink, so each is updated through its column
+        u[cur_row] += min_val
+        for j in reached:
+            step = min_val - shortest[j]
+            if j != sink:
+                u[row4col[j]] += step
+            v[j] -= step
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return list(range(size)), col4row
+
+
+@functools.lru_cache(maxsize=4096)
 def _assign(
-    pair: Sequence[Sequence[float]],
-    del_costs: Sequence[float],
-    ins_costs: Sequence[float],
-) -> list[tuple[int, int]]:
+    pair: tuple[tuple[float, ...], ...],
+    del_costs: tuple[float, ...],
+    ins_costs: tuple[float, ...],
+) -> tuple[tuple[int, int], ...]:
     """Minimum-cost assignment on the (n+m)² dummy-padded matrix.
 
     ``pair[i][j]`` prices turning generated item i into target item j; row i
     may instead route to a dummy column at ``del_costs[i]`` and column j to a
     dummy row at ``ins_costs[j]``. Returns the chosen cells other than
     dummy-to-dummy: ``j >= m`` deletes item i, ``i >= n`` inserts item j.
+
+    Memoised on the priced inputs (tuples, so hashable), because many
+    distinct multiset pairs price to the same matrix; the bound keeps a run
+    of mostly distinct matrices from growing the memo without limit.
     """
     n, m = len(del_costs), len(ins_costs)
-    cost = np.zeros((n + m, n + m))
-    if n and m:
-        cost[:n, :m] = pair
-    cost[:n, m:] = np.asarray(del_costs, dtype=float)[:, None] + _TIE_EPS
-    cost[n:, :m] = np.asarray(ins_costs, dtype=float) + _TIE_EPS
+    cost = [[*pair[i], *[del_costs[i] + _TIE_EPS] * n] for i in range(n)]
+    insert_row = [c + _TIE_EPS for c in ins_costs] + [0.0] * n
+    cost += [insert_row] * m
     rows, cols = linear_sum_assignment(cost)
-    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < n or j < m]
+    return tuple([(i, j) for i, j in zip(rows, cols) if i < n or j < m])
 
 
 def csed(
@@ -199,10 +270,10 @@ def _solve(
     del_costs, ins_costs, prices = _priced(s_items, t_items, model)
 
     # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
-    pair = [
-        [del_costs[i] + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)]
-        for i, row in enumerate(prices)
-    ]
+    pair = tuple([
+        tuple([d + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)])
+        for d, row in zip(del_costs, prices)
+    ])
 
     ops: list[EditOp] = []
     for i, j in _assign(pair, del_costs, ins_costs):
@@ -297,18 +368,24 @@ class Census:
 
 
 def operation_census(scripts: Iterable[EditScript]) -> Census:
-    batch = list(scripts)
-    n_d = sum(s.count(DELETE) for s in batch)
-    n_r = sum(s.count(REPLACE) for s in batch)
-    n_i = sum(s.count(INSERT) for s in batch)
-    c_d = float(sum(s.cost_of(DELETE) for s in batch))
-    c_r = float(sum(s.cost_of(REPLACE) for s in batch))
-    c_i = float(sum(s.cost_of(INSERT) for s in batch))
-    mean = float(sum(s.total_cost for s in batch)) / len(batch) if batch else None
+    """Counts and costs per op kind in one pass over each script's ops. A
+    kind's cost is summed per script first, then across scripts in order;
+    that grouping fixes the float result."""
+    counts = dict.fromkeys(_KIND_ORDER, 0)
+    subtotals: dict[str, list[float]] = {kind: [] for kind in _KIND_ORDER}
+    totals = []
+    kind_of = attrgetter("kind")
+    for script in scripts:
+        # a script's ops are sorted by kind, so each kind is one run
+        for kind, ops in groupby(script.ops, kind_of):
+            costs = [op.cost for op in ops]
+            counts[kind] += len(costs)
+            subtotals[kind].append(float(sum(costs)))
+        totals.append(script.total_cost)
     return Census(
-        n_scripts=len(batch),
-        n_delete=n_d, cost_delete=c_d,
-        n_replace=n_r, cost_replace=c_r,
-        n_insert=n_i, cost_insert=c_i,
-        mean_total=mean,
+        n_scripts=len(totals),
+        n_delete=counts[DELETE], cost_delete=float(sum(subtotals[DELETE])),
+        n_replace=counts[REPLACE], cost_replace=float(sum(subtotals[REPLACE])),
+        n_insert=counts[INSERT], cost_insert=float(sum(subtotals[INSERT])),
+        mean_total=float(sum(totals)) / len(totals) if totals else None,
     )

@@ -20,6 +20,9 @@ from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
 from .errors import MalformedObject, _read_jsonl
 from .taxonomy import Taxonomy
 
+# json.dumps(obj, sort_keys=True, ensure_ascii=False) without a new encoder per line
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
 
 @dataclass(frozen=True)
 class Transaction:
@@ -36,11 +39,7 @@ class Transaction:
         return cls(id=str(id), items=frozenset(tokens))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"id": self.id, "edits": sorted(self.items)},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        return _ENCODER.encode({"id": self.id, "edits": sorted(self.items)})
 
     @classmethod
     def _from_record(cls, record: dict) -> "Transaction":

@@ -11,9 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .edits import ConceptMultiset
 from .errors import SpecOutOfRange
 from .story import ATTRIBUTES, N_CONCEPTS, ClevrObject, Story
@@ -178,7 +175,14 @@ def _frame_cost(
     inserted, and the survivors pair up through a min-cost assignment over
     hamming distances; pairing is never worse than a delete/insert round
     trip because the per-attribute fix cost is bounded by it.
+
+    The assignment is scipy's, not the engine's, so the prediction stays
+    independent. numpy and scipy are imported on the first call, so only the
+    commands that reach the harness (gen-synthetic, selftest) load them.
     """
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     n, m = len(gen), len(target)
     cost = N_CONCEPTS * cfg.delete_weight * max(n - m, 0)
     cost += N_CONCEPTS * cfg.insert_weight * max(m - n, 0)

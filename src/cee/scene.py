@@ -30,8 +30,21 @@ class DetectionRecord:
     def __post_init__(self):
         object.__setattr__(self, "image_id", str(self.image_id))
         object.__setattr__(self, "concept", normalize_concept(self.concept))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        _check_confidence(self.confidence)
+
+    @classmethod
+    def _from_resolved(cls, image_id: str, concept: str, confidence: float) -> "DetectionRecord":
+        """For a concept that ``Taxonomy.resolve`` returned: checks the
+        confidence, normalises nothing."""
+        _check_confidence(confidence)
+        record = object.__new__(cls)
+        record.__dict__.update(image_id=image_id, concept=concept, confidence=confidence)
+        return record
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {confidence} outside [0, 1]")
 
 
 @dataclass
@@ -148,7 +161,7 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
             if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
                 raise MalformedObject(f"confidence must be a number, got {confidence!r}")
             concept = tax.resolve(det["concept"])
-            detections.append(DetectionRecord(image_id, concept, float(confidence)))
+            detections.append(DetectionRecord._from_resolved(image_id, concept, float(confidence)))
         return image_id, detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))

@@ -147,11 +147,11 @@ def frame_csed(
     ]
     deletes = [csed(obj.multiset, _NOTHING, tax, cfg) for obj in gen_frame]
     inserts = [csed(_NOTHING, obj.multiset, tax, cfg) for obj in gt_frame]
-    pair = [[script.total_cost for script in row] for row in pair_scripts]
+    pair = tuple([tuple([script.total_cost for script in row]) for row in pair_scripts])
     chosen = [
         deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
         for i, j in _assign(
-            pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts]
+            pair, tuple([s.total_cost for s in deletes]), tuple([s.total_cost for s in inserts])
         )
     ]
     return EditScript(tuple(op for script in chosen for op in script.ops))

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -821,3 +824,16 @@ def test_outputs_are_byte_identical_across_runs(golden_corpus, tmp_path):
             {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         )
     assert blobs[0] == blobs[1]
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy():
+    # evaluation runs on the owned assignment solver; only the harness's
+    # oracle (gen-synthetic, selftest) imports numpy and scipy, and lazily
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, cee.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

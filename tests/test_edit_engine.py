@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from cee import (
     BRUTE_FORCE_LIMIT,
+    Census,
     ConceptMultiset,
     CostConfig,
     EditOp,
@@ -24,6 +27,7 @@ from cee import (
     random_multiset,
     random_taxonomy,
 )
+from cee import edits
 
 
 # -- helpers / primitives -------------------------------------------------------
@@ -192,6 +196,53 @@ def test_assignment_matches_brute_force(seed):
     assert csed(s, t, tax, cfg).total_cost == brute_force_csed(s, t, tax, cfg).total_cost
 
 
+# -- assignment solver ------------------------------------------------------------
+
+# matrix entries that make ties: small integers, quarters with a 1e-9-scale
+# bias (as on the dummy routes), and uniform floats
+_ENTRY_KINDS = {
+    "integer": lambda rng: float(rng.randint(0, 3)),
+    "dyadic-eps": lambda rng: rng.randint(0, 8) / 4 + rng.choice((0.0, 1e-9, 2e-9)),
+    "uniform": lambda rng: rng.random(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(sorted(_ENTRY_KINDS)),
+)
+def test_solver_returns_scipys_columns(seed, size, kind):
+    rng = random.Random(seed)
+    cost = [[_ENTRY_KINDS[kind](rng) for _ in range(size)] for _ in range(size)]
+    rows, cols = edits.linear_sum_assignment(cost)
+    want_rows, want_cols = scipy_lsa(np.array(cost))
+    assert rows == want_rows.tolist()
+    assert cols == want_cols.tolist()
+
+
+def test_assign_matches_scipy_on_a_pinned_bigtax_instance():
+    # from the bigtax workload; regrouping the reduced cost as
+    # (min_val - u[i]) + cost[i][j] - v[j] picks columns [2, 1, ...] here
+    pair = ((25.0, 20.0, 21.0, 16.0), (29.0, 24.0, 25.0, 20.0))
+    del_costs, ins_costs = (10.0, 14.0), (15.0, 10.0, 11.0, 5.0)
+    n, m = len(del_costs), len(ins_costs)
+    padded = np.zeros((n + m, n + m))
+    padded[:n, :m] = pair
+    padded[:n, m:] = np.asarray(del_costs)[:, None] + edits._TIE_EPS
+    padded[n:, :m] = np.asarray(ins_costs) + edits._TIE_EPS
+    rows, cols = scipy_lsa(padded)
+    assert cols.tolist() == [1, 2, 3, 5, 4, 0]
+    assert edits.linear_sum_assignment(padded.tolist()) == (rows.tolist(), cols.tolist())
+    assert edits._assign(pair, del_costs, ins_costs) == ((0, 1), (1, 2), (2, 3), (5, 0))
+
+
+def test_solver_rejects_an_infeasible_matrix():
+    with pytest.raises(ValueError, match="infeasible"):
+        edits.linear_sum_assignment([[float("inf")]])
+
+
 _WEIGHT = st.floats(min_value=0.1, max_value=10.0, allow_nan=False, allow_infinity=False)
 
 
@@ -332,3 +383,42 @@ def test_census_empty_is_no_data():
     census = operation_census([])
     assert census.mean_total is None
     assert census.n_scripts == 0
+
+
+def _census_seven_passes(batch):
+    """The census as one generator pass per figure, as ``EditScript.count``
+    and ``cost_of`` summed it: the reference for the one-pass census."""
+
+    def count(script, kind):
+        return sum(1 for op in script.ops if op.kind == kind)
+
+    def cost_of(script, kind):
+        return float(sum(op.cost for op in script.ops if op.kind == kind))
+
+    return Census(
+        n_scripts=len(batch),
+        n_delete=sum(count(s, "D") for s in batch),
+        cost_delete=float(sum(cost_of(s, "D") for s in batch)),
+        n_replace=sum(count(s, "R") for s in batch),
+        cost_replace=float(sum(cost_of(s, "R") for s in batch)),
+        n_insert=sum(count(s, "I") for s in batch),
+        cost_insert=float(sum(cost_of(s, "I") for s in batch)),
+        mean_total=float(sum(s.total_cost for s in batch)) / len(batch) if batch else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_census_sums_per_script_then_across_scripts(seed):
+    # weight 0.1 makes float sums depend on their grouping
+    rng = random.Random(seed)
+    tax = random_taxonomy(rng, n_nodes=rng.randint(4, 20))
+    cfg = CostConfig(
+        unit_edge_cost=0.1, delete_weight=0.1, insert_weight=0.1,
+        replace_mode=rng.choice(["delete-plus-insert", "shortest-path"]),
+    )
+    scripts = [
+        csed(random_multiset(rng, tax, max_size=6), random_multiset(rng, tax, max_size=6), tax, cfg)
+        for _ in range(rng.randint(0, 40))
+    ]
+    assert operation_census(scripts) == _census_seven_passes(scripts)

@@ -21,6 +21,7 @@ from cee import (
     read_targets,
     scene_csed,
 )
+from cee import scene, taxonomy
 
 
 def det(image_id, concept, confidence):
@@ -211,6 +212,35 @@ def test_read_detections_and_targets(tmp_path, street):
     assert detections["x"][0].concept == "car"
     targets = read_targets(tgt_path, street)
     assert targets["x"] == ConceptMultiset(["car", "light"])
+
+
+def test_read_detections_normalises_each_concept_once(tmp_path, street, monkeypatch):
+    det_path = tmp_path / "det.jsonl"
+    det_path.write_text(
+        '{"image_id": 7, "detections": [{"concept": " Car ", "confidence": 0.9},'
+        ' {"concept": "TRUCK", "confidence": 1}]}\n',
+        encoding="utf-8",
+    )
+    calls = []
+    for module in (taxonomy, scene):
+        real = module.normalize_concept
+        monkeypatch.setattr(
+            module, "normalize_concept", lambda name, real=real: calls.append(name) or real(name)
+        )
+    detections = read_detections(det_path, street)
+    assert calls == [" Car ", "TRUCK"]  # once each, by Taxonomy.resolve
+    assert detections == {"7": [det(7, "car", 0.9), det(7, "truck", 1.0)]}
+
+
+def test_read_detections_checks_confidence_range(tmp_path, street):
+    det_path = tmp_path / "det.jsonl"
+    det_path.write_text(
+        '{"image_id": "x", "detections": [{"concept": "car", "confidence": 1.5}]}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedObject) as excinfo:
+        read_detections(det_path, street)
+    assert str(excinfo.value) == f"{det_path}:1: confidence 1.5 outside [0, 1]"
 
 
 def test_read_detections_rejects_missing_keys(tmp_path, street):

@@ -100,3 +100,12 @@ def test_threshold_sweep_reports_bad_input_with_path_and_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {det_path}:1: concept 'zebra' is not in the taxonomy\n"
+
+
+def test_threshold_sweep_reports_a_bad_taxonomy_with_its_file(tmp_path):
+    tax_path = tmp_path / "cyc.tax"
+    tax_path.write_text("a\tb\nb\ta\n", encoding="utf-8")
+    proc = _run("run_threshold_sweep.py", "--taxonomy", str(tax_path), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {tax_path}: cycle detected through concept 'a'\n"
