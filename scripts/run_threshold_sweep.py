@@ -15,8 +15,7 @@ import sys
 
 from cee import (
     PATH_CONFIG,
-    MalformedObject,
-    TaxonomyError,
+    CeeError,
     census_csv,
     format_local_grouped,
     operation_census,
@@ -41,18 +40,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        tax = resolve_taxonomy(args.taxonomy)
-    except (TaxonomyError, FileNotFoundError) as exc:  # a TaxonomyError names the file
+        return sweep(ap, args)
+    except (CeeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def sweep(ap: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    tax = resolve_taxonomy(args.taxonomy)
     thresholds = args.thresholds or [0.5, 0.6, 0.7]
     if args.detections and args.targets:
-        try:
-            detections = read_detections(args.detections, tax)
-            targets = read_targets(args.targets, tax)
-        except MalformedObject as exc:  # unknown concepts arrive as this too, with path:line
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        detections = read_detections(args.detections, tax)
+        targets = read_targets(args.targets, tax)
     elif args.detections or args.targets:
         ap.error("--detections and --targets must be given together")
     else:

@@ -68,6 +68,7 @@ from .harness import (
     random_scene_corpus,
     random_spec,
     random_taxonomy,
+    recovery_mismatch,
 )
 from .scene import (
     CENSUS_HEADER,

@@ -63,9 +63,6 @@ class ConceptMultiset(tuple):
     def counts(self) -> dict[str, int]:
         return dict(Counter(self))
 
-    def __contains__(self, name: str) -> bool:
-        return super().__contains__(normalize_concept(name))
-
     def __repr__(self) -> str:
         return f"ConceptMultiset({list(self)!r})"
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .edits import ConceptMultiset
 from .errors import SpecOutOfRange
-from .story import ATTRIBUTES, N_CONCEPTS, ClevrObject, Story
+from .story import ATTRIBUTES, N_CONCEPTS, ClevrObject, Story, StoryMetrics
 from .scene import DetectionRecord
 from .taxonomy import REPLACE_SHORTEST_PATH, CostConfig, Taxonomy
 
@@ -146,6 +146,18 @@ class ExpectedImpact:
     cl_trace: tuple[float, ...]
     cl_flags: frozenset[int]
     avg_cl: float
+
+
+def recovery_mismatch(m: StoryMetrics, impact: ExpectedImpact) -> str | None:
+    """None when the evaluator's SL, CL trace, flags and Avg CL all equal the
+    prediction, else each measured value against its predicted one."""
+    trace = list(impact.cl_trace)
+    if (m.sl != impact.sl_delta or m.cl_per_frame != trace
+            or m.cl_flags != impact.cl_flags or m.avg_cl != impact.avg_cl):
+        return (f"SL {m.sl} vs {impact.sl_delta}, CL trace {m.cl_per_frame} vs {trace}, "
+                f"flags {sorted(m.cl_flags)} vs {sorted(impact.cl_flags)}, "
+                f"Avg CL {m.avg_cl} vs {impact.avg_cl}")
+    return None
 
 
 def leaf_fix_cost(cfg: CostConfig) -> float:

@@ -9,7 +9,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .edits import Census, ConceptMultiset, EditScript, csed, format_cost, operation_census
 from .errors import EmptyCorpus, MalformedObject, _read_jsonl
-from .taxonomy import CostConfig, PATH_CONFIG, Taxonomy, normalize_concept
+from .taxonomy import CostConfig, PATH_CONFIG, Taxonomy
+# unused here, but perfbench/tracer.py wraps this name on this module
+from .taxonomy import normalize_concept  # noqa: F401
 
 CENSUS_COLUMNS = (
     "threshold",
@@ -23,28 +25,16 @@ CENSUS_HEADER = ",".join(CENSUS_COLUMNS)
 
 @dataclass(frozen=True)
 class DetectionRecord:
+    """One detection; ``concept`` is taken as ``Taxonomy.resolve`` returns it."""
+
     image_id: str
     concept: str
     confidence: float
 
     def __post_init__(self):
         object.__setattr__(self, "image_id", str(self.image_id))
-        object.__setattr__(self, "concept", normalize_concept(self.concept))
-        _check_confidence(self.confidence)
-
-    @classmethod
-    def _from_resolved(cls, image_id: str, concept: str, confidence: float) -> "DetectionRecord":
-        """For a concept that ``Taxonomy.resolve`` returned: checks the
-        confidence, normalises nothing."""
-        _check_confidence(confidence)
-        record = object.__new__(cls)
-        record.__dict__.update(image_id=image_id, concept=concept, confidence=confidence)
-        return record
-
-
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence {confidence} outside [0, 1]")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
 @dataclass
@@ -161,7 +151,7 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
             if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
                 raise MalformedObject(f"confidence must be a number, got {confidence!r}")
             concept = tax.resolve(det["concept"])
-            detections.append(DetectionRecord._from_resolved(image_id, concept, float(confidence)))
+            detections.append(DetectionRecord(image_id, concept, float(confidence)))
         return image_id, detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))

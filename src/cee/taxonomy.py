@@ -125,12 +125,6 @@ class Taxonomy:
 
     # -- basic queries --------------------------------------------------
 
-    def __contains__(self, name: str) -> bool:
-        return normalize_concept(name) in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     @property
     def nodes(self) -> frozenset[str]:
         return self._nodes
@@ -318,8 +312,9 @@ def distance(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> fl
 
     Zero when s equals t or is a descendant of t (more specific output still
     satisfies the target); otherwise the weighted undirected path length.
+    Like every cost function here, it takes names as ``Taxonomy.resolve``
+    returns them; any other name raises ``UnknownConcept``.
     """
-    s, t = tax.resolve(s), tax.resolve(t)
     if tax.is_descendant_or_equal(s, t):
         return 0.0
     return cfg.unit_edge_cost * tax.path_length(s, t)
@@ -329,28 +324,31 @@ def _hops(tax: Taxonomy, node: str, cfg: CostConfig) -> int:
     """Weighted units a delete or insert of resolved ``node`` costs."""
     if node == tax.root:
         return 0
-    return 1 if cfg.flattened else tax.depth(node)
+    depth = tax.depth(node)  # read first, so an unknown name raises when flattened too
+    return 1 if cfg.flattened else depth
 
 
 def delete_cost(tax: Taxonomy, s: str, cfg: CostConfig = PATH_CONFIG) -> float:
-    return cfg.delete_weight * _hops(tax, tax.resolve(s), cfg)
+    """Price of deleting resolved concept s."""
+    return cfg.delete_weight * _hops(tax, s, cfg)
 
 
 def insert_cost(tax: Taxonomy, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
-    return cfg.insert_weight * _hops(tax, tax.resolve(t), cfg)
+    """Price of inserting resolved concept t."""
+    return cfg.insert_weight * _hops(tax, t, cfg)
 
 
 def replace_cost(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> float:
+    """Price of replacing resolved s by resolved t under ``cfg.replace_mode``."""
     if cfg.replace_mode == REPLACE_SHORTEST_PATH:
         return distance(tax, s, t, cfg)
     return delete_cost(tax, s, cfg) + insert_cost(tax, t, cfg)
 
 
 def is_replaceable(tax: Taxonomy, s: str, t: str, cfg: CostConfig = PATH_CONFIG) -> bool:
-    """A replace s -> t is actionable when it beats delete-plus-insert through
-    the root, or when the concepts share an ancestor below the root (including
-    one being an ancestor of the other)."""
-    s, t = tax.resolve(s), tax.resolve(t)
+    """A replace of resolved s by resolved t is actionable when it beats
+    delete-plus-insert through the root, or when the concepts share an
+    ancestor below the root (including one being an ancestor of the other)."""
     if replace_cost(tax, s, t, cfg) < delete_cost(tax, s, cfg) + insert_cost(tax, t, cfg):
         return True
     shared = (tax.ancestors_or_self(s) & tax.ancestors_or_self(t)) - {tax.root}
@@ -363,8 +361,10 @@ class CostModel:
     Reached through ``Taxonomy.cost_model``. Every price comes from the free
     functions above, which stay the only copy of each formula (a pair is free
     when ``is_descendant_or_equal``, the test ``distance`` starts with); the
-    model only remembers them by name, or by (s, t) name pair. An unknown concept raises
-    ``UnknownConcept`` on every call, since failures are not remembered.
+    model only remembers them by name, or by (s, t) name pair. It takes names
+    as ``Taxonomy.resolve`` returns them, as the readers and ``ConceptMultiset``
+    hold them; any other name raises ``UnknownConcept`` on every call, since
+    failures are not remembered.
 
     ``scripts`` holds the edit scripts ``edits.csed`` has solved under this
     model, keyed by the (S, T) multiset pair.
@@ -392,7 +392,6 @@ class CostModel:
         if key in self._pairs:
             return self._pairs[key]
         tax, cfg = self.tax, self.cfg
-        s, t = tax.resolve(s), tax.resolve(t)
         if tax.is_descendant_or_equal(s, t):
             price = 0.0
         elif is_replaceable(tax, s, t, cfg):

@@ -109,3 +109,22 @@ def test_threshold_sweep_reports_a_bad_taxonomy_with_its_file(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {tax_path}: cycle detected through concept 'a'\n"
+
+
+def test_threshold_sweep_reports_a_threshold_out_of_range(tmp_path):
+    proc = _run("run_threshold_sweep.py", "--threshold", "1.5", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: threshold 1.5 outside [0, 1]\n"
+
+
+def test_threshold_sweep_reports_a_missing_input_file(tmp_path):
+    det_path = tmp_path / "missing.jsonl"
+    tgt_path = tmp_path / "tgt.jsonl"
+    tgt_path.write_text(json.dumps({"image_id": "a", "concepts": ["car"]}) + "\n", encoding="utf-8")
+    proc = _run(
+        "run_threshold_sweep.py", "--detections", str(det_path), "--targets", str(tgt_path),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: [Errno 2] No such file or directory: '{det_path}'\n"

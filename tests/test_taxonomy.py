@@ -17,6 +17,7 @@ from cee import (
     Taxonomy,
     TaxonomyError,
     UnknownConcept,
+    csed,
     delete_cost,
     distance,
     insert_cost,
@@ -68,14 +69,14 @@ def test_normalize_idempotent(text):
 
 def test_load_size_group():
     tax = load_taxonomy(SIZE_TAX)
-    assert len(tax) == 4
+    assert len(tax.nodes) == 4
     assert tax.depth("large") == 2
     assert tax.root == "root"
 
 
 def test_load_single_root_node():
     tax = load_taxonomy("!root\tentity\n")
-    assert len(tax) == 1
+    assert len(tax.nodes) == 1
     assert tax.root == "entity"
 
 
@@ -153,7 +154,7 @@ def test_bundled_clevr_shape(clevr):
 def test_bundled_street_shape(street):
     for concept in ("car", "truck", "light", "traffic light", "stop sign",
                     "buildings", "person"):
-        assert concept in street
+        assert concept in street.nodes
 
 
 def test_resolve_taxonomy_env_dir(tmp_path, monkeypatch):
@@ -369,7 +370,7 @@ def test_cost_model_prices_match_the_free_functions(
     model = tax.cost_model(cfg)
     assert tax.cost_model(CostConfig(*weights, replace_mode, flattened)) is model
 
-    names = sorted(tax.nodes) + [" N01 "] + (["stray"] if attach_unknown else [])
+    names = sorted(tax.nodes) + (["stray"] if attach_unknown else [])
     for _ in range(2):  # the second pass reads remembered prices
         for s in names:
             assert model.costs(s) == (delete_cost(tax, s, cfg), insert_cost(tax, s, cfg))
@@ -382,7 +383,18 @@ def test_cost_model_prices_match_the_free_functions(
                 else:
                     assert price is None
         if not attach_unknown:
-            with pytest.raises(UnknownConcept):
-                model.costs("stray")
-            with pytest.raises(UnknownConcept):
-                model.pair(tax.root, "stray")
+            # names arrive as Taxonomy.resolve returns them; an unnormalised one is unknown
+            for price in (
+                lambda: model.costs("stray"),
+                lambda: model.pair(tax.root, "stray"),
+                lambda: delete_cost(tax, " N01 ", cfg),
+                lambda: distance(tax, " N01 ", "n01", cfg),
+                lambda: distance(tax, "n01", " N01 ", cfg),
+                lambda: model.costs(" N01 "),
+                lambda: model.pair(" N01 ", "n01"),
+                lambda: model.pair("n01", " N01 "),
+            ):
+                with pytest.raises(UnknownConcept):
+                    price()
+    # ConceptMultiset normalises for library callers of csed
+    assert csed([" N01 "], names, tax, cfg) == csed(["n01"], names, tax, cfg)
