@@ -93,6 +93,24 @@ class SpecOutOfRange(CeeError):
         super().__init__(detail)
 
 
+_DECODER = json.JSONDecoder()
+_JSON_WS = " \t\n\r"  # the whitespace JSON allows around a value; str.strip() strips more
+
+
+def _parse_line(line: str) -> Any:
+    """``json.loads(line)``, without its set-up for the common line that is one
+    object; anything else, or an error, goes to ``json.loads`` for its message."""
+    if line.startswith("{"):
+        try:
+            record, end = _DECODER.raw_decode(line)
+        except ValueError:
+            pass
+        else:
+            if not line[end:].strip(_JSON_WS):
+                return record
+    return json.loads(line)
+
+
 def _read_jsonl(
     path: str | Path, id_key: str, list_key: str, build: Callable[[dict], Any], unique: str | None
 ) -> list:
@@ -109,7 +127,7 @@ def _read_jsonl(
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                record = json.loads(line)
+                record = _parse_line(line)
                 if not isinstance(record, dict):
                     raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
                 if id_key not in record or list_key not in record:

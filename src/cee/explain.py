@@ -3,7 +3,8 @@
 Local: an edit script rendered as a human-readable row (story frames) or a
 grouped I/D/R listing (scenes). Global: replacement rules counted from the
 R tokens of each transaction, plus insert/delete frequency tables; apriori
-mines general frequent itemsets over the same transactions.
+mines general frequent itemsets over the same transactions. All three count
+each distinct edit set once, weighted by how many transactions hold it.
 """
 
 from __future__ import annotations
@@ -41,18 +42,28 @@ class Transaction:
     def to_json(self) -> str:
         return _ENCODER.encode({"id": self.id, "edits": sorted(self.items)})
 
-    @classmethod
-    def _from_record(cls, record: dict) -> "Transaction":
-        items = frozenset(record["edits"])
-        for item in items:
-            if not isinstance(item, str):
-                raise MalformedObject(f"edit {item!r} is not a string")
-        return cls(id=str(record["id"]), items=items)
-
 
 def read_transactions(path: str | Path) -> list[Transaction]:
-    """Ids may repeat: pooled per-threshold files hold each image once per threshold."""
-    return _read_jsonl(path, "id", "edits", Transaction._from_record, unique=None)
+    """Ids may repeat: pooled per-threshold files hold each image once per threshold.
+
+    Edit lists are interned per file: equal lists share one frozenset, built
+    and checked once. Mining then counts each distinct edit set once, weighted
+    by how many transactions hold it."""
+    interned: dict[tuple, frozenset[str]] = {}
+
+    def build(record: dict) -> Transaction:
+        edits = record["edits"]
+        key = tuple(edits)
+        items = interned.get(key)  # an unhashable edit fails here as frozenset() would
+        if items is None:
+            items = frozenset(edits)
+            for item in items:
+                if not isinstance(item, str):
+                    raise MalformedObject(f"edit {item!r} is not a string")
+            interned[key] = items
+        return Transaction(id=str(record["id"]), items=items)
+
+    return _read_jsonl(path, "id", "edits", build, unique=None)
 
 
 def write_transactions(path: str | Path, transactions: Iterable[Transaction]) -> None:
@@ -68,11 +79,14 @@ def split_replace_token(token: str) -> tuple[str, str] | None:
     return source, target
 
 
-def _as_itemsets(transactions: Sequence[Transaction | Collection[str]]) -> list[frozenset[str]]:
-    out = []
-    for t in transactions:
-        out.append(frozenset(t.items) if isinstance(t, Transaction) else frozenset(t))
-    return out
+def _distinct(transactions: Sequence[Transaction | Collection[str]]) -> Counter[frozenset[str]]:
+    """Each distinct item set with the number of transactions that hold it."""
+    return Counter(frozenset(t.items if isinstance(t, Transaction) else t) for t in transactions)
+
+
+def _add(counts: dict, keys: Iterable, weight: int) -> None:
+    for key in keys:
+        counts[key] = counts.get(key, 0) + weight
 
 
 def _min_count(min_support: float, n: int) -> int:
@@ -93,17 +107,15 @@ def apriori(
     Classic level-wise search: level k candidates join two frequent (k-1)
     itemsets and are pruned unless every (k-1) subset is frequent.
     """
-    itemsets = _as_itemsets(transactions)
-    min_count = _min_count(min_support, len(itemsets))
+    itemsets = _distinct(transactions)
+    min_count = _min_count(min_support, len(transactions))
     if not itemsets:
         return {}
 
     counts: dict[frozenset[str], int] = {}
     singles: dict[frozenset[str], int] = {}
-    for t in itemsets:
-        for item in t:
-            key = frozenset([item])
-            singles[key] = singles.get(key, 0) + 1
+    for t, weight in itemsets.items():
+        _add(singles, (frozenset([item]) for item in t), weight)
     level = {k: v for k, v in singles.items() if v >= min_count}
     counts.update(level)
     k = 2
@@ -117,10 +129,8 @@ def apriori(
             if all(union - {item} in level for item in union):
                 candidates.add(union)
         next_level: dict[frozenset[str], int] = {}
-        for t in itemsets:
-            for cand in candidates:
-                if cand <= t:
-                    next_level[cand] = next_level.get(cand, 0) + 1
+        for t, weight in itemsets.items():
+            _add(next_level, (cand for cand in candidates if cand <= t), weight)
         level = {c: v for c, v in next_level.items() if v >= min_count}
         counts.update(level)
         k += 1
@@ -146,23 +156,23 @@ def mine_rules(
     support counts transactions holding the exact R token; antecedent /
     consequent support count transactions holding any R token with the same
     source / target. Membership is per transaction, so a token repeated
-    within one sample still counts once.
+    within one sample still counts once. Each distinct edit set is visited
+    once and counts as many times as transactions hold it.
     """
-    itemsets = _as_itemsets(transactions)
-    n = len(itemsets)
+    n = len(transactions)
     min_count = _min_count(min_support, n)
     if n == 0:
         return []
 
-    # a token maps to exactly one (source, target), so pairs count tokens
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    source_members: Counter[str] = Counter()
-    target_members: Counter[str] = Counter()
-    for t in itemsets:
+    # a token maps to exactly one (source, target) and back, so pairs count tokens
+    pair_counts: dict[tuple[str, str], int] = {}
+    source_members: dict[str, int] = {}
+    target_members: dict[str, int] = {}
+    for t, weight in _distinct(transactions).items():
         pairs = [pair for pair in map(split_replace_token, t) if pair is not None]
-        pair_counts.update(pairs)
-        source_members.update({source for source, _ in pairs})
-        target_members.update({target for _, target in pairs})
+        _add(pair_counts, pairs, weight)
+        _add(source_members, {source for source, _ in pairs}, weight)
+        _add(target_members, {target for _, target in pairs}, weight)
 
     rules = [
         AssociationRule(
@@ -185,16 +195,16 @@ def id_frequency_table(
     top_k: int,
 ) -> dict[str, list[tuple[str, int, float]]]:
     """Top inserted/deleted concepts: (concept, count, share of that kind's
-    edits as a percentage). Ties rank lexicographically."""
+    edits as a percentage). Ties rank lexicographically. Each distinct edit
+    set is visited once and counts as many times as transactions hold it."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    itemsets = _as_itemsets(transactions)
     counts: dict[str, dict[str, int]] = {INSERT: {}, DELETE: {}}
-    for t in itemsets:
+    for t, weight in _distinct(transactions).items():
         for token in t:
             kind, _, concept = token.partition(":")
             if kind in counts and concept:
-                counts[kind][concept] = counts[kind].get(concept, 0) + 1
+                counts[kind][concept] = counts[kind].get(concept, 0) + weight
     table: dict[str, list[tuple[str, int, float]]] = {}
     for kind, row in counts.items():
         total = sum(row.values())

@@ -1,4 +1,5 @@
-from itertools import chain, combinations
+import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,52 @@ def test_read_transactions_requires_keys(tmp_path):
     assert str(info.value) == f"{path}:1: line needs 'id' and 'edits'"
 
 
+@pytest.mark.parametrize("trailer", ["\x0c", "\xa0"], ids=["form-feed", "no-break-space"])
+def test_read_transactions_rejects_trailing_text_json_does_not_allow(trailer, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"id": "a", "edits": []}' + trailer + "\n", encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_transactions(path)
+    assert str(info.value) == f"{path}:1: Extra data: line 1 column 25 (char 24)"
+
+
+def test_read_transactions_accepts_json_whitespace_around_the_object(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('\t{"id": "a", "edits": ["x"]}  \n{"id": "b", "edits": []} \t\n', encoding="utf-8")
+    assert read_transactions(path) == [
+        Transaction(id="a", items=frozenset({"x"})),
+        Transaction(id="b", items=frozenset()),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        pytest.param(['{"id": "a", "edits": [1]}'], "1: edit 1 is not a string", id="number"),
+        pytest.param(['{"id": "a", "edits": [["x"]]}'], "1: unhashable type: 'list'",
+                     id="unhashable"),
+        pytest.param(['{"id": "a", "edits": ["x", "y"]}', '{"id": "b", "edits": ["x", "y", 2]}'],
+                     "2: edit 2 is not a string", id="after-an-interned-list"),
+    ],
+)
+def test_read_transactions_bad_edit_message(lines, message, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_transactions(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+def test_read_transactions_interns_equal_edit_lists(tmp_path):
+    path = tmp_path / "t.jsonl"
+    lines = ['{"id": "a", "edits": ["x", "y"]}', '{"id": "b", "edits": ["z"]}',
+             '{"id": "a", "edits": ["x", "y"]}']
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    first, other, again = read_transactions(path)
+    assert first.items == frozenset({"x", "y"}) and other.items == frozenset({"z"})
+    assert first.items is again.items
+
+
 def test_split_replace_token():
     assert split_replace_token("R:a→b") == ("a", "b")
     assert split_replace_token("D:a") is None
@@ -69,8 +116,6 @@ def test_split_replace_token():
 
 def _exhaustive_counts(itemsets, min_support):
     """Count every subset of the token universe; keep the frequent ones."""
-    import math
-
     n = len(itemsets)
     universe = sorted(set().union(*itemsets)) if itemsets else []
     min_count = max(1, math.ceil(min_support * n - 1e-9))
@@ -195,6 +240,77 @@ def _rules_via_apriori(itemsets, min_support):
 )
 def test_mine_rules_matches_apriori_oracle(data, min_support):
     assert mine_rules(data, min_support) == _rules_via_apriori(data, min_support)
+
+
+def _counted_one_by_one(transactions, min_support, top_k):
+    """Rules and the insert/delete table from a count over each transaction in
+    turn, written without the counting code under test."""
+    n = len(transactions)
+    token_count, sources, targets = {}, {}, {}
+    for tokens in transactions:
+        for token in tokens:
+            token_count[token] = token_count.get(token, 0) + 1
+        pairs = [token[2:].partition("→")[::2] for token in tokens if token.startswith("R:")]
+        for side, store in ((0, sources), (1, targets)):
+            for concept in {pair[side] for pair in pairs}:
+                store[concept] = store.get(concept, 0) + 1
+    min_count = max(1, math.ceil(min_support * n - 1e-9))
+    rules = [
+        AssociationRule(
+            source=source,
+            target=target,
+            frequency=count,
+            support=100.0 * count / n,
+            antecedent_support=100.0 * sources[source] / n,
+            consequent_support=100.0 * targets[target] / n,
+        )
+        for token, count in token_count.items()
+        if token.startswith("R:") and count >= min_count
+        for source, target in [token[2:].partition("→")[::2]]
+    ]
+    rules.sort(key=lambda r: (-r.support, r.source, r.target))
+    table = {}
+    for kind in ("I", "D"):
+        row = {
+            token[2:]: count
+            for token, count in token_count.items()
+            if token.startswith(kind + ":") and token[2:]
+        }
+        total = sum(row.values())
+        ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        table[kind] = [(concept, count, 100.0 * count / total) for concept, count in ranked]
+    return rules, table
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    distinct=st.lists(
+        st.frozensets(
+            st.sampled_from(
+                ["R:a→b", "R:a→c", "R:b→c", "R:c→a", "R:a", "R:", "D:a", "D:c", "D:", "I:b",
+                 "I:a", "x"]
+            ),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+    min_support=st.floats(min_value=0.01, max_value=1.0),
+    top_k=st.integers(min_value=1, max_value=3),
+)
+def test_counts_over_repeated_transactions_match_a_count_one_by_one(
+    distinct, data, min_support, top_k
+):
+    # sampling from a few distinct sets repeats them in shuffled order
+    picks = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
+    transactions = [
+        Transaction(id=str(i), items=items) if i % 2 else set(items)
+        for i, items in enumerate(picks)
+    ]
+    rules, table = _counted_one_by_one(picks, min_support, top_k)
+    assert mine_rules(transactions, min_support) == rules
+    assert id_frequency_table(transactions, top_k) == table
 
 
 def test_mine_rules_rejects_bad_support():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -230,6 +231,47 @@ def test_read_detections_normalises_each_concept_once(tmp_path, street, monkeypa
     detections = read_detections(det_path, street)
     assert calls == [" Car ", "TRUCK"]  # once each, by Taxonomy.resolve
     assert detections == {"7": [det(7, "car", 0.9), det(7, "truck", 1.0)]}
+
+
+def _detection_line(image_id, *concepts):
+    dets = [{"concept": c, "confidence": 0.9} for c in concepts]
+    return json.dumps({"image_id": image_id, "detections": dets}) + "\n"
+
+
+def _target_line(image_id, *concepts):
+    return json.dumps({"image_id": image_id, "concepts": list(concepts)}) + "\n"
+
+
+@pytest.mark.parametrize("reader,line", [(read_detections, _detection_line),
+                                         (read_targets, _target_line)])
+def test_scene_readers_resolve_each_distinct_concept_once(reader, line, tmp_path, street,
+                                                          monkeypatch):
+    path = tmp_path / "in.jsonl"
+    path.write_text(line("x", "car", " Car ", "car") + line("y", "car", "truck"), encoding="utf-8")
+    calls = []
+    real = type(street).resolve
+    monkeypatch.setattr(type(street), "resolve",
+                        lambda tax, name: calls.append(name) or real(tax, name))
+    reader(path, street)
+    assert calls == ["car", " Car ", "truck"]
+
+
+@pytest.mark.parametrize("reader,line", [(read_detections, _detection_line),
+                                         (read_targets, _target_line)])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        pytest.param(["car"], "concept name must be a string, got list", id="a-list"),
+        pytest.param("zebra", "concept 'zebra' is not in the taxonomy", id="unknown"),
+    ],
+)
+def test_scene_readers_after_a_resolved_concept_keep_the_message(reader, line, bad, message,
+                                                                 tmp_path, street):
+    path = tmp_path / "in.jsonl"
+    path.write_text(line("x", "car") + line("y", "car", bad), encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        reader(path, street)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 def test_read_detections_checks_confidence_range(tmp_path, street):
