@@ -33,6 +33,11 @@ ARROW = "→"
 # Bias on every dummy route, so a cost tie between a matched pair and
 # routing both items through dummies resolves to the pair. Small enough that
 # it can never flip a strict cost comparison for the weight profiles used here.
+# It holds only while prices are small. From about 2**24 (1.7e7) float
+# rounding absorbs the bias, so a tie may go to the delete and the insert;
+# from about 2**53 it also absorbs the +1.0 that puts a forbidden pair's
+# sentinel above its delete and insert, so a forbidden replace can win; near
+# the float maximum the sums overflow to inf. Exact costs would lift all three.
 _TIE_EPS = 1e-9
 
 BRUTE_FORCE_LIMIT = 12
@@ -245,13 +250,20 @@ def csed(
 
     Pairs priced at zero (equal concepts, or generated concept strictly more
     specific than the target) emit no op. Cost ties between a replace and the
-    delete-plus-insert route resolve to the replace.
+    delete-plus-insert route resolve to the replace while prices stay small
+    enough for the ``_TIE_EPS`` bias to count (see there).
 
-    Each distinct (S, T) multiset pair is solved once per cost model; later
-    calls return the same frozen script.
+    The script is read from, or solved into, the cost model's ``scripts``,
+    so each distinct (S, T) multiset pair is solved once per cost model and
+    later calls return the same frozen script. Its ops are the model's own
+    (``CostModel.ops``).
     """
-    S, T = as_multiset(generated), as_multiset(target)
-    model = tax.cost_model(cfg)
+    return _script(as_multiset(generated), as_multiset(target), tax.cost_model(cfg))
+
+
+def _script(S: ConceptMultiset, T: ConceptMultiset, model: CostModel) -> EditScript:
+    """The script turning S into T under ``model``: read from its memo, or
+    solved once and kept there."""
     script = model.scripts.get((S, T))
     if script is None:
         script = model.scripts[(S, T)] = _solve(S, T, model)
@@ -272,16 +284,21 @@ def _solve(
         for d, row in zip(del_costs, prices)
     ])
 
+    built = model.ops
     ops: list[EditOp] = []
     for i, j in _assign(pair, del_costs, ins_costs):
         if j >= m:
-            ops.append(EditOp(DELETE, source=s_items[i], cost=del_costs[i]))
+            key, cost = (DELETE, s_items[i], None), del_costs[i]
         elif i >= n:
-            ops.append(EditOp(INSERT, target=t_items[j], cost=ins_costs[j]))
+            key, cost = (INSERT, None, t_items[j]), ins_costs[j]
         elif pair[i][j] > 0.0:
-            ops.append(
-                EditOp(REPLACE, source=s_items[i], target=t_items[j], cost=float(pair[i][j]))
-            )
+            key, cost = (REPLACE, s_items[i], t_items[j]), float(pair[i][j])
+        else:
+            continue
+        op = built.get(key)
+        if op is None:  # first use under this model: build and check the op once
+            op = built[key] = EditOp(*key, cost)
+        ops.append(op)
     return EditScript(tuple(ops))
 
 
@@ -295,8 +312,9 @@ def brute_force_csed(
     """Exhaustive-matching reference solver for small instances.
 
     Enumerates every partial matching between S and T instead of delegating
-    to the assignment solver, and remembers nothing, so it can confirm
-    ``csed`` independently.
+    to the assignment solver, and builds its own ops and remembers no
+    script, so it can confirm ``csed`` independently; only the prices come
+    from the cost model.
     """
     s_items, t_items = as_multiset(generated), as_multiset(target)
     del_costs, ins_costs, pair = _priced(s_items, t_items, tax.cost_model(cfg))

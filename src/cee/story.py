@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .edits import ConceptMultiset, EditOp, EditScript, _assign, csed
+from .edits import ConceptMultiset, EditOp, EditScript, _assign, _script
+# unused here, but perfbench/tracer.py wraps this name on this module
+from .edits import csed  # noqa: F401
 from .errors import (
     EmptyCorpus,
     EmptyStory,
@@ -131,22 +133,27 @@ def frame_csed(
     tax: Taxonomy,
     cfg: CostConfig = FLATTENED_CONFIG,
 ) -> EditScript:
-    """Align objects by minimum-cost assignment, every price a ``csed``: an
+    """Align objects by minimum-cost assignment, every price a CSED: an
     object pair costs the CSED of their attribute multisets, a surplus
     generated object its CSED to nothing (a whole-object delete), a missing
     object its CSED from nothing (a whole-object insert).
+
+    The model is looked up once per call, and each of those scripts is read
+    from, or solved into, its memo through ``edits._script``, as ``csed``
+    reads it; the frame's script is made of the model's own ops.
 
     Objects are expected to have passed ``validate_object`` against ``tax``."""
     n, m = len(gen_frame), len(gt_frame)
     if n == 0 and m == 0:
         return EditScript(())
 
+    model = tax.cost_model(cfg)
     pair_scripts = [
-        [csed(gen_obj.multiset, gt_obj.multiset, tax, cfg) for gt_obj in gt_frame]
+        [_script(gen_obj.multiset, gt_obj.multiset, model) for gt_obj in gt_frame]
         for gen_obj in gen_frame
     ]
-    deletes = [csed(obj.multiset, _NOTHING, tax, cfg) for obj in gen_frame]
-    inserts = [csed(_NOTHING, obj.multiset, tax, cfg) for obj in gt_frame]
+    deletes = [_script(obj.multiset, _NOTHING, model) for obj in gen_frame]
+    inserts = [_script(_NOTHING, obj.multiset, model) for obj in gt_frame]
     pair = tuple([tuple([script.total_cost for script in row]) for row in pair_scripts])
     chosen = [
         deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .edits import EditScript
+    from .edits import EditOp, EditScript
 
 REPLACE_DELETE_PLUS_INSERT = "delete-plus-insert"
 REPLACE_SHORTEST_PATH = "shortest-path"
@@ -366,8 +366,13 @@ class CostModel:
     hold them; any other name raises ``UnknownConcept`` on every call, since
     failures are not remembered.
 
-    ``scripts`` holds the edit scripts ``edits.csed`` has solved under this
-    model, keyed by the (S, T) multiset pair.
+    ``scripts`` holds every edit script solved under this model, keyed by
+    the (S, T) multiset pair; ``edits.csed`` and ``story.frame_csed`` read
+    and fill it through one helper, ``edits._script``. ``ops`` holds every
+    edit op those scripts hold, keyed by (kind, source, target): the solve
+    builds and checks an op the first time it chooses it under this model,
+    so scripts of one model that make the same edit share one op object,
+    and two models never share one.
     """
 
     def __init__(self, tax: Taxonomy, cfg: CostConfig):
@@ -376,6 +381,7 @@ class CostModel:
         self._costs: dict[str, tuple[float, float]] = {}
         self._pairs: dict[tuple[str, str], float | None] = {}
         self.scripts: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
+        self.ops: dict[tuple[str, str | None, str | None], EditOp] = {}
 
     def costs(self, name: str) -> tuple[float, float]:
         """(delete, insert) price of one concept."""

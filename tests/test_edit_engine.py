@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from cee import (
@@ -294,6 +294,37 @@ def test_cost_configs_never_share_scripts():
     assert totals == [12.0, 18.0, 6.0]
     for cfg in configs:
         assert csed(s, t, tax, cfg) == csed(s, t, clevr_taxonomy(), cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT),
+)
+def test_each_cost_model_builds_its_own_ops(seed, weights):
+    rng = random.Random(seed)
+    tax = random_taxonomy(rng, n_nodes=rng.randint(4, 20))
+    modes = ["delete-plus-insert", "shortest-path"]
+    configs = [
+        CostConfig(*weights[:3], replace_mode=rng.choice(modes), flattened=rng.random() < 0.5),
+        CostConfig(*weights[3:], replace_mode=rng.choice(modes), flattened=rng.random() < 0.5),
+    ]
+    assume(configs[0] != configs[1])
+    pairs = []
+    for _ in range(6):
+        s, t = random_multiset(rng, tax, max_size=5), random_multiset(rng, tax, max_size=5)
+        pairs += [(s, t), (s, ())]  # a whole delete makes the same edits under both configs
+    ops_by_config = []
+    for cfg in configs:
+        for s, t in pairs[2:]:  # the model has solved other pairs before the first
+            csed(s, t, tax, cfg)
+        scripts = [csed(s, t, tax, cfg) for s, t in pairs]
+        for (s, t), script in zip(pairs, scripts):
+            fresh = csed(s, t, load_taxonomy(tax.to_text()), cfg)
+            assert (script.ops, script.total_cost) == (fresh.ops, fresh.total_cost)
+        ops_by_config.append([op for script in scripts for op in script.ops])
+    first = {id(op) for op in ops_by_config[0]}
+    assert not any(id(op) in first for op in ops_by_config[1])
 
 
 @settings(max_examples=40, deadline=None)

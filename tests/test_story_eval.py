@@ -16,6 +16,7 @@ from cee import (
     LengthMismatch,
     MalformedObject,
     Story,
+    Taxonomy,
     UncategorizedConcept,
     EditOp,
     EditScript,
@@ -27,6 +28,7 @@ from cee import (
     golden_story_pair,
     random_object,
     read_stories,
+    resolve_taxonomy,
     semantic_loss_table,
     story_loss,
     validate_object,
@@ -103,6 +105,30 @@ def test_frame_prefers_nearest_object_pairing(clevr):
     gen = [a, ClevrObject("large", "red", "rubber", "cube")]
     script = frame_csed(gen, [a, b], clevr, FLATTENED_CONFIG)
     assert script.total_cost == 2.0  # fix size large->small on the b-like object
+
+
+def test_frame_csed_reads_one_cost_model_and_shares_its_ops(monkeypatch):
+    tax = resolve_taxonomy("clevr")  # its own models, whatever other tests solved
+    calls = []
+    cost_model = Taxonomy.cost_model
+
+    def counted(self, cfg):
+        calls.append(cfg)
+        return cost_model(self, cfg)
+
+    monkeypatch.setattr(Taxonomy, "cost_model", counted)
+    gen = [obj(), obj(color="red", shape="cube"), obj(size="large")]
+    gt = [obj(material="metallic"), obj(color="red", shape="cube", material="metallic")]
+    frame_csed(gen, gt, tax, FLATTENED_CONFIG)
+    assert calls == [FLATTENED_CONFIG]  # one model per call, not one per object pair
+
+    # two distinct object pairs that make the same edit share the model's one op
+    sphere = frame_csed([obj()], [obj(material="metallic")], tax, FLATTENED_CONFIG)
+    cube = frame_csed(
+        [obj(shape="cube")], [obj(shape="cube", material="metallic")], tax, FLATTENED_CONFIG
+    )
+    assert [op.token for op in sphere] == [op.token for op in cube] == ["R:rubber→metallic"]
+    assert sphere.ops[0] is cube.ops[0]
 
 
 # -- story I/O ------------------------------------------------------------------
