@@ -8,6 +8,13 @@ real-to-dummy cells price deletions, dummy-to-real cells price insertions,
 and dummy-to-dummy cells are free. The matrix is solved by
 ``linear_sum_assignment``, a pure-Python shortest-augmenting-path solver
 that reproduces scipy's choice among equal-cost optima.
+
+Most instances skip that solve. When the actionable pairs form a matching
+(no item on either side has two), each pair is decided alone: matched when
+its price is below its delete plus insert, each biased by ``_TIE_EPS``,
+else both go to dummies; a sentinel never wins. That optimum is unique and
+dummy-to-dummy cells never reach the script, so ``_direct`` writes the
+solver's script without it, off exact ties and below ``_DIRECT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ ARROW = "→"
 # from about 2**53 it also absorbs the +1.0 that puts a forbidden pair's
 # sentinel above its delete and insert, so a forbidden replace can win; near
 # the float maximum the sums overflow to inf. Exact costs would lift all three.
+# ``_direct`` skips the solver only below 2**20, 16x under where it is lost.
 _TIE_EPS = 1e-9
+_DIRECT_LIMIT = 2.0**20
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -240,6 +249,39 @@ def _assign(
     return tuple([(i, j) for i, j in zip(rows, cols) if i < n or j < m])
 
 
+def _direct(
+    del_costs: tuple[float, ...],
+    ins_costs: tuple[float, ...],
+    pair: list[list[float | None]],
+) -> list[tuple[int, int]] | None:
+    """Cells in ``_assign``'s form (``j >= m`` deletes, ``i >= n`` inserts)
+    for the script its solve gives, written without the solve; None when the
+    actionable pairs do not form a matching, a pair ties its delete plus
+    insert exactly, or a price reaches ``_DIRECT_LIMIT``."""
+    n, m = len(del_costs), len(ins_costs)
+    held = [False] * m
+    cells = []
+    for i, row in enumerate(pair):
+        forbidden = row.count(None)
+        if forbidden == m:  # no partner: deleted
+            cells.append((i, m))
+            continue
+        if forbidden < m - 1:
+            return None
+        for j, p in enumerate(row):
+            if p is not None:
+                break
+        # the delete and insert this pair spares, as the padded matrix holds them
+        spared = (del_costs[i] + _TIE_EPS) + (ins_costs[j] + _TIE_EPS)
+        if held[j] or p >= _DIRECT_LIMIT or p == spared:
+            return None
+        held[j] = True
+        cells += [(i, j)] if p < spared else [(i, m), (n, j)]
+    if max(del_costs + ins_costs, default=0.0) >= _DIRECT_LIMIT:
+        return None
+    return cells + [(n, j) for j in range(m) if not held[j]]
+
+
 def csed(
     generated: Iterable[str] | ConceptMultiset,
     target: Iterable[str] | ConceptMultiset,
@@ -252,6 +294,11 @@ def csed(
     specific than the target) emit no op. Cost ties between a replace and the
     delete-plus-insert route resolve to the replace while prices stay small
     enough for the ``_TIE_EPS`` bias to count (see there).
+
+    When no item has two actionable pairs, as in CLEVR objects whose replaces
+    stay in a category, ``_direct`` writes the script the assignment solve
+    would give without it; shared partners, exact ties and any price from
+    2**20 up go to the solver.
 
     The script is read from, or solved into, the cost model's ``scripts``,
     so each distinct (S, T) multiset pair is solved once per cost model and
@@ -276,17 +323,19 @@ def _solve(
     n, m = len(s_items), len(t_items)
     if n == 0 and m == 0:
         return EditScript(())
-    del_costs, ins_costs, prices = _priced(s_items, t_items, model)
-
-    # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
-    pair = tuple([
-        tuple([d + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)])
-        for d, row in zip(del_costs, prices)
-    ])
+    del_costs, ins_costs, pair = _priced(s_items, t_items, model)
+    cells = _direct(del_costs, ins_costs, pair)
+    if cells is None:
+        # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
+        pair = tuple([
+            tuple([d + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)])
+            for d, row in zip(del_costs, pair)
+        ])
+        cells = _assign(pair, del_costs, ins_costs)
 
     built = model.ops
     ops: list[EditOp] = []
-    for i, j in _assign(pair, del_costs, ins_costs):
+    for i, j in cells:
         if j >= m:
             key, cost = (DELETE, s_items[i], None), del_costs[i]
         elif i >= n:
@@ -349,7 +398,8 @@ def brute_force_csed(
         choice[i] = -1
 
     walk(0, 0.0)
-    assert best_choice is not None
+    if best_choice is None:  # every route's sum overflowed to inf
+        raise ValueError("no finite-cost edit script exists: the prices overflow")
 
     ops: list[EditOp] = []
     taken = [False] * m

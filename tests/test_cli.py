@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cee import cli
-from cee.harness import golden_story_pair
+from cee import cli, edits
+from cee.harness import golden_story_pair, random_scene_corpus
 from cee.story import Story, write_stories
+from cee.taxonomy import resolve_taxonomy
 
 
 @pytest.fixture()
@@ -645,6 +647,15 @@ def test_selftest_non_finite_weight_names_the_field(field, value, capsys):
     assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
 
 
+def test_selftest_overflowing_weight_reports_no_finite_script(capsys):
+    # every price is inf, so no script has a finite cost
+    rc = cli.main(["selftest", "--delete-weight", "1e308"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no finite-cost edit script exists: the prices overflow\n"
+    )
+
+
 def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tax"
     bad.write_text("a -> b\nb -> a\n", encoding="utf-8")
@@ -824,6 +835,89 @@ def test_outputs_are_byte_identical_across_runs(golden_corpus, tmp_path):
             {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         )
     assert blobs[0] == blobs[1]
+
+
+# -- the closed form and the assignment solve write the same files ----------------
+
+_PROFILES = ([], ["--delete-weight", "0.5", "--insert-weight", "2"],
+             ["--replace-mode", "shortest-path"])
+
+
+def _outputs(argv, out, closed_form):
+    """Every file one in-process run writes, with ``edits._direct`` on or
+    forced to decline, and how many scripts it wrote without the solve."""
+    real, written = edits._direct, []
+
+    def direct(*priced):
+        cells = real(*priced) if closed_form else None
+        written.append(cells is not None)
+        return cells
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edits, "_direct", direct)
+        assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, sum(written)
+
+
+def _assert_same_outputs(argv, tmp_path, tag):
+    closed, n_closed = _outputs(argv, tmp_path / f"{tag}-closed", closed_form=True)
+    solved, n_solved = _outputs(argv, tmp_path / f"{tag}-solved", closed_form=False)
+    assert n_solved == 0
+    assert closed == solved
+    return closed, n_closed
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=["default", "weights", "shortest-path"])
+def test_closed_form_writes_the_solvers_story_outputs(profile, tmp_path, capsys):
+    synth = tmp_path / "synth"
+    assert cli.main(["gen-synthetic", "--n-stories", "12", "--length", "4",
+                     "--seed", "11", "--out-dir", str(synth)]) == 0
+    argv = ["eval-story", str(synth / "generated.jsonl"), str(synth / "ground_truth.jsonl"),
+            *profile]
+    _, n_closed = _assert_same_outputs(argv, tmp_path, "story")
+    assert n_closed > 0
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=["default", "weights", "shortest-path"])
+def test_closed_form_writes_the_solvers_scene_outputs(profile, tmp_path, capsys):
+    tax = resolve_taxonomy("street")
+    detections, targets = random_scene_corpus(random.Random(5), tax, n_images=40)
+    _write_detections(tmp_path / "det.jsonl", [
+        {"image_id": i, "detections": [
+            {"concept": d.concept, "confidence": d.confidence} for d in detections[i]]}
+        for i in sorted(detections)
+    ])
+    _write_detections(tmp_path / "tgt.jsonl", [
+        {"image_id": i, "concepts": list(targets[i])} for i in sorted(targets)
+    ])
+    argv = ["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
+            "--taxonomy", "street", *profile]
+    _, n_closed = _assert_same_outputs(argv, tmp_path, "scene")
+    assert n_closed > 0
+
+
+def test_large_weight_scripts_are_the_solvers(golden_corpus, tmp_path, capsys):
+    # Past the float range of the tie bias the solver picks these scripts
+    # (see edits._TIE_EPS; exact costs would change them). Their prices reach
+    # 2**20, so the closed form declines and the scripts stay the solver's.
+    gen_path, gt_path = golden_corpus
+    argv = ["eval-story", str(gen_path), str(gt_path),
+            "--delete-weight", "1e8", "--insert-weight", "1e8"]
+    outputs, n_closed = _assert_same_outputs(argv, tmp_path, "story")
+    assert n_closed == 0
+    record = json.loads(outputs["transactions.jsonl"])
+    assert record["edits"] == ["D:rubber", "D:sphere", "I:cylinder", "I:metallic"]
+
+    _write_detections(tmp_path / "det.jsonl", [{"image_id": "a", "detections": [
+        {"concept": "car", "confidence": 0.9}, {"concept": "truck", "confidence": 0.8}]}])
+    _write_detections(tmp_path / "tgt.jsonl", [{"image_id": "a", "concepts": ["person"]}])
+    argv = ["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
+            "--taxonomy", "street", "--cost-profile", "path", "--threshold", "0.5",
+            "--delete-weight", "1e307"]
+    outputs, n_closed = _assert_same_outputs(argv, tmp_path, "scene")
+    assert n_closed == 0
+    record = json.loads(outputs["transactions_td0.5.jsonl"])
+    assert record["edits"] == ["D:truck", "R:car→person"]
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_scipy():

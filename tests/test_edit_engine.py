@@ -327,6 +327,85 @@ def test_each_cost_model_builds_its_own_ops(seed, weights):
     assert not any(id(op) in first for op in ops_by_config[1])
 
 
+# -- the closed form: no item with two actionable pairs ---------------------------
+
+_ANY_WEIGHT = st.one_of(_WEIGHT, st.integers(1, 10).map(float), st.just(1 / 3))
+
+
+def _solved(s, t, tax, cfg):
+    """``csed`` on a fresh copy of ``tax`` with the closed form forced to
+    decline, so the assignment solve writes the script."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edits, "_direct", lambda *priced: None)
+        return csed(s, t, load_taxonomy(tax.to_text()), cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    replace_mode=st.sampled_from(["delete-plus-insert", "shortest-path"]),
+    flattened=st.booleans(),
+    weights=st.tuples(_ANY_WEIGHT, _ANY_WEIGHT, _ANY_WEIGHT),
+)
+def test_closed_form_writes_the_solvers_script(seed, replace_mode, flattened, weights):
+    rng = random.Random(seed)
+    tax = random_taxonomy(rng, n_nodes=rng.randint(4, 20))
+    cfg = CostConfig(*weights, replace_mode=replace_mode, flattened=flattened)
+    model = tax.cost_model(cfg)
+    pairs = [(random_multiset(rng, tax, max_size=4), random_multiset(rng, tax, max_size=4))
+             for _ in range(8)]
+    # only the pairs the closed form writes; the others reach the solver either way
+    pairs = [(s, t) for s, t in pairs if edits._direct(*edits._priced(s, t, model)) is not None]
+    assume(pairs)
+    for s, t in pairs:
+        closed = csed(s, t, load_taxonomy(tax.to_text()), cfg)
+        solved = _solved(s, t, tax, cfg)
+        assert (closed.ops, closed.total_cost) == (solved.ops, solved.total_cost)
+
+
+@pytest.mark.parametrize(
+    "s,t,cfg",
+    [
+        (["red"], ["blue", "green"], FLATTENED_CONFIG),  # red has two partners
+        (["red", "red"], ["blue"], FLATTENED_CONFIG),  # two reds compete for blue
+        # a replace priced at 2**20 (delete plus insert); its delete and insert are below
+        (["red"], ["blue"], CostConfig(delete_weight=2.0**20 - 1, flattened=True)),
+        (["red"], [], CostConfig(delete_weight=2.0**20, flattened=True)),  # a delete at 2**20
+    ],
+    ids=["shared-partner", "duplicate-names", "pair-price-limit", "delete-price-limit"],
+)
+def test_closed_form_declines(s, t, cfg, clevr, monkeypatch):
+    S, T = ConceptMultiset(s), ConceptMultiset(t)
+    assert edits._direct(*edits._priced(S, T, clevr.cost_model(cfg))) is None
+    calls = []
+    solve = edits.linear_sum_assignment
+    monkeypatch.setattr(
+        edits, "linear_sum_assignment", lambda cost: calls.append(cost) or solve(cost)
+    )
+    edits._assign.cache_clear()  # a remembered matrix would hide the solve
+    script = csed(S, T, load_taxonomy(clevr.to_text()), cfg)
+    assert len(calls) == 1
+    assert script.total_cost == brute_force_csed(S, T, clevr, cfg).total_cost
+
+
+@pytest.mark.parametrize(
+    "cfg,cells,tokens",
+    [
+        # a replace priced at 2**20 - 1, just under the limit
+        (CostConfig(delete_weight=2.0**20 - 2, flattened=True), [(0, 0)], ["R:red→blue"]),
+        # a partner dearer than its delete plus insert is not matched
+        (CostConfig(10.0, 0.1, 0.1, replace_mode="shortest-path", flattened=True),
+         [(0, 1), (1, 0)], ["D:red", "I:blue"]),
+    ],
+    ids=["just-under-the-limit", "dearer-than-delete-plus-insert"],
+)
+def test_closed_form_writes_one_pair(cfg, cells, tokens, clevr):
+    S, T = ConceptMultiset(["red"]), ConceptMultiset(["blue"])
+    assert edits._direct(*edits._priced(S, T, clevr.cost_model(cfg))) == cells
+    assert csed(S, T, load_taxonomy(clevr.to_text()), cfg).edit_tokens() == tokens
+    assert _solved(S, T, clevr, cfg).edit_tokens() == tokens
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_identity_zero_cost(seed):

@@ -21,6 +21,7 @@ from cee import (
     EditOp,
     EditScript,
     consistency_loss,
+    csed,
     evaluate_story,
     frame_csed,
     generate_story,
@@ -34,6 +35,7 @@ from cee import (
     validate_object,
     write_stories,
 )
+from cee import edits
 from cee.harness import _frame_cost
 
 
@@ -129,6 +131,30 @@ def test_frame_csed_reads_one_cost_model_and_shares_its_ops(monkeypatch):
     )
     assert [op.token for op in sphere] == [op.token for op in cube] == ["R:rubber→metallic"]
     assert sphere.ops[0] is cube.ops[0]
+
+
+def test_clevr_objects_skip_the_assignment_solve_but_frames_do_not(monkeypatch):
+    # an object holds one concept per category and a replace stays in its
+    # category, so no concept has two replace partners and no solve is needed
+    tax = resolve_taxonomy("clevr")
+    calls = []
+    solve = edits.linear_sum_assignment
+    monkeypatch.setattr(
+        edits, "linear_sum_assignment", lambda cost: calls.append(len(cost)) or solve(cost)
+    )
+    edits._assign.cache_clear()  # a remembered matrix would hide the frame's solve
+    rng = random.Random(3)
+    objects = [random_object(rng) for _ in range(30)]
+    for a, b in zip(objects, objects[1:]):
+        csed(a.multiset, b.multiset, tax, FLATTENED_CONFIG)
+    assert csed(obj().multiset, obj(color="red", shape="cube").multiset, tax,
+                FLATTENED_CONFIG).edit_tokens() == ["R:brown→red", "R:sphere→cube"]
+    assert calls == []
+
+    gen = [obj(), obj(color="red", shape="cube")]
+    gt = [obj(material="metallic"), obj(color="red", shape="cube", size="large")]
+    frame_csed(gen, gt, tax, FLATTENED_CONFIG)
+    assert calls == [4]  # the frame's own 2 + 2 padded assignment
 
 
 # -- story I/O ------------------------------------------------------------------
