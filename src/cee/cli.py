@@ -79,24 +79,6 @@ class RunConfig:
     attach_unknown: bool = False
     top_k: int = 10
 
-    def cost_config(self) -> CostConfig:
-        if self.cost_profile not in COST_PROFILES:
-            raise ValueError(
-                f"unknown cost profile {self.cost_profile!r}; "
-                f"choose from {sorted(COST_PROFILES)}"
-            )
-        cfg = COST_PROFILES[self.cost_profile]
-        overrides = {}
-        if self.replace_mode is not None:
-            overrides["replace_mode"] = self.replace_mode
-        if self.unit_edge_cost is not None:
-            overrides["unit_edge_cost"] = self.unit_edge_cost
-        if self.delete_weight is not None:
-            overrides["delete_weight"] = self.delete_weight
-        if self.insert_weight is not None:
-            overrides["insert_weight"] = self.insert_weight
-        return replace(cfg, **overrides) if overrides else cfg
-
     def load_taxonomy(self) -> Taxonomy:
         return resolve_taxonomy(self.taxonomy, attach_unknown=self.attach_unknown)
 
@@ -115,7 +97,11 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> RunConfig:
+def _merge_config(
+    args: argparse.Namespace, scene_defaults: bool = False
+) -> tuple[RunConfig, CostConfig]:
+    """The run's options, config-file values overridden by flags, and its cost
+    config, built and checked here for every subcommand, whether it prices or not."""
     file_values: dict = {}
     if getattr(args, "config", None):
         try:
@@ -148,7 +134,16 @@ def _merge_config(args: argparse.Namespace, scene_defaults: bool = False) -> Run
     cfg = RunConfig(**values)
     if cfg.format not in FORMATS:
         raise ValueError(f"unknown format {cfg.format!r}; choose from {FORMATS}")
-    return cfg
+    if cfg.cost_profile not in COST_PROFILES:
+        raise ValueError(
+            f"unknown cost profile {cfg.cost_profile!r}; choose from {sorted(COST_PROFILES)}"
+        )
+    overrides = {
+        name: getattr(cfg, name)
+        for name in ("replace_mode", "unit_edge_cost", "delete_weight", "insert_weight")
+        if getattr(cfg, name) is not None
+    }
+    return cfg, replace(COST_PROFILES[cfg.cost_profile], **overrides)
 
 
 # -- table rendering ---------------------------------------------------------
@@ -205,9 +200,8 @@ def _join_on_id(left: dict, right: dict, left_name: str, right_name: str):
 
 
 def cmd_eval_story(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg, cost = _merge_config(args)
     tax = cfg.load_taxonomy()
-    cost = cfg.cost_config()
     gen_by_id = {s.id: s for s in read_stories(args.generated, tax)}
     gt_by_id = {s.id: s for s in read_stories(args.ground_truth, tax)}
     common, n_miss = _join_on_id(gen_by_id, gt_by_id, "generated corpus", "ground-truth corpus")
@@ -272,9 +266,8 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_scene(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, scene_defaults=True)
+    cfg, cost = _merge_config(args, scene_defaults=True)
     tax = cfg.load_taxonomy()
-    cost = cfg.cost_config()
     detections = read_detections(args.detections, tax)
     targets = read_targets(args.targets, tax)
     _join_on_id(detections, targets, "detections", "targets")
@@ -297,7 +290,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg, _ = _merge_config(args)  # explain prices nothing, but its cost options are checked
     transactions = read_transactions(args.transactions)
     rules = mine_rules(transactions, cfg.min_support)
     table = id_frequency_table(transactions, cfg.top_k)  # checks top_k before the first write
@@ -332,8 +325,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    cost = cfg.cost_config()
+    cfg, cost = _merge_config(args)
     if not cost.flattened:
         raise ValueError("gen-synthetic requires a flattened cost profile")
     n_stories = args.n_stories
@@ -446,9 +438,8 @@ def _suite_recovery(cost: CostConfig, seed: int) -> tuple[str, str]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    cfg, cost = _merge_config(args)
     cfg.load_taxonomy()  # propagate taxonomy validation errors before running
-    cost = cfg.cost_config()
     results = [
         ("oracle-equivalence", *_suite_oracle(cost, cfg.seed)),
         ("golden-story", *_suite_golden(cost)),

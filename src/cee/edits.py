@@ -51,6 +51,8 @@ _DIRECT_LIMIT = 2.0**20
 
 BRUTE_FORCE_LIMIT = 12
 
+_OVERFLOW = "no finite-cost edit script exists: the prices overflow"
+
 
 def format_cost(x: float) -> str:
     """'2' for integral costs, '2.5' otherwise. Stable for equal floats."""
@@ -237,15 +239,22 @@ def _assign(
     dummy row at ``ins_costs[j]``. Returns the chosen cells other than
     dummy-to-dummy: ``j >= m`` deletes item i, ``i >= n`` inserts item j.
 
-    Memoised on the priced inputs (tuples, so hashable), because many
-    distinct multiset pairs price to the same matrix; the bound keeps a run
-    of mostly distinct matrices from growing the memo without limit.
+    Memoised on the priced inputs (tuples, so hashable). The memo serves
+    ``frame_csed``, whose object-cost matrices recur across frames and
+    stories: at seed 1 the story benchmark hits it on 122 of 440 calls, all
+    from ``frame_csed``. ``_solve`` calls come after the script memo and
+    ``_direct``, and seldom share a matrix: 22 hits of 932 on scene, none of
+    621 on bigtax. The bound keeps a run of mostly distinct matrices from
+    growing the memo without limit.
     """
     n, m = len(del_costs), len(ins_costs)
     cost = [[*pair[i], *[del_costs[i] + _TIE_EPS] * n] for i in range(n)]
     insert_row = [c + _TIE_EPS for c in ins_costs] + [0.0] * n
     cost += [insert_row] * m
-    rows, cols = linear_sum_assignment(cost)
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError as exc:  # every route is finite unless a price overflowed to inf
+        raise ValueError(_OVERFLOW) from exc
     return tuple([(i, j) for i, j in zip(rows, cols) if i < n or j < m])
 
 
@@ -356,9 +365,9 @@ def brute_force_csed(
     target: Iterable[str] | ConceptMultiset,
     tax: Taxonomy,
     cfg: CostConfig = PATH_CONFIG,
-    limit: int = BRUTE_FORCE_LIMIT,
 ) -> EditScript:
-    """Exhaustive-matching reference solver for small instances.
+    """Exhaustive-matching reference solver for instances of at most
+    ``BRUTE_FORCE_LIMIT`` items.
 
     Enumerates every partial matching between S and T instead of delegating
     to the assignment solver, and builds its own ops and remembers no
@@ -368,8 +377,8 @@ def brute_force_csed(
     s_items, t_items = as_multiset(generated), as_multiset(target)
     del_costs, ins_costs, pair = _priced(s_items, t_items, tax.cost_model(cfg))
     n, m = len(s_items), len(t_items)
-    if n + m > limit:
-        raise InstanceTooLarge(n + m, limit)
+    if n + m > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLarge(n + m, BRUTE_FORCE_LIMIT)
 
     best_cost = math.inf
     best_choice: list[int] | None = None
@@ -399,7 +408,7 @@ def brute_force_csed(
 
     walk(0, 0.0)
     if best_choice is None:  # every route's sum overflowed to inf
-        raise ValueError("no finite-cost edit script exists: the prices overflow")
+        raise ValueError(_OVERFLOW)
 
     ops: list[EditOp] = []
     taken = [False] * m

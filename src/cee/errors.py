@@ -38,8 +38,8 @@ class DanglingEdge(TaxonomyError):
 
 
 class EmptySource(TaxonomyError):
-    def __init__(self, detail: str = "no concepts declared"):
-        super().__init__(detail)
+    def __init__(self):
+        super().__init__("no concepts declared")
 
 
 class UnknownConcept(TaxonomyError):
@@ -78,9 +78,8 @@ class LengthMismatch(CeeError):
 
 
 class EmptyStory(CeeError):
-    def __init__(self, story_id: str = ""):
-        detail = f"story {story_id!r} has no frames" if story_id else "story has no frames"
-        super().__init__(detail)
+    def __init__(self, story_id: str):
+        super().__init__(f"story {story_id!r} has no frames")
 
 
 class EmptyCorpus(CeeError):

@@ -308,13 +308,11 @@ def random_spec(
     return CorruptionSpec(ops=tuple(ops))
 
 
-def random_taxonomy(
-    rng: random.Random, n_nodes: int = 20, prefix: str = "n"
-) -> Taxonomy:
+def random_taxonomy(rng: random.Random, n_nodes: int = 20) -> Taxonomy:
     """Random rooted tree; every non-root node hangs off an earlier one."""
     if n_nodes < 2:
         raise ValueError("need at least a root and one concept")
-    names = [f"{prefix}{i:02d}" for i in range(n_nodes)]
+    names = [f"n{i:02d}" for i in range(n_nodes)]
     parents = {
         names[i]: frozenset({names[rng.randrange(i)]}) for i in range(1, n_nodes)
     }

@@ -87,13 +87,17 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
     def build(record: dict) -> Story:
         fresh: list[ClevrObject] = []
 
-        def intern(raw) -> ClevrObject:
+        def intern(raw, k: int) -> ClevrObject:
             try:
                 key = tuple(raw[a] for a in ATTRIBUTES)
                 obj = interned.get(key)
             except (KeyError, TypeError):  # not an attribute mapping, or unhashable values
                 key = obj = None
             if obj is None:
+                if not isinstance(raw, dict):  # checked on a miss: only a JSON object can hit
+                    raise MalformedObject(
+                        f"frame {k} must be a list of objects, got {type(raw).__name__} in it"
+                    )
                 obj = ClevrObject.from_dict(raw)
                 fresh.append(obj)
                 if key is not None:
@@ -101,7 +105,13 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
             return obj
 
         # every object of the line is built before any is validated
-        frames = [[intern(raw) for raw in frame] for frame in record["frames"]]
+        frames = []
+        for k, frame in enumerate(record["frames"], start=1):
+            if not isinstance(frame, list):
+                raise MalformedObject(
+                    f"frame {k} must be a list of objects, got {type(frame).__name__}"
+                )
+            frames.append([intern(raw, k) for raw in frame])
         for obj in dict.fromkeys(fresh):
             validate_object(obj, tax)
         return Story(id=str(record["id"]), frames=frames)

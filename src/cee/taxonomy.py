@@ -68,10 +68,11 @@ class CostConfig:
         if self.replace_mode not in REPLACE_MODES:
             raise ValueError(f"replace_mode must be one of {REPLACE_MODES}")
         for name in ("unit_edge_cost", "delete_weight", "insert_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if min(self.unit_edge_cost, self.delete_weight, self.insert_weight) <= 0:
-            raise ValueError("cost weights must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 FLATTENED_CONFIG = CostConfig(flattened=True)
@@ -236,16 +237,12 @@ class Taxonomy:
         return "\n".join(lines) + "\n"
 
 
-def load_taxonomy(
-    source: str,
-    root_name: str | None = None,
-    attach_unknown: bool = False,
-) -> Taxonomy:
+def load_taxonomy(source: str, attach_unknown: bool = False) -> Taxonomy:
     """Parse hierarchy text into a validated Taxonomy.
 
     Format: one ``child<TAB>parent`` edge per line, ``#`` comments, optional
-    ``!root<TAB>name`` declaration. The root may instead be passed as
-    ``root_name`` or inferred as the unique parentless node.
+    ``!root<TAB>name`` declaration. Without one, the root is inferred as the
+    unique parentless node.
     """
     declared_root: str | None = None
     parents: dict[str, set[str]] = {}
@@ -263,12 +260,6 @@ def load_taxonomy(
             declared_root = right
             continue
         parents.setdefault(left, set()).add(right)
-
-    if root_name is not None:
-        root_name = normalize_concept(root_name)
-        if declared_root is not None and declared_root != root_name:
-            raise MultipleRoots([declared_root, root_name])
-        declared_root = root_name
 
     if not parents and declared_root is None:
         raise EmptySource()
@@ -300,8 +291,8 @@ def resolve_taxonomy(name_or_path: str, attach_unknown: bool = False) -> Taxonom
         raise TaxonomyError(f"{source}: {exc}") from exc
 
 
-def clevr_taxonomy(attach_unknown: bool = False) -> Taxonomy:
-    return resolve_taxonomy("clevr", attach_unknown=attach_unknown)
+def clevr_taxonomy() -> Taxonomy:
+    return resolve_taxonomy("clevr")
 
 
 # -- cost model ------------------------------------------------------------

@@ -20,16 +20,15 @@ from cee import (
     build_samples,
     cli,
     corrupt,
-    corpus_report,
     csed,
     evaluate_story,
     generate_story,
     mine_rules,
-    random_multiset,
     random_scene_corpus,
     random_spec,
-    random_taxonomy,
 )
+from cee.harness import random_multiset, random_taxonomy
+from cee.scene import corpus_report
 
 
 VERDICTS: list[str] = []

@@ -656,6 +656,54 @@ def test_selftest_overflowing_weight_reports_no_finite_script(capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["eval-story", "eval-scene"])
+def test_eval_overflowing_weight_reports_no_finite_script(command, golden_corpus, tmp_path, capsys):
+    if command == "eval-story":
+        argv = ["eval-story", *map(str, golden_corpus), "--delete-weight", "1e308"]
+    else:  # a truck sits at depth 2 of street, so its insert at weight 1e308 overflows
+        _write_detections(tmp_path / "det.jsonl", [{"image_id": "a", "detections": [
+            {"concept": "car", "confidence": 0.9}]}])
+        _write_detections(tmp_path / "tgt.jsonl", [{"image_id": "a", "concepts": ["truck"]}])
+        argv = ["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
+                "--taxonomy", "street", "--insert-weight", "1e308"]
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no finite-cost edit script exists: the prices overflow\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,inputs",
+    [("eval-story", 2), ("eval-scene", 2), ("explain", 1), ("gen-synthetic", 0), ("selftest", 0)],
+)
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--delete-weight", "-1"], "delete_weight must be positive, got -1.0"),
+        (["--insert-weight", "nan"], "insert_weight must be finite, got nan"),
+        (["--delete-weight", "inf"], "delete_weight must be finite, got inf"),
+        (["--unit-edge-cost", "0"], "unit_edge_cost must be positive, got 0.0"),
+        (["--config"], "unknown cost profile 'bogus'; choose from ['flattened', 'path']"),
+    ],
+)
+def test_every_subcommand_checks_the_cost_options(command, inputs, option, message, tmp_path,
+                                                  capsys):
+    # the options are checked before any input is read, so the inputs need not exist
+    if option == ["--config"]:
+        config = tmp_path / "run.json"
+        config.write_text('{"cost_profile": "bogus"}', encoding="utf-8")
+        option = ["--config", str(config)]
+    out = tmp_path / "out"
+    paths = [str(tmp_path / f"input{k}.jsonl") for k in range(inputs)]
+    rc = cli.main([command, *paths, *option, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tax"
     bad.write_text("a -> b\nb -> a\n", encoding="utf-8")

@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from cee import (
-    BRUTE_FORCE_LIMIT,
-    Census,
     ConceptMultiset,
     CostConfig,
     EditOp,
@@ -20,14 +18,13 @@ from cee import (
     brute_force_csed,
     csed,
     delete_cost,
-    format_cost,
     clevr_taxonomy,
     insert_cost,
     load_taxonomy,
     operation_census,
-    random_multiset,
-    random_taxonomy,
 )
+from cee.edits import BRUTE_FORCE_LIMIT, Census, format_cost
+from cee.harness import random_multiset, random_taxonomy
 from cee import edits
 
 
@@ -176,8 +173,9 @@ def test_csed_resolves_no_name_it_is_given(cfg, monkeypatch):
 def test_brute_force_limit_guard(clevr):
     s = ConceptMultiset(["red"] * 7)
     t = ConceptMultiset(["blue"] * 6)
-    with pytest.raises(InstanceTooLarge):
-        brute_force_csed(s, t, clevr, FLATTENED_CONFIG, limit=BRUTE_FORCE_LIMIT)
+    with pytest.raises(InstanceTooLarge) as info:
+        brute_force_csed(s, t, clevr, FLATTENED_CONFIG)
+    assert (info.value.size, info.value.limit) == (13, BRUTE_FORCE_LIMIT)
 
 
 def test_brute_force_identity(clevr):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
-    AssociationRule,
     ConceptMultiset,
     EditOp,
     EditScript,
@@ -16,12 +15,10 @@ from cee import (
     csed,
     format_local,
     format_local_grouped,
-    id_frequency_table,
     mine_rules,
-    read_transactions,
-    split_replace_token,
     write_transactions,
 )
+from cee.explain import AssociationRule, id_frequency_table, read_transactions, split_replace_token
 
 
 def _script(*ops):

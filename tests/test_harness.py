@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
-    ATTR_DRIFT,
-    ATTR_REPLACE,
-    OBJECT_ADD,
-    OBJECT_DROP,
     ClevrObject,
-    CorruptionOp,
-    CorruptionSpec,
     FLATTENED_CONFIG,
     PATH_CONFIG,
     SpecOutOfRange,
@@ -20,13 +14,21 @@ from cee import (
     evaluate_story,
     generate_story,
     golden_story_pair,
+    random_spec,
+)
+from cee.harness import (
+    ATTR_DRIFT,
+    ATTR_REPLACE,
+    OBJECT_ADD,
+    OBJECT_DROP,
+    CorruptionOp,
+    CorruptionSpec,
     leaf_fix_cost,
     random_multiset,
     random_object,
-    random_spec,
     random_taxonomy,
-    semantic_loss_table,
 )
+from cee.story import semantic_loss_table
 
 
 def drop(frame):

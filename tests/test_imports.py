@@ -1,16 +1,23 @@
-"""Every imported name is used, unless its import line says ``# noqa: F401``."""
+"""Every imported name is used, unless its import line says ``# noqa: F401``;
+the package exports only names with a caller; README's quickstart runs."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
+import cee
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _sources():
     for folder in ("src/cee", "scripts", "tests"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            if path.relative_to(ROOT).as_posix() != "src/cee/__init__.py":
-                yield path
+        yield from sorted((ROOT / folder).rglob("*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -27,6 +34,8 @@ def _unused_imports(path: Path) -> list[str]:
                 if name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
                     imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path == ROOT / "src/cee/__init__.py":
+        used |= set(cee.__all__)  # the package's imports are its exports
     rel = path.relative_to(ROOT).as_posix()
     return [f"{rel}:{line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -34,3 +43,57 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [entry for path in _sources() for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _script_imports() -> dict[str, set[str]]:
+    """Script file name -> the names it imports from ``cee``."""
+    found: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "cee":
+                found.setdefault(path.name, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_exports_are_public_names_that_resolve():
+    assert cee.__all__
+    for name in cee.__all__:
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(cee, name), types.ModuleType), name
+    namespace: dict = {}
+    exec("from cee import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cee.__all__)
+
+
+def test_scripts_import_only_exported_names():
+    imports = _script_imports()
+    assert imports
+    for script, names in imports.items():
+        assert names - set(cee.__all__) == set(), script
+
+
+def test_every_export_has_a_caller():
+    # README names it, a script imports it, callers catch it, or README tells
+    # library code to build it (ClevrObject)
+    documented = set(re.findall(r"\w+", README))
+    imported = set().union(*_script_imports().values())
+    for name in cee.__all__:
+        value = getattr(cee, name)
+        assert (
+            name in documented
+            or name in imported
+            or (isinstance(value, type) and issubclass(value, Exception))
+            or name == "ClevrObject"
+        ), name
+
+
+def test_readme_quickstart_runs_as_written(tmp_path):
+    block = README.split("## Python quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = "".join(line[2:] + "\n" for line in block.splitlines() if line.startswith("# "))
+    assert expected
+    proc = subprocess.run(
+        [sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -5,23 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
-    CENSUS_HEADER,
     ConceptMultiset,
-    DetectionRecord,
     EmptyCorpus,
     FLATTENED_CONFIG,
     MalformedObject,
     PATH_CONFIG,
-    SceneSample,
     build_samples,
     census_csv,
-    corpus_report,
     operation_census,
     random_scene_corpus,
     read_detections,
     read_targets,
-    scene_csed,
 )
+from cee.scene import CENSUS_HEADER, DetectionRecord, SceneSample, corpus_report, scene_csed
 from cee import scene, taxonomy
 
 

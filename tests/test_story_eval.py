@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cee import (
-    REPLACE_DELETE_PLUS_INSERT,
-    REPLACE_SHORTEST_PATH,
     CostConfig,
-    ATTRIBUTES,
     ClevrObject,
     EmptyCorpus,
     EmptyStory,
@@ -27,16 +24,16 @@ from cee import (
     generate_story,
     global_aggregate,
     golden_story_pair,
-    random_object,
     read_stories,
     resolve_taxonomy,
-    semantic_loss_table,
     story_loss,
     validate_object,
     write_stories,
 )
+from cee.story import semantic_loss_table
+from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
 from cee import edits
-from cee.harness import _frame_cost
+from cee.harness import _frame_cost, random_object
 
 
 def obj(size="small", color="brown", material="rubber", shape="sphere"):
@@ -191,8 +188,9 @@ GOOD = {"size": "small", "color": "red", "material": "rubber", "shape": "cube"}
         pytest.param({**GOOD, "color": "large"},
                      "attribute 'large' resolves to category 'size', expected 'color'",
                      id="misplaced-attribute"),
-        pytest.param("cube", f"object record missing attributes {list(ATTRIBUTES)}: 'cube'",
+        pytest.param("cube", "frame 2 must be a list of objects, got str in it",
                      id="object-not-a-mapping"),
+        pytest.param(5, "frame 2 must be a list of objects, got int in it", id="object-a-number"),
     ],
 )
 def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, tmp_path, clevr):
@@ -202,6 +200,18 @@ def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, t
     with pytest.raises(MalformedObject) as info:
         read_stories(path, clevr)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize(
+    "frame,kind",
+    [pytest.param(GOOD, "dict", id="frame-an-object"), pytest.param("x", "str", id="frame-a-string")],
+)
+def test_read_stories_names_a_frame_that_is_not_a_list(frame, kind, tmp_path, clevr):
+    path = tmp_path / "stories.jsonl"
+    path.write_text(json.dumps({"id": "s", "frames": [[GOOD], frame]}) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_stories(path, clevr)
+    assert str(info.value) == f"{path}:1: frame 2 must be a list of objects, got {kind}"
 
 
 def test_story_rejects_missing_fields(tmp_path, clevr):

@@ -12,8 +12,6 @@ from cee import (
     FLATTENED_CONFIG,
     MultipleRoots,
     PATH_CONFIG,
-    REPLACE_DELETE_PLUS_INSERT,
-    REPLACE_SHORTEST_PATH,
     Taxonomy,
     TaxonomyError,
     UnknownConcept,
@@ -23,11 +21,11 @@ from cee import (
     insert_cost,
     is_replaceable,
     load_taxonomy,
-    normalize_concept,
-    random_taxonomy,
     replace_cost,
     resolve_taxonomy,
 )
+from cee.harness import random_taxonomy
+from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH, normalize_concept
 
 def _edges(tax):
     """(child, parent) pairs, read from the serialised form."""
