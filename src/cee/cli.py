@@ -157,11 +157,10 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(headers) + " |",
-            "| " + " | ".join("---" for _ in headers) + " |",
-        ]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+        def line(cells: Sequence) -> str:  # a "|" in a cell is escaped, or it splits the cell
+            return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+        lines = [line(headers), line(["---"] * len(headers))] + [line(row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         records = [dict(zip(headers, row)) for row in rows]

@@ -19,7 +19,6 @@ solver's script without it, off exact ties and below ``_DIRECT_LIMIT``.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -145,11 +144,11 @@ def as_multiset(items: Iterable[str] | ConceptMultiset) -> ConceptMultiset:
 
 def _priced(
     S: ConceptMultiset, T: ConceptMultiset, model: CostModel
-) -> tuple[tuple[float, ...], tuple[float, ...], list[list[float | None]]]:
+) -> tuple[list[float], list[float], list[list[float | None]]]:
     """Both sides' delete and insert prices, and every pair's price (None
     where the replace is not actionable), from the cost model."""
-    del_costs = tuple([model.costs(s)[0] for s in S])
-    ins_costs = tuple([model.costs(t)[1] for t in T])
+    del_costs = [model.costs(s)[0] for s in S]
+    ins_costs = [model.costs(t)[1] for t in T]
     pair = [[model.pair(s, t) for t in T] for s in S]
     return del_costs, ins_costs, pair
 
@@ -226,12 +225,11 @@ def linear_sum_assignment(cost: Sequence[Sequence[float]]) -> tuple[list[int], l
     return list(range(size)), col4row
 
 
-@functools.lru_cache(maxsize=4096)
 def _assign(
-    pair: tuple[tuple[float, ...], ...],
-    del_costs: tuple[float, ...],
-    ins_costs: tuple[float, ...],
-) -> tuple[tuple[int, int], ...]:
+    pair: Sequence[Sequence[float]],
+    del_costs: Sequence[float],
+    ins_costs: Sequence[float],
+) -> list[tuple[int, int]]:
     """Minimum-cost assignment on the (n+m)² dummy-padded matrix.
 
     ``pair[i][j]`` prices turning generated item i into target item j; row i
@@ -239,13 +237,9 @@ def _assign(
     dummy row at ``ins_costs[j]``. Returns the chosen cells other than
     dummy-to-dummy: ``j >= m`` deletes item i, ``i >= n`` inserts item j.
 
-    Memoised on the priced inputs (tuples, so hashable). The memo serves
-    ``frame_csed``, whose object-cost matrices recur across frames and
-    stories: at seed 1 the story benchmark hits it on 122 of 440 calls, all
-    from ``frame_csed``. ``_solve`` calls come after the script memo and
-    ``_direct``, and seldom share a matrix: 22 hits of 932 on scene, none of
-    621 on bigtax. The bound keeps a run of mostly distinct matrices from
-    growing the memo without limit.
+    Every call solves and keeps no state. Repeats are caught before it, on
+    the cost model: ``_solve`` runs only for an (S, T) pair whose script the
+    model's memo lacks and ``_direct`` cannot write.
     """
     n, m = len(del_costs), len(ins_costs)
     cost = [[*pair[i], *[del_costs[i] + _TIE_EPS] * n] for i in range(n)]
@@ -255,12 +249,12 @@ def _assign(
         rows, cols = linear_sum_assignment(cost)
     except ValueError as exc:  # every route is finite unless a price overflowed to inf
         raise ValueError(_OVERFLOW) from exc
-    return tuple([(i, j) for i, j in zip(rows, cols) if i < n or j < m])
+    return [(i, j) for i, j in zip(rows, cols) if i < n or j < m]
 
 
 def _direct(
-    del_costs: tuple[float, ...],
-    ins_costs: tuple[float, ...],
+    del_costs: list[float],
+    ins_costs: list[float],
     pair: list[list[float | None]],
 ) -> list[tuple[int, int]] | None:
     """Cells in ``_assign``'s form (``j >= m`` deletes, ``i >= n`` inserts)
@@ -336,10 +330,10 @@ def _solve(
     cells = _direct(del_costs, ins_costs, pair)
     if cells is None:
         # sentinel for a forbidden pair: strictly worse than deleting s and inserting t
-        pair = tuple([
-            tuple([d + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)])
+        pair = [
+            [d + ins_costs[j] + 1.0 if p is None else p for j, p in enumerate(row)]
             for d, row in zip(del_costs, pair)
-        ])
+        ]
         cells = _assign(pair, del_costs, ins_costs)
 
     built = model.ops

@@ -62,8 +62,7 @@ class InstanceTooLarge(CeeError):
 
 
 class MalformedObject(CeeError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class LengthMismatch(CeeError):
@@ -83,13 +82,11 @@ class EmptyStory(CeeError):
 
 
 class EmptyCorpus(CeeError):
-    def __init__(self, detail: str = "corpus holds no samples"):
-        super().__init__(detail)
+    pass
 
 
 class SpecOutOfRange(CeeError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 _DECODER = json.JSONDecoder()

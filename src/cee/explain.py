@@ -226,12 +226,8 @@ def _semantic_label(name: str | None, tax: Taxonomy | None) -> str:
     return cat.capitalize() if cat else "?"
 
 
-def format_local(
-    script: EditScript,
-    tax: Taxonomy | None = None,
-    cl: float | None = None,
-) -> str:
-    """Single-row rendering: edit path | op letters | cost | semantics [| CL].
+def format_local(script: EditScript, tax: Taxonomy | None = None) -> str:
+    """Single-row rendering: edit path | op letters | cost | semantics.
 
     Matches the story-table layout, e.g.
     ``{'rubber','sphere'} → {'metallic','cylinder'} | R,R | 4 | Material, Shape``.
@@ -263,10 +259,9 @@ def format_local(
             label = _semantic_label(name, tax)
             if label not in semantics:
                 semantics.append(label)
-    columns = ["; ".join(segments), letters, format_cost(script.total_cost), ", ".join(semantics)]
-    if cl is not None:
-        columns.append(format_cost(cl))
-    return " | ".join(columns)
+    return " | ".join(
+        ["; ".join(segments), letters, format_cost(script.total_cost), ", ".join(semantics)]
+    )
 
 
 def format_local_grouped(script: EditScript) -> str:

@@ -44,17 +44,10 @@ def random_object(rng: random.Random) -> ClevrObject:
     )
 
 
-def generate_story(
-    length: int = 4,
-    rng: random.Random | None = None,
-    seed: int | None = None,
-    story_id: str = "story-0",
-) -> Story:
+def generate_story(rng: random.Random, length: int = 4, story_id: str = "story-0") -> Story:
     """Clean cumulative story: frame k shows the first k sampled objects."""
     if length < 1:
         raise ValueError("story length must be at least 1")
-    if rng is None:
-        rng = random.Random(seed)
     objects = [random_object(rng) for _ in range(length)]
     frames = [list(objects[: k + 1]) for k in range(length)]
     return Story(id=story_id, frames=frames)

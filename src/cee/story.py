@@ -104,6 +104,8 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
                     interned[key] = obj
             return obj
 
+        if not record["frames"]:
+            raise MalformedObject("a story needs at least one frame, got 'frames': []")
         # every object of the line is built before any is validated
         frames = []
         for k, frame in enumerate(record["frames"], start=1):
@@ -164,12 +166,10 @@ def frame_csed(
     ]
     deletes = [_script(obj.multiset, _NOTHING, model) for obj in gen_frame]
     inserts = [_script(_NOTHING, obj.multiset, model) for obj in gt_frame]
-    pair = tuple([tuple([script.total_cost for script in row]) for row in pair_scripts])
+    pair = [[script.total_cost for script in row] for row in pair_scripts]
+    cells = _assign(pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts])
     chosen = [
-        deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
-        for i, j in _assign(
-            pair, tuple([s.total_cost for s in deletes]), tuple([s.total_cost for s in inserts])
-        )
+        deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j] for i, j in cells
     ]
     return EditScript(tuple(op for script in chosen for op in script.ops))
 
@@ -251,7 +251,7 @@ def semantic_loss_table(
             raise KeyError(f"no ground-truth object count for frame {frame_idx}")
         for op in script:
             for cat in _op_categories(op, tax):
-                touches.setdefault(cat, {k: 0 for k in frames})[frame_idx] += 1
+                touches[cat][frame_idx] += 1
     table: dict[str, dict[int, float]] = {}
     for cat, row in touches.items():
         table[cat] = {

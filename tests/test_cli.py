@@ -401,6 +401,18 @@ def test_explain_planted_rule(tmp_path, capsys):
     assert "D,cube,1,100.00" in freq
 
 
+def test_markdown_escapes_a_pipe_in_a_cell(tmp_path, capsys):
+    tx_path = tmp_path / "tx.jsonl"
+    tx_path.write_text('{"id": "s0", "edits": ["R:a|b→d"]}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["explain", str(tx_path), "--format", "markdown", "--out-dir", str(out)])
+    assert rc == 0
+    rules = (out / "rules.md").read_text(encoding="utf-8").splitlines()
+    assert rules[2] == "| a\\|b | d | 1 | 100.00 | 100.00 | 100.00 |"
+    assert cli.render_table(["x|y"], [["1"]], "markdown") == "| x\\|y |\n| --- |\n| 1 |\n"
+    assert cli.render_table(["x|y"], [["a|b"]], "csv") == "x|y\na|b\n"
+
+
 def test_explain_empty_transactions(tmp_path, capsys):
     tx_path = tmp_path / "tx.jsonl"
     tx_path.write_text("", encoding="utf-8")
@@ -535,6 +547,18 @@ UNKNOWN_SCENE_CONCEPTS = [
             ["eval-story"],
             [GOOD_STORY, GOOD_STORY.replace('"s"', '"t"').replace('"red"', '"mauve"')],
             1, 1, id="story-attribute-unknown-on-unjoined-id",
+        ),
+        pytest.param(
+            ["eval-story"], ['{"id": "s", "frames": []}', GOOD_STORY],
+            0, 1, id="generated-story-without-frames",
+        ),
+        pytest.param(
+            ["eval-story"], [GOOD_STORY, '{"id": "s", "frames": []}'],
+            1, 1, id="ground-truth-story-without-frames",
+        ),
+        pytest.param(
+            ["eval-story"], [GOOD_STORY, GOOD_STORY + '\n{"id": "t", "frames": []}'],
+            1, 2, id="story-without-frames-on-unjoined-id",
         ),
         *(pytest.param(SCENE, texts, bad_file, bad_line, id=case)
           for case, texts, bad_file, bad_line in UNKNOWN_SCENE_CONCEPTS),

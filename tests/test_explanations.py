@@ -395,11 +395,6 @@ def test_format_local_empty():
     assert format_local(_script()) == "no edits"
 
 
-def test_format_local_with_cl_column(clevr):
-    script = _script(EditOp("R", source="red", target="blue", cost=2))
-    assert format_local(script, clevr, cl=6.0) == "'red' → 'blue' | R | 2 | Color | 6"
-
-
 def test_format_local_mixed_ops_order(clevr):
     script = _script(
         EditOp("I", target="cube", cost=1),

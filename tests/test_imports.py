@@ -45,6 +45,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_process_wide_memo():
+    # solve state lives on a taxonomy's cost model, never in a module-level cache
+    found = []
+    for path in sorted((ROOT / "src/cee").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("lru_cache", "cache")]
+    assert found == []
+
+
 def _script_imports() -> dict[str, set[str]]:
     """Script file name -> the names it imports from ``cee``."""
     found: dict[str, set[str]] = {}

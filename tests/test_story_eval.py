@@ -139,7 +139,6 @@ def test_clevr_objects_skip_the_assignment_solve_but_frames_do_not(monkeypatch):
     monkeypatch.setattr(
         edits, "linear_sum_assignment", lambda cost: calls.append(len(cost)) or solve(cost)
     )
-    edits._assign.cache_clear()  # a remembered matrix would hide the frame's solve
     rng = random.Random(3)
     objects = [random_object(rng) for _ in range(30)]
     for a, b in zip(objects, objects[1:]):
@@ -152,6 +151,22 @@ def test_clevr_objects_skip_the_assignment_solve_but_frames_do_not(monkeypatch):
     gt = [obj(material="metallic"), obj(color="red", shape="cube", size="large")]
     frame_csed(gen, gt, tax, FLATTENED_CONFIG)
     assert calls == [4]  # the frame's own 2 + 2 padded assignment
+
+
+def test_each_frame_solve_reaches_the_solver(monkeypatch):
+    # solve state lives on the cost model, so a second taxonomy solves the
+    # same frame again instead of reading a process-wide answer
+    calls = []
+    solve = edits.linear_sum_assignment
+    monkeypatch.setattr(
+        edits, "linear_sum_assignment", lambda cost: calls.append(len(cost)) or solve(cost)
+    )
+    gen = [obj(), obj(color="red", shape="cube")]
+    gt = [obj(material="metallic"), obj(color="red", shape="cube", size="large")]
+    scripts = [frame_csed(gen, gt, resolve_taxonomy("clevr"), FLATTENED_CONFIG)
+               for _ in range(2)]
+    assert calls == [4, 4]
+    assert scripts[0].edit_tokens() == scripts[1].edit_tokens()
 
 
 # -- story I/O ------------------------------------------------------------------
