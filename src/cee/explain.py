@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Sequence
 
 from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
 from .errors import MalformedObject, _read_jsonl
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, normalize_concept
 
 # json.dumps(obj, sort_keys=True, ensure_ascii=False) without a new encoder per line
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
@@ -43,24 +43,39 @@ class Transaction:
         return _ENCODER.encode({"id": self.id, "edits": sorted(self.items)})
 
 
+def _check_edit(item: object) -> None:
+    """``item`` must be a token as ``EditOp.token`` writes it: ``D:<c>``, ``I:<c>``
+    or ``R:<c>→<c>``, each ``c`` a concept name that normalisation leaves as is."""
+    if not isinstance(item, str):
+        raise MalformedObject(f"edit {item!r} is not a string")
+    names = (item[2:],) if item[:2] in ("D:", "I:") else split_replace_token(item)
+    if not names or not all(name.strip() and normalize_concept(name) == name for name in names):
+        raise MalformedObject(
+            f"edit {item!r} is not D:<concept>, I:<concept> or R:<concept>{ARROW}<concept>"
+            " over normalised concept names"
+        )
+
+
 def read_transactions(path: str | Path) -> list[Transaction]:
     """Ids may repeat: pooled per-threshold files hold each image once per threshold.
 
     Edit lists are interned per file: equal lists share one frozenset, built
-    and checked once. Mining then counts each distinct edit set once, weighted
-    by how many transactions hold it."""
+    once, and each distinct edit of the file passes ``_check_edit`` once.
+    Mining then counts each distinct edit set once, weighted by how many
+    transactions hold it."""
     interned: dict[tuple, frozenset[str]] = {}
+    checked: set[str] = set()
 
     def build(record: dict) -> Transaction:
         edits = record["edits"]
         key = tuple(edits)
         items = interned.get(key)  # an unhashable edit fails here as frozenset() would
         if items is None:
-            items = frozenset(edits)
-            for item in items:
-                if not isinstance(item, str):
-                    raise MalformedObject(f"edit {item!r} is not a string")
-            interned[key] = items
+            for item in edits:  # in list order, so the first bad edit is named
+                if item not in checked:
+                    _check_edit(item)
+                    checked.add(item)
+            items = interned[key] = frozenset(edits)
         return Transaction(id=str(record["id"]), items=items)
 
     return _read_jsonl(path, "id", "edits", build, unique=None)

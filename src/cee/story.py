@@ -29,6 +29,7 @@ from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
 _NOTHING = ConceptMultiset()
+_NO_EDITS = EditScript(())
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,14 @@ def frame_csed(
     from, or solved into, its memo through ``edits._script``, as ``csed``
     reads it; the frame's script is made of the model's own ops.
 
+    Frames of the same objects, in any order, get the empty script unpriced: a zero-cost
+    matching exists and no cell is below 0, so the solver keeps u = v = 0 and picks zero
+    cells only: pair scripts of total 0 (no op), or dummy-to-dummy, the one route without _TIE_EPS.
+
     Objects are expected to have passed ``validate_object`` against ``tax``."""
     n, m = len(gen_frame), len(gt_frame)
-    if n == 0 and m == 0:
-        return EditScript(())
+    if n == m and sorted(o.multiset for o in gen_frame) == sorted(o.multiset for o in gt_frame):
+        return _NO_EDITS
 
     model = tax.cost_model(cfg)
     pair_scripts = [

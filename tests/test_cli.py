@@ -10,7 +10,7 @@ import pytest
 
 from cee import cli, edits
 from cee.harness import golden_story_pair, random_scene_corpus
-from cee.story import Story, write_stories
+from cee.story import ClevrObject, Story, write_stories
 from cee.taxonomy import resolve_taxonomy
 
 
@@ -413,6 +413,33 @@ def test_markdown_escapes_a_pipe_in_a_cell(tmp_path, capsys):
     assert cli.render_table(["x|y"], [["a|b"]], "csv") == "x|y\na|b\n"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param("R:a\nb→d", id="newline-in-a-concept"),
+        pytest.param("hello", id="no-kind"),
+        pytest.param("D:", id="no-concept"),
+        pytest.param("R:x→", id="replace-without-target"),
+        pytest.param("R:x", id="replace-without-arrow"),
+        pytest.param("I:Big Dog", id="concept-not-normalised"),
+    ],
+)
+def test_explain_rejects_a_malformed_edit_token(edit, tmp_path, capsys):
+    tx_path = tmp_path / "tx.jsonl"
+    lines = [{"id": "s0", "edits": ["R:rubber→metallic"]}, {"id": "s1", "edits": ["I:cube", edit]}]
+    tx_path.write_text(
+        "".join(json.dumps(l, ensure_ascii=False) + "\n" for l in lines), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    rc = cli.main(["explain", str(tx_path), "--format", "markdown", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {tx_path}:2: edit {edit!r} is not D:<concept>, I:<concept> or"
+        " R:<concept>→<concept> over normalised concept names\n"
+    )
+    assert not out.exists()
+
+
 def test_explain_empty_transactions(tmp_path, capsys):
     tx_path = tmp_path / "tx.jsonl"
     tx_path.write_text("", encoding="utf-8")
@@ -697,6 +724,39 @@ def test_eval_overflowing_weight_reports_no_finite_script(command, golden_corpus
         "error: no finite-cost edit script exists: the prices overflow\n"
     )
     assert not out.exists()
+
+
+def test_eval_story_of_a_corpus_against_itself_writes_no_edits(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["gen-synthetic", "--seed", "2", "--n-stories", "12", "--length", "5",
+                     "--out-dir", str(corpus)]) == 0
+    gt = str(corpus / "ground_truth.jsonl")
+    out = tmp_path / "out"
+    assert cli.main(["eval-story", gt, gt, "--out-dir", str(out)]) == 0
+    rows = (out / "story_metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 12
+    assert all(row.split(",")[2] == "0;0;0;0;0" for row in rows)
+    records = [json.loads(line) for line in
+               (out / "transactions.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 12 and all(r["edits"] == [] for r in records)
+
+
+def test_identical_one_frame_story_scores_zero_at_an_overflowing_weight(tmp_path, capsys):
+    # under the path profile each concept's delete costs depth 2 x 1e308, which
+    # overflows to inf, but a frame that already matches needs no delete
+    frame = [ClevrObject("small", "brown", "rubber", "sphere"),
+             ClevrObject("large", "red", "metallic", "cube")]
+    paths = [tmp_path / "gen.jsonl", tmp_path / "gt.jsonl"]
+    write_stories(paths[0], [Story(id="s", frames=[frame])])
+    write_stories(paths[1], [Story(id="s", frames=[frame[::-1]])])
+    out = tmp_path / "out"
+    rc = cli.main(["eval-story", *map(str, paths), "--cost-profile", "path",
+                   "--delete-weight", "1e308", "--out-dir", str(out)])
+    assert rc == 0
+    # SL is 0; CL's frame-1 count penalty (2 objects, not 1) prices no edit
+    assert (out / "story_metrics.csv").read_text(encoding="utf-8").splitlines()[1] == (
+        "s,1,0,0,0.0000,4,4.0000,1"
+    )
 
 
 @pytest.mark.parametrize(

@@ -67,9 +67,9 @@ def test_read_transactions_rejects_trailing_text_json_does_not_allow(trailer, tm
 
 def test_read_transactions_accepts_json_whitespace_around_the_object(tmp_path):
     path = tmp_path / "t.jsonl"
-    path.write_text('\t{"id": "a", "edits": ["x"]}  \n{"id": "b", "edits": []} \t\n', encoding="utf-8")
+    path.write_text('\t{"id": "a", "edits": ["D:x"]}  \n{"id": "b", "edits": []} \t\n', encoding="utf-8")
     assert read_transactions(path) == [
-        Transaction(id="a", items=frozenset({"x"})),
+        Transaction(id="a", items=frozenset({"D:x"})),
         Transaction(id="b", items=frozenset()),
     ]
 
@@ -80,7 +80,7 @@ def test_read_transactions_accepts_json_whitespace_around_the_object(tmp_path):
         pytest.param(['{"id": "a", "edits": [1]}'], "1: edit 1 is not a string", id="number"),
         pytest.param(['{"id": "a", "edits": [["x"]]}'], "1: unhashable type: 'list'",
                      id="unhashable"),
-        pytest.param(['{"id": "a", "edits": ["x", "y"]}', '{"id": "b", "edits": ["x", "y", 2]}'],
+        pytest.param(['{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "b", "edits": ["D:x", "I:y", 2]}'],
                      "2: edit 2 is not a string", id="after-an-interned-list"),
     ],
 )
@@ -94,11 +94,11 @@ def test_read_transactions_bad_edit_message(lines, message, tmp_path):
 
 def test_read_transactions_interns_equal_edit_lists(tmp_path):
     path = tmp_path / "t.jsonl"
-    lines = ['{"id": "a", "edits": ["x", "y"]}', '{"id": "b", "edits": ["z"]}',
-             '{"id": "a", "edits": ["x", "y"]}']
+    lines = ['{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "b", "edits": ["I:z"]}',
+             '{"id": "a", "edits": ["D:x", "I:y"]}']
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     first, other, again = read_transactions(path)
-    assert first.items == frozenset({"x", "y"}) and other.items == frozenset({"z"})
+    assert first.items == frozenset({"D:x", "I:y"}) and other.items == frozenset({"I:z"})
     assert first.items is again.items
 
 

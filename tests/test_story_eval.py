@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from cee import (
     CostConfig,
     ClevrObject,
+    ConceptMultiset,
     EmptyCorpus,
     EmptyStory,
     FLATTENED_CONFIG,
     LengthMismatch,
+    PATH_CONFIG,
     MalformedObject,
     Story,
     Taxonomy,
@@ -33,7 +35,8 @@ from cee import (
 from cee.story import semantic_loss_table
 from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
 from cee import edits
-from cee.harness import _frame_cost, random_object
+from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, random_object
+from cee.cli import main as cli_main
 
 
 def obj(size="small", color="brown", material="rubber", shape="sphere"):
@@ -167,6 +170,108 @@ def test_each_frame_solve_reaches_the_solver(monkeypatch):
                for _ in range(2)]
     assert calls == [4, 4]
     assert scripts[0].edit_tokens() == scripts[1].edit_tokens()
+
+
+def padded_route(gen_frame, gt_frame, tax, cfg):
+    """The frame's script through the full (n+m)² dummy-padded solve, with no
+    shortcut for identical frames, and the padded matrix price of each cell the
+    solve chose (dummy routes carry ``edits._TIE_EPS``)."""
+    model = tax.cost_model(cfg)
+    n, m = len(gen_frame), len(gt_frame)
+    nothing = ConceptMultiset()
+    pair = [[edits._script(g.multiset, t.multiset, model) for t in gt_frame] for g in gen_frame]
+    deletes = [edits._script(g.multiset, nothing, model) for g in gen_frame]
+    inserts = [edits._script(nothing, t.multiset, model) for t in gt_frame]
+    cells = edits._assign(
+        [[s.total_cost for s in row] for row in pair],
+        [s.total_cost for s in deletes],
+        [s.total_cost for s in inserts],
+    )
+    chosen = [deletes[i] if j >= m else inserts[j] if i >= n else pair[i][j] for i, j in cells]
+    prices = [
+        s.total_cost + (edits._TIE_EPS if i >= n or j >= m else 0.0)
+        for s, (i, j) in zip(chosen, cells)
+    ]
+    return EditScript(tuple(op for s in chosen for op in s.ops)), prices
+
+
+def _counting_solver(mp):
+    calls = []
+    solve = edits.linear_sum_assignment
+    mp.setattr(edits, "linear_sum_assignment", lambda cost: calls.append(len(cost)) or solve(cost))
+    return calls
+
+
+ORACLE_CONFIGS = [
+    FLATTENED_CONFIG,
+    PATH_CONFIG,
+    CostConfig(delete_weight=0.5, insert_weight=2.0, flattened=True),
+    CostConfig(delete_weight=0.1, insert_weight=0.1, flattened=True),
+    CostConfig(replace_mode=REPLACE_SHORTEST_PATH, flattened=True),
+    CostConfig(1e-12, 1e-12, 1e-12, flattened=True),
+    CostConfig(1e8, 1e8, 1e8, flattened=True),
+]
+CLEVR_OBJECTS = st.builds(
+    ClevrObject, st.sampled_from(SIZES), st.sampled_from(COLORS),
+    st.sampled_from(MATERIALS), st.sampled_from(SHAPES),
+)
+# a small pool as well, so frames often repeat an object
+FRAMES = st.lists(st.one_of(st.sampled_from([obj(), obj(color="red")]), CLEVR_OBJECTS), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=FRAMES.flatmap(lambda f: st.tuples(st.just(f), st.permutations(f))),
+    cfg=st.sampled_from(ORACLE_CONFIGS),
+)
+def test_identical_frames_skip_the_solver_and_match_the_padded_solve(frames, cfg, clevr):
+    frame, shuffled = frames
+    script, prices = padded_route(frame, shuffled, clevr, cfg)
+    assert prices == [0.0] * len(prices) and script == EditScript(())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solver(mp)
+        assert frame_csed(frame, shuffled, clevr, cfg) == EditScript(())
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "gen,gt,size",
+    [
+        pytest.param([obj(), obj(color="red")], [obj(), obj(color="red", size="large")], 4,
+                     id="one-attribute-changed"),
+        pytest.param([obj(), obj(), obj(color="red")], [obj(), obj(color="red"), obj(color="red")],
+                     6, id="same-objects-other-counts"),
+        pytest.param([obj(), obj(color="red")], [obj()], 3, id="extra-generated-object"),
+        pytest.param([obj()], [obj(), obj(color="red")], 3, id="extra-ground-truth-object"),
+    ],
+)
+def test_only_identical_frames_skip_the_solver(gen, gt, size, monkeypatch, clevr):
+    calls = _counting_solver(monkeypatch)
+    script = frame_csed(gen, gt, clevr, FLATTENED_CONFIG)
+    assert calls == [size]
+    expected, _ = padded_route(gen, gt, clevr, FLATTENED_CONFIG)
+    assert script.edit_tokens() == expected.edit_tokens() and script.edit_tokens()
+    assert script.total_cost == expected.total_cost
+
+
+def test_generated_corpus_frames_match_the_padded_solve(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert cli_main(["gen-synthetic", "--seed", "1", "--n-stories", "40", "--length", "6",
+                     "--out-dir", str(out)]) == 0
+    tax = resolve_taxonomy("clevr")
+    gen_by_id = {s.id: s for s in read_stories(out / "generated.jsonl", tax)}
+    identical = 0
+    for gt in read_stories(out / "ground_truth.jsonl", tax):
+        gen = gen_by_id[gt.id]
+        metrics = evaluate_story(gen, gt, tax, FLATTENED_CONFIG)
+        steps = [frame_csed(b, a, tax, FLATTENED_CONFIG) for a, b in zip(gen.frames, gen.frames[1:])]
+        pairs = list(zip(gen.frames, gt.frames)) + list(zip(gen.frames[1:], gen.frames))
+        for script, (a, b) in zip(metrics.frame_scripts + steps, pairs):
+            expected, _ = padded_route(a, b, tax, FLATTENED_CONFIG)
+            assert script.edit_tokens() == expected.edit_tokens()
+            assert script.total_cost == expected.total_cost
+            identical += sorted(o.multiset for o in a) == sorted(o.multiset for o in b)
+    assert 0 < identical < 40 * 11  # the corpus holds both kinds of frame
 
 
 # -- story I/O ------------------------------------------------------------------
