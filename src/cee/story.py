@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .edits import ConceptMultiset, EditOp, EditScript, _assign, _script
+from .edits import _DIRECT_LIMIT, ConceptMultiset, EditOp, EditScript, _assign, _script
 # unused here, but perfbench/tracer.py wraps this name on this module
 from .edits import csed  # noqa: F401
 from .errors import (
@@ -24,12 +24,18 @@ from .errors import (
     UncategorizedConcept,
     _read_jsonl,
 )
-from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
+from .taxonomy import FLATTENED_CONFIG, REPLACE_DELETE_PLUS_INSERT, CostConfig, CostModel
+from .taxonomy import Taxonomy, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
 _NOTHING = ConceptMultiset()
 _NO_EDITS = EditScript(())
+# One-sided frames are written in closed form only for prices in
+# [_LOWEST_PRICE, _DIRECT_LIMIT). Below it the 1e-9 dummy-route bias swamps
+# the prices; from the top, as in ``edits._direct``, rounding starts to
+# absorb the bias, and prices that overflow must reach the solve to fail.
+_LOWEST_PRICE = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -155,28 +161,76 @@ def frame_csed(
     from, or solved into, its memo through ``edits._script``, as ``csed``
     reads it; the frame's script is made of the model's own ops.
 
-    Frames of the same objects, in any order, get the empty script unpriced: a zero-cost
-    matching exists and no cell is below 0, so the solver keeps u = v = 0 and picks zero
-    cells only: pair scripts of total 0 (no op), or dummy-to-dummy, the one route without _TIE_EPS.
+    Two kinds of frame skip the solve, told apart by the multiset difference
+    of their objects. Frames of the same objects, in any order, get the
+    empty script unpriced: a zero-cost matching exists and no cell is below
+    0, so the solver keeps u = v = 0 and picks zero-cost cells only, which
+    are pair scripts of total 0 (no op) or dummy-to-dummy, the one route
+    without ``_TIE_EPS``.
+
+    Frames that keep objects on one side only, once the shared ones cancel,
+    get the deletes of each surplus generated object, or the inserts of each
+    surplus target object, with no pair priced, where ``_one_sided_exact``
+    holds: replaces priced as delete plus insert, leaf concepts only, and
+    every delete and insert price in [2**-20, 2**20). There a pair of
+    objects (a, b) costs del(a) + ins(b) less del + ins of the concepts they
+    share, since equal concepts are the only free pairs between leaves. So
+    an assignment costs del(G) + ins(T), less what its pairs share, plus the
+    bias on each dummy route: never below the closed form, and equal only
+    when each object of the smaller frame is matched to one that holds all
+    its concepts, an equal object since each holds four, which gives the
+    closed form's script. Any other assignment is dearer by a concept's
+    del + ins, at least 2**-19, and takes no fewer dummy routes, so at these
+    prices neither the bias nor float rounding can pick it.
 
     Objects are expected to have passed ``validate_object`` against ``tax``."""
-    n, m = len(gen_frame), len(gt_frame)
-    if n == m and sorted(o.multiset for o in gen_frame) == sorted(o.multiset for o in gt_frame):
+    extra, missing = [], [o.multiset for o in gt_frame]  # the multiset difference
+    for obj in gen_frame:
+        if obj.multiset in missing:
+            missing.remove(obj.multiset)
+        else:
+            extra.append(obj.multiset)
+    if not extra and not missing:
         return _NO_EDITS
 
     model = tax.cost_model(cfg)
-    pair_scripts = [
-        [_script(gen_obj.multiset, gt_obj.multiset, model) for gt_obj in gt_frame]
-        for gen_obj in gen_frame
-    ]
-    deletes = [_script(obj.multiset, _NOTHING, model) for obj in gen_frame]
-    inserts = [_script(_NOTHING, obj.multiset, model) for obj in gt_frame]
-    pair = [[script.total_cost for script in row] for row in pair_scripts]
-    cells = _assign(pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts])
-    chosen = [
-        deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j] for i, j in cells
-    ]
+    # one-sided, the larger frame holds every object of the other
+    if not (extra and missing) and _one_sided_exact(gen_frame if extra else gt_frame, model):
+        chosen = [_script(multiset, _NOTHING, model) for multiset in extra]
+        chosen += [_script(_NOTHING, multiset, model) for multiset in missing]
+    else:
+        n, m = len(gen_frame), len(gt_frame)
+        pair_scripts = [
+            [_script(gen_obj.multiset, gt_obj.multiset, model) for gt_obj in gt_frame]
+            for gen_obj in gen_frame
+        ]
+        deletes = [_script(obj.multiset, _NOTHING, model) for obj in gen_frame]
+        inserts = [_script(_NOTHING, obj.multiset, model) for obj in gt_frame]
+        pair = [[script.total_cost for script in row] for row in pair_scripts]
+        cells = _assign(pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts])
+        chosen = [
+            deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
+            for i, j in cells
+        ]
     return EditScript(tuple(op for script in chosen for op in script.ops))
+
+
+def _one_sided_exact(frame: Sequence[ClevrObject], model: CostModel) -> bool:
+    """Whether every concept of ``frame`` meets the conditions under which
+    ``frame_csed`` writes a one-sided frame in closed form (see there)."""
+    if model.cfg.replace_mode != REPLACE_DELETE_PLUS_INSERT:
+        return False
+    tax = model.tax
+    for obj in frame:
+        for name in obj.multiset:
+            delete, insert = model.costs(name)
+            if not (
+                _LOWEST_PRICE <= delete < _DIRECT_LIMIT
+                and _LOWEST_PRICE <= insert < _DIRECT_LIMIT
+                and tax.is_leaf(name)
+            ):
+                return False
+    return True
 
 
 def story_loss(

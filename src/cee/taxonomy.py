@@ -171,6 +171,10 @@ class Taxonomy:
     def is_descendant_or_equal(self, s: str, t: str) -> bool:
         return (t if t in self._nodes else self._unknown(t)) in self.ancestors_or_self(s)
 
+    def is_leaf(self, name: str) -> bool:
+        """No concept lies below ``name`` (an attached unknown is a leaf)."""
+        return not self._children.get(name)
+
     def category_of(self, name: str) -> str | None:
         """Nearest category (direct root child) at or above ``name``.
         Root and attached unknowns have no category."""

@@ -707,10 +707,19 @@ def test_selftest_overflowing_weight_reports_no_finite_script(capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["eval-story", "eval-scene"])
+@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "eval-story-one-sided"])
 def test_eval_overflowing_weight_reports_no_finite_script(command, golden_corpus, tmp_path, capsys):
     if command == "eval-story":
         argv = ["eval-story", *map(str, golden_corpus), "--delete-weight", "1e308"]
+    elif command == "eval-story-one-sided":
+        # one frame with one extra generated object, whose delete is 4 x 1e308 = inf:
+        # the closed form for whole added objects declines, and the solve reports it
+        kept = ClevrObject("small", "brown", "rubber", "sphere")
+        extra = ClevrObject("large", "red", "metallic", "cube")
+        paths = [tmp_path / "gen.jsonl", tmp_path / "gt.jsonl"]
+        write_stories(paths[0], [Story(id="s", frames=[[kept, extra]])])
+        write_stories(paths[1], [Story(id="s", frames=[[kept]])])
+        argv = ["eval-story", *map(str, paths), "--delete-weight", "1e308"]
     else:  # a truck sits at depth 2 of street, so its insert at weight 1e308 overflows
         _write_detections(tmp_path / "det.jsonl", [{"image_id": "a", "detections": [
             {"concept": "car", "confidence": 0.9}]}])

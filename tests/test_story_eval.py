@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from cee import (
     generate_story,
     global_aggregate,
     golden_story_pair,
+    load_taxonomy,
     read_stories,
     resolve_taxonomy,
     story_loss,
@@ -234,24 +236,91 @@ def test_identical_frames_skip_the_solver_and_match_the_padded_solve(frames, cfg
     assert calls == []
 
 
+def dark_red_taxonomy():
+    """clevr with ``dark red`` under ``red``, so ``red`` is no leaf."""
+    return load_taxonomy(resolve_taxonomy("clevr").to_text() + "dark red\tred\n")
+
+
+@pytest.fixture(scope="session")
+def dark_red():
+    return dark_red_taxonomy()
+
+
+TINY = CostConfig(delete_weight=1e-30, insert_weight=1e-30, flattened=True)
+# a whole-object delete, or insert, overflows to inf
+HUGE = [CostConfig(delete_weight=1e308, flattened=True),
+        CostConfig(insert_weight=1e308, flattened=True)]
+
+
 @pytest.mark.parametrize(
-    "gen,gt,size",
+    "gen,gt,tax,cfg,calls_made",
     [
-        pytest.param([obj(), obj(color="red")], [obj(), obj(color="red", size="large")], 4,
-                     id="one-attribute-changed"),
+        pytest.param([obj(), obj(color="red")], [obj(), obj(color="red", size="large")], "clevr",
+                     FLATTENED_CONFIG, [4], id="one-attribute-changed"),
         pytest.param([obj(), obj(), obj(color="red")], [obj(), obj(color="red"), obj(color="red")],
-                     6, id="same-objects-other-counts"),
-        pytest.param([obj(), obj(color="red")], [obj()], 3, id="extra-generated-object"),
-        pytest.param([obj()], [obj(), obj(color="red")], 3, id="extra-ground-truth-object"),
+                     "clevr", FLATTENED_CONFIG, [6], id="same-objects-other-counts"),
+        pytest.param([obj(), obj(color="red")], [obj()], "clevr", FLATTENED_CONFIG, [],
+                     id="extra-generated-object"),
+        pytest.param([obj()], [obj(), obj(color="red")], "clevr", FLATTENED_CONFIG, [],
+                     id="extra-ground-truth-object"),
+        pytest.param([obj(color="dark red"), obj(color="red")], [obj(color="red")], "dark red",
+                     FLATTENED_CONFIG, [3], id="extra-object-over-a-non-leaf"),
+        pytest.param([obj(), obj(color="red")], [obj()], "clevr", TINY, [3],
+                     id="extra-object-at-a-tiny-weight"),
+        # a replace cheaper by path than by delete plus insert: dark red -> blue at 1.5
+        # and deleting the blue object at 24 beat deleting the dark red one at 27; each
+        # concept has several partners here, so the objects' own scripts are solved too
+        pytest.param([obj(color="dark red"), obj(color="blue")], [obj(color="blue")], "dark red",
+                     CostConfig(0.5, 3.0, replace_mode=REPLACE_SHORTEST_PATH), [8, 8, 3],
+                     id="extra-object-under-shortest-path"),
     ],
 )
-def test_only_identical_frames_skip_the_solver(gen, gt, size, monkeypatch, clevr):
+def test_differing_frames_skip_the_solver_only_when_one_sided_and_exact(gen, gt, tax, cfg,
+                                                                       calls_made, monkeypatch):
+    # a fresh taxonomy, so the objects' own scripts are solved in this call
+    tax = dark_red_taxonomy() if tax == "dark red" else resolve_taxonomy("clevr")
     calls = _counting_solver(monkeypatch)
-    script = frame_csed(gen, gt, clevr, FLATTENED_CONFIG)
-    assert calls == [size]
-    expected, _ = padded_route(gen, gt, clevr, FLATTENED_CONFIG)
+    script = frame_csed(gen, gt, tax, cfg)
+    assert calls == calls_made
+    expected, _ = padded_route(gen, gt, tax, cfg)
     assert script.edit_tokens() == expected.edit_tokens() and script.edit_tokens()
     assert script.total_cost == expected.total_cost
+
+
+def _outcome(route):
+    """A frame route's tokens and total, or the message of its ValueError."""
+    try:
+        script = route()
+    except ValueError as exc:
+        return str(exc)
+    return script.edit_tokens(), script.total_cost
+
+
+# objects that differ in ``dark red`` against ``red``, so a free dark red -> red pair ties,
+# and a leaf-only object
+DARK_RED_OBJECTS = st.sampled_from(
+    [obj(color="red"), obj(color="dark red"), obj(color="dark red", size="large"), obj()]
+)
+# the small pool of FRAMES as well, so the frames often repeat an object
+OBJECTS = st.one_of(st.sampled_from([obj(), obj(color="red")]), CLEVR_OBJECTS)
+
+
+@pytest.mark.parametrize("hierarchical", [False, True], ids=["clevr", "dark-red"])
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS + [TINY, *HUGE])
+@settings(max_examples=25, deadline=None)
+@given(on_gen_side=st.booleans(), data=st.data())
+def test_one_sided_frames_match_the_padded_solve(cfg, hierarchical, on_gen_side, data, clevr,
+                                                 dark_red):
+    objects = DARK_RED_OBJECTS if hierarchical else OBJECTS
+    tax = dark_red if hierarchical else clevr
+    shared = data.draw(st.lists(objects, max_size=5))
+    added = data.draw(st.lists(objects, min_size=1, max_size=3))
+    smaller = data.draw(st.permutations(shared))
+    larger = data.draw(st.permutations(shared + added))
+    gen, gt = (larger, smaller) if on_gen_side else (smaller, larger)
+    assert _outcome(lambda: frame_csed(gen, gt, tax, cfg)) == _outcome(
+        lambda: padded_route(gen, gt, tax, cfg)[0]
+    )
 
 
 def test_generated_corpus_frames_match_the_padded_solve(tmp_path, capsys):
@@ -260,18 +329,23 @@ def test_generated_corpus_frames_match_the_padded_solve(tmp_path, capsys):
                      "--out-dir", str(out)]) == 0
     tax = resolve_taxonomy("clevr")
     gen_by_id = {s.id: s for s in read_stories(out / "generated.jsonl", tax)}
-    identical = 0
+    frames = []  # every SL frame and CL step, as (generated, target)
     for gt in read_stories(out / "ground_truth.jsonl", tax):
         gen = gen_by_id[gt.id]
-        metrics = evaluate_story(gen, gt, tax, FLATTENED_CONFIG)
-        steps = [frame_csed(b, a, tax, FLATTENED_CONFIG) for a, b in zip(gen.frames, gen.frames[1:])]
-        pairs = list(zip(gen.frames, gt.frames)) + list(zip(gen.frames[1:], gen.frames))
-        for script, (a, b) in zip(metrics.frame_scripts + steps, pairs):
-            expected, _ = padded_route(a, b, tax, FLATTENED_CONFIG)
-            assert script.edit_tokens() == expected.edit_tokens()
-            assert script.total_cost == expected.total_cost
-            identical += sorted(o.multiset for o in a) == sorted(o.multiset for o in b)
-    assert 0 < identical < 40 * 11  # the corpus holds both kinds of frame
+        frames += zip(gen.frames, gt.frames)
+        frames += zip(gen.frames[1:], gen.frames)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solver(mp)
+        scripts = [frame_csed(a, b, tax, FLATTENED_CONFIG) for a, b in frames]
+    sides = Counter()  # frames by how many sides keep objects once shared ones cancel
+    for script, (a, b) in zip(scripts, frames):
+        expected, _ = padded_route(a, b, tax, FLATTENED_CONFIG)
+        assert script.edit_tokens() == expected.edit_tokens()
+        assert script.total_cost == expected.total_cost
+        sides[bool(Counter(a) - Counter(b)) + bool(Counter(b) - Counter(a))] += 1
+    # no clevr object's own script needs the solver, so each call is a two-sided frame's
+    assert len(calls) == sides[2]
+    assert all(sides[k] for k in range(3))  # the corpus holds every kind of frame
 
 
 # -- story I/O ------------------------------------------------------------------
