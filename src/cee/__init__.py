@@ -30,22 +30,8 @@ from .errors import (
     UncategorizedConcept,
     UnknownConcept,
 )
-from .explain import (
-    Transaction,
-    apriori,
-    format_local,
-    format_local_grouped,
-    mine_rules,
-    write_transactions,
-)
-from .harness import (
-    corrupt,
-    generate_story,
-    golden_story_pair,
-    random_scene_corpus,
-    random_spec,
-    recovery_mismatch,
-)
+from .explain import apriori, format_local, format_local_grouped
+from .harness import corrupt, golden_story_pair, random_scene_corpus, recovery_mismatch
 from .scene import build_samples, census_csv, read_detections, read_targets, solve_thresholds
 from .story import (
     ClevrObject,
@@ -53,11 +39,9 @@ from .story import (
     consistency_loss,
     evaluate_story,
     frame_csed,
-    global_aggregate,
     read_stories,
     story_loss,
     validate_object,
-    write_stories,
 )
 from .taxonomy import (
     FLATTENED_CONFIG,

@@ -157,8 +157,12 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "markdown":
-        def line(cells: Sequence) -> str:  # a "|" in a cell is escaped, or it splits the cell
-            return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+        def cell(c) -> str:  # a "|" would split the cell and a line break the row
+            text = str(c).replace("|", "\\|")
+            return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+        def line(cells: Sequence) -> str:
+            return "| " + " | ".join(cell(c) for c in cells) + " |"
 
         lines = [line(headers), line(["---"] * len(headers))] + [line(row) for row in rows]
         return "\n".join(lines) + "\n"
@@ -271,15 +275,15 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     targets = read_targets(args.targets, tax)
     _join_on_id(detections, targets, "detections", "targets")
 
-    out = Path(cfg.out_dir)
     report = []
+    files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
     for t_d, samples, scripts in solve_thresholds(detections, targets, cfg.thresholds, tax, cost):
         report.append((t_d, operation_census(scripts)))
-        out.mkdir(parents=True, exist_ok=True)  # only once solving works: a failed run writes nothing
-        write_transactions(
-            out / f"transactions_td{format_cost(t_d)}.jsonl",
-            [Transaction.from_scripts(s.image_id, [script]) for s, script in zip(samples, scripts)],
-        )
+        text = "".join(Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
+                       for s, script in zip(samples, scripts))
+        files.append((f"transactions_td{format_cost(t_d)}.jsonl", text))
+    for name, text in files:  # only once every threshold solved: a failed run writes nothing
+        _write(cfg.out_dir, name, text)
     census_text = _emit(cfg, "census", CENSUS_COLUMNS, census_rows(report))
     print(census_text, end="")
     return 0
@@ -327,11 +331,12 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cfg, cost = _merge_config(args)
     if not cost.flattened:
         raise ValueError("gen-synthetic requires a flattened cost profile")
-    n_stories = args.n_stories
+    n_stories, length = args.n_stories, args.length
     if n_stories < 1:
         raise ValueError(f"--n-stories must be at least 1, got {n_stories}")
+    if length < 1:
+        raise ValueError(f"--length must be at least 1, got {length}")
     rng = random.Random(cfg.seed)
-    length = args.length
     ground_truth = []
     generated = []
     manifest_stories = []

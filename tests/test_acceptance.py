@@ -22,12 +22,10 @@ from cee import (
     corrupt,
     csed,
     evaluate_story,
-    generate_story,
-    mine_rules,
     random_scene_corpus,
-    random_spec,
 )
-from cee.harness import random_multiset, random_taxonomy
+from cee.explain import mine_rules
+from cee.harness import generate_story, random_multiset, random_spec, random_taxonomy
 from cee.scene import corpus_report
 
 

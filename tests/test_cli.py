@@ -413,6 +413,24 @@ def test_markdown_escapes_a_pipe_in_a_cell(tmp_path, capsys):
     assert cli.render_table(["x|y"], [["a|b"]], "csv") == "x|y\na|b\n"
 
 
+def test_markdown_writes_a_line_break_in_a_cell_as_br(tmp_path, capsys):
+    kept = ClevrObject("small", "brown", "rubber", "sphere")
+    paths = [tmp_path / "gen.jsonl", tmp_path / "gt.jsonl"]
+    for path in paths:
+        write_stories(path, [Story(id="a\nb|c", frames=[[kept]])])
+    out = tmp_path / "out"
+    assert cli.main(["eval-story", *map(str, paths), "--format", "markdown",
+                     "--out-dir", str(out)]) == 0
+    rows = (out / "story_metrics.md").read_text(encoding="utf-8").splitlines()
+    assert rows[2:] == ["| a<br>b\\|c | 1 | 0 | 0 | 0.0000 | 0 | 0.0000 |  |"]
+    cells = [["a\r\nb", "c\rd", "e\nf"]]
+    assert cli.render_table(["h\nh", "x", "y"], cells, "markdown") == (
+        "| h<br>h | x | y |\n| --- | --- | --- |\n| a<br>b | c<br>d | e<br>f |\n"
+    )
+    assert cli.render_table(["h"], [["e\nf"]], "csv") == 'h\n"e\nf"\n'
+    assert cli.render_table(["h"], [["e\nf"]], "json") == '[\n  {\n    "h": "e\\nf"\n  }\n]\n'
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -617,12 +635,12 @@ def test_attach_unknown_accepts_unknown_scene_concepts(texts, tmp_path):
 def test_gen_synthetic_manifest_recovered_by_eval(tmp_path, capsys):
     out = tmp_path / "synth"
     rc = cli.main(
-        ["gen-synthetic", "--n-stories", "4", "--length", "4",
+        ["gen-synthetic", "--n-stories", "10", "--length", "4",
          "--seed", "7", "--out-dir", str(out)]
     )
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 7 and manifest["n_stories"] == 4
+    assert manifest["seed"] == 7 and manifest["n_stories"] == 10
 
     eval_out = tmp_path / "eval"
     rc = cli.main(
@@ -635,8 +653,11 @@ def test_gen_synthetic_manifest_recovered_by_eval(tmp_path, capsys):
     for entry in manifest["stories"]:
         row = by_id[entry["id"]]
         assert float(row[3]) == entry["expected_sl_delta"]
+        assert float(row[5]) == entry["expected_cl_trace"][-1]
+        assert row[6] == f"{entry['expected_avg_cl']:.4f}"
         flags = [int(x) for x in row[7].split(";")] if row[7] else []
         assert flags == entry["expected_cl_flags"]
+    assert len(by_id) == 10
 
 
 @pytest.mark.parametrize(
@@ -644,6 +665,7 @@ def test_gen_synthetic_manifest_recovered_by_eval(tmp_path, capsys):
     [
         ("--n-stories", "-5", "--n-stories must be at least 1, got -5"),
         ("--n-stories", "0", "--n-stories must be at least 1, got 0"),
+        ("--length", "0", "--length must be at least 1, got 0"),
         ("--max-ops", "0", "max_ops must be at least 1, got 0"),
     ],
 )
@@ -707,7 +729,9 @@ def test_selftest_overflowing_weight_reports_no_finite_script(capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "eval-story-one-sided"])
+@pytest.mark.parametrize(
+    "command", ["eval-story", "eval-scene", "eval-story-one-sided", "eval-scene-later-threshold"]
+)
 def test_eval_overflowing_weight_reports_no_finite_script(command, golden_corpus, tmp_path, capsys):
     if command == "eval-story":
         argv = ["eval-story", *map(str, golden_corpus), "--delete-weight", "1e308"]
@@ -720,6 +744,15 @@ def test_eval_overflowing_weight_reports_no_finite_script(command, golden_corpus
         write_stories(paths[0], [Story(id="s", frames=[[kept, extra]])])
         write_stories(paths[1], [Story(id="s", frames=[[kept]])])
         argv = ["eval-story", *map(str, paths), "--delete-weight", "1e308"]
+    elif command == "eval-scene-later-threshold":
+        # 0.5 keeps the car and solves; at 0.95 the car's insert overflows, and the
+        # files of the threshold that solved must not be left behind
+        _write_detections(tmp_path / "det.jsonl", [{"image_id": "a", "detections": [
+            {"concept": "car", "confidence": 0.9}]}])
+        _write_detections(tmp_path / "tgt.jsonl", [{"image_id": "a", "concepts": ["car"]}])
+        argv = ["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
+                "--taxonomy", "street", "--insert-weight", "1e308",
+                "--threshold", "0.5", "--threshold", "0.95"]
     else:  # a truck sits at depth 2 of street, so its insert at weight 1e308 overflows
         _write_detections(tmp_path / "det.jsonl", [{"image_id": "a", "detections": [
             {"concept": "car", "confidence": 0.9}]}])

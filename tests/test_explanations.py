@@ -10,15 +10,20 @@ from cee import (
     EditScript,
     FLATTENED_CONFIG,
     MalformedObject,
-    Transaction,
     apriori,
     csed,
     format_local,
     format_local_grouped,
+)
+from cee.explain import (
+    AssociationRule,
+    Transaction,
+    id_frequency_table,
     mine_rules,
+    read_transactions,
+    split_replace_token,
     write_transactions,
 )
-from cee.explain import AssociationRule, id_frequency_table, read_transactions, split_replace_token
 
 
 def _script(*ops):

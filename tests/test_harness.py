@@ -12,9 +12,7 @@ from cee import (
     corrupt,
     delete_cost,
     evaluate_story,
-    generate_story,
     golden_story_pair,
-    random_spec,
 )
 from cee.harness import (
     ATTR_DRIFT,
@@ -23,9 +21,11 @@ from cee.harness import (
     OBJECT_DROP,
     CorruptionOp,
     CorruptionSpec,
+    generate_story,
     leaf_fix_cost,
     random_multiset,
     random_object,
+    random_spec,
     random_taxonomy,
 )
 from cee.story import semantic_loss_table

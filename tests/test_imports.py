@@ -1,9 +1,11 @@
 """Every imported name is used, unless its import line says ``# noqa: F401``;
-the package exports only names with a caller; README's quickstart runs."""
+the package exports only names with a caller; README's quickstart and its
+experiment pipeline run."""
 
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -113,3 +115,23 @@ def test_readme_quickstart_runs_as_written(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_readme_experiment_pipeline_runs_as_written(tmp_path):
+    block = README.split("## Experiments", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["cee", "gen-synthetic"], ["cee", "eval-story"], ["cee", "explain"], ["cee", "selftest"],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cee.cli", *argv[1:]],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+    out = tmp_path / "out" / "synthetic_story"
+    for name in ("generated.jsonl", "ground_truth.jsonl", "manifest.json",
+                 "story_metrics.csv", "transactions.jsonl", "rules.csv"):
+        assert (out / name).is_file(), name
+    assert proc.stdout.endswith("3 passed, 0 failed, 0 skipped\n")

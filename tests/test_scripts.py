@@ -1,15 +1,11 @@
-"""Smoke runs of the example scripts, which call the readers and the
+"""Smoke runs of the threshold-sweep script, which calls the readers and the
 threshold solver the same way an outside user would."""
 
-import dataclasses
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from cee.scene import CENSUS_HEADER
 
@@ -22,42 +18,6 @@ def _run(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_synthetic_story_experiment_recovers_every_prediction(tmp_path):
-    proc = _run(
-        "run_synthetic_story_experiment.py", "--n-stories", "10",
-        "--out-dir", str(tmp_path / "out"), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "prediction misses : 0" in proc.stdout
-
-
-@pytest.mark.parametrize(
-    "field,wrong",
-    [
-        ("cl_trace", lambda impact: impact.cl_trace[:-1] + (impact.cl_trace[-1] + 1.0,)),
-        ("avg_cl", lambda impact: impact.avg_cl + 1.0),
-    ],
-)
-def test_synthetic_story_experiment_checks_the_whole_prediction(
-    field, wrong, tmp_path, monkeypatch, capsys
-):
-    path = ROOT / "scripts" / "run_synthetic_story_experiment.py"
-    spec = importlib.util.spec_from_file_location("run_synthetic_story_experiment", path)
-    experiment = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(experiment)
-    real = experiment.corrupt
-
-    def off_in_one_field(story, corruption, cfg):
-        corrupted, impact = real(story, corruption, cfg)
-        return corrupted, dataclasses.replace(impact, **{field: wrong(impact)})
-
-    monkeypatch.setattr(experiment, "corrupt", off_in_one_field)
-    assert experiment.main(["--n-stories", "3", "--out-dir", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert "prediction misses : 3" in captured.out
-    assert captured.err.count("MISMATCH") == 3
 
 
 def test_threshold_sweep_on_random_corpus(tmp_path):

@@ -24,20 +24,17 @@ from cee import (
     csed,
     evaluate_story,
     frame_csed,
-    generate_story,
-    global_aggregate,
     golden_story_pair,
     load_taxonomy,
     read_stories,
     resolve_taxonomy,
     story_loss,
     validate_object,
-    write_stories,
 )
-from cee.story import semantic_loss_table
+from cee.story import global_aggregate, semantic_loss_table, write_stories
 from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
 from cee import edits
-from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, random_object
+from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, generate_story, random_object
 from cee.cli import main as cli_main
 
 
