@@ -277,11 +277,18 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
     report = []
     files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
+    # an image's line per passing count: equal counts pass equal sets (solve_thresholds)
+    lines: dict[tuple[str, int], str] = {}
     for t_d, samples, scripts in solve_thresholds(detections, targets, cfg.thresholds, tax, cost):
         report.append((t_d, operation_census(scripts)))
-        text = "".join(Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
-                       for s, script in zip(samples, scripts))
-        files.append((f"transactions_td{format_cost(t_d)}.jsonl", text))
+        text = []
+        for s, script in zip(samples, scripts):
+            key = (s.image_id, len(s.generated))
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
+            text.append(line)
+        files.append((f"transactions_td{format_cost(t_d)}.jsonl", "".join(text)))
     for name, text in files:  # only once every threshold solved: a failed run writes nothing
         _write(cfg.out_dir, name, text)
     census_text = _emit(cfg, "census", CENSUS_COLUMNS, census_rows(report))

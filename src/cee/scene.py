@@ -37,7 +37,7 @@ class DetectionRecord:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSample:
     image_id: str
     generated: ConceptMultiset
@@ -87,21 +87,34 @@ def solve_thresholds(
     tax: Taxonomy,
     cfg: CostConfig = PATH_CONFIG,
 ) -> Iterator[tuple[float, list[SceneSample], list[EditScript]]]:
-    """Joined samples and their edit scripts, one threshold at a time; each
-    (image, threshold) is solved once.
+    """Joined samples and their edit scripts, one threshold at a time, as
+    ``build_samples`` and ``scene_csed`` give them; each distinct (image,
+    passing detections) is built and solved once.
 
-    Raw detection confidences are kept so each threshold re-filters from
-    scratch; thresholds are deduplicated and yielded in ascending order. All
-    thresholds are checked before the first is solved.
+    Thresholds are deduplicated and yielded in ascending order. All
+    thresholds are checked before the first is solved. An image's passing
+    detections only shrink as the threshold rises, so a threshold that
+    passes as many of them as the one before passes the same ones: the
+    image keeps that threshold's sample and script, shared, not rebuilt.
     """
     ts = sorted({_check_threshold(t) for t in thresholds})
     if not ts:
         raise ValueError("no thresholds given")
+    ids = sorted(detections.keys() & targets.keys())
+    if not ids:
+        raise EmptyCorpus("no image ids shared between detections and targets")
+    passing = [-1] * len(ids)  # per image, at the threshold its sample was built for
+    samples: list = [None] * len(ids)
+    scripts: list = [None] * len(ids)
     for t_d in ts:
-        samples = build_samples(detections, targets, t_d)
-        if not samples:
-            raise EmptyCorpus("no image ids shared between detections and targets")
-        yield t_d, samples, [scene_csed(sample, tax, cfg) for sample in samples]
+        for k, image_id in enumerate(ids):
+            kept = [rec.concept for rec in detections[image_id] if rec.confidence >= t_d]
+            if len(kept) != passing[k]:
+                passing[k] = len(kept)
+                concepts = ConceptMultiset._from_normalized(kept)
+                samples[k] = SceneSample(image_id, concepts, targets[image_id])
+                scripts[k] = scene_csed(samples[k], tax, cfg)
+        yield t_d, samples[:], scripts[:]
 
 
 def corpus_report(

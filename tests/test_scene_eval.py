@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,20 @@ from cee import (
     read_detections,
     read_targets,
 )
-from cee.scene import CENSUS_HEADER, DetectionRecord, SceneSample, corpus_report, scene_csed
-from cee import scene, taxonomy
+from cee.edits import csed, format_cost
+from cee.explain import Transaction
+from cee.scene import (
+    CENSUS_COLUMNS,
+    CENSUS_HEADER,
+    DetectionRecord,
+    SceneSample,
+    census_rows,
+    corpus_report,
+    scene_csed,
+    solve_thresholds,
+)
+from cee import cli, scene, taxonomy
+from cee.taxonomy import COST_PROFILES, resolve_taxonomy
 
 
 def det(image_id, concept, confidence):
@@ -39,6 +53,13 @@ def test_detection_confidence_range_enforced():
         det("i", "car", 1.2)
     with pytest.raises(ValueError):
         det("i", "car", -0.1)
+
+
+def test_sample_is_frozen():
+    # solve_thresholds shares one sample between thresholds that pass the same detections
+    sample = SceneSample(image_id="i", generated=ConceptMultiset(), target=ConceptMultiset(["car"]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.generated = ConceptMultiset(["car"])
 
 
 def test_sample_requires_nonempty_target():
@@ -306,3 +327,165 @@ def test_threshold_monotonicity(seed, street):
     report = corpus_report(detections, targets, thresholds, street, PATH_CONFIG)
     inserts = [census.n_insert for _, census in report]
     assert inserts == sorted(inserts)
+
+
+# -- threshold sweep: each distinct (image, passing detections) once ----------------
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _eval_scene(tmp_path, detections, targets, thresholds, *options):
+    """Runs ``cee eval-scene`` on rows of detections and targets; returns its
+    exit code and the paths of its inputs and output directory."""
+    det_path, tgt_path, out = tmp_path / "det.jsonl", tmp_path / "tgt.jsonl", tmp_path / "out"
+    _write_rows(det_path, detections)
+    _write_rows(tgt_path, targets)
+    argv = ["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+            *options, *(f"--threshold={t}" for t in thresholds), "--out-dir", str(out)]
+    return cli.main(argv), det_path, tgt_path, out
+
+
+def _reference_sweep(det_path, tgt_path, thresholds, profile, fmt):
+    """eval-scene's output files by name, built threshold by threshold: every
+    sample is filtered and solved anew, on a taxonomy of its own."""
+    tax = resolve_taxonomy("street")
+    cost = COST_PROFILES[profile]
+    detections, targets = read_detections(det_path, tax), read_targets(tgt_path, tax)
+    distinct: list[float] = []
+    for t in map(float, thresholds):
+        if t not in distinct:  # 0.0 and -0.0 are one threshold, written as the first given
+            distinct.append(t)
+    files, report = {}, []
+    for t_d in sorted(distinct):
+        samples = build_samples(detections, targets, t_d)
+        scripts = [csed(s.generated, s.target, tax, cost) for s in samples]
+        report.append((t_d, operation_census(scripts)))
+        files[f"transactions_td{format_cost(t_d)}.jsonl"] = "".join(
+            Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
+            for s, script in zip(samples, scripts)
+        )
+    files[f"census.{cli._EXT[fmt]}"] = cli.render_table(CENSUS_COLUMNS, census_rows(report), fmt)
+    return files
+
+
+def _detections(image_id, *pairs):
+    return {"image_id": image_id,
+            "detections": [{"concept": c, "confidence": conf} for c, conf in pairs]}
+
+
+# confidences on a grid of tenths, so they often equal a threshold and each other
+_EDGE_DETECTIONS = [
+    _detections("at", ("car", 0.5), ("truck", 0.7), ("person", 0.3)),  # each equals a threshold
+    _detections("tied", ("car", 0.6), ("truck", 0.6), ("light", 0.6)),
+    _detections("none"),
+    _detections("dups", ("car", 0.9), ("car", 0.9), ("car", 0.4), ("truck", 0.0)),
+    _detections("zero", ("person", 0.0), ("person", -0.0)),
+    _detections("all", ("light", 1.0), ("buildings", 0.95)),
+    _detections("det-only", ("car", 0.9)),
+]
+_EDGE_TARGETS = [
+    {"image_id": "at", "concepts": ["car", "vehicle"]},
+    {"image_id": "tied", "concepts": ["truck"]},
+    {"image_id": "none", "concepts": ["light", "light"]},
+    {"image_id": "dups", "concepts": ["car", "car", "stop sign"]},
+    {"image_id": "zero", "concepts": ["person"]},
+    {"image_id": "all", "concepts": ["illumination", "structure"]},
+    {"image_id": "tgt-only", "concepts": ["car"]},
+]
+
+
+def _random_rows(rng, n_images):
+    """Rows over a few street concepts, so images repeat a concept; about one
+    image in eight detects nothing."""
+    pool = ["car", "truck", "vehicle", "light", "traffic light", "person"]
+    detections, targets = [], []
+    for i in range(n_images):
+        image_id = f"img-{i:04d}"
+        n = 0 if rng.random() < 0.125 else rng.randint(1, 7)
+        detections.append(_detections(
+            image_id, *((rng.choice(pool), rng.randint(0, 10) / 10) for _ in range(n))
+        ))
+        targets.append({"image_id": image_id,
+                        "concepts": [rng.choice(pool) for _ in range(rng.randint(1, 4))]})
+    return detections, targets
+
+
+@pytest.mark.parametrize("profile,fmt", [("path", "csv"), ("flattened", "markdown")])
+@pytest.mark.parametrize(
+    "corpus,thresholds",
+    [
+        pytest.param("edges", ["0.7", "0.5", "0.5", "0", "-0.0", "0.3", "1"], id="edges"),
+        pytest.param("edges", ["-0.0", "0.6", "0"], id="edges-negative-zero-first"),
+        pytest.param("random", ["0.9", "0.1", "0.5", "0.3", "0.7"], id="random-320"),
+    ],
+)
+def test_eval_scene_matches_a_sweep_solved_threshold_by_threshold(
+    corpus, thresholds, profile, fmt, tmp_path, capsys
+):
+    if corpus == "edges":
+        detections, targets = _EDGE_DETECTIONS, _EDGE_TARGETS
+    else:  # enough images that lines keyed on freed objects' ids would land on other images
+        detections, targets = _random_rows(random.Random(11), 320)
+    rc, det_path, tgt_path, out = _eval_scene(
+        tmp_path, detections, targets, thresholds, "--cost-profile", profile, "--format", fmt
+    )
+    assert rc == 0
+    expected = _reference_sweep(det_path, tgt_path, thresholds, profile, fmt)
+    written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+    assert written == expected
+    assert capsys.readouterr().out == expected[f"census.{cli._EXT[fmt]}"]
+
+
+def test_eval_scene_solves_and_renders_each_distinct_passing_set_once(tmp_path, monkeypatch):
+    detections = [
+        _detections("all", ("car", 0.95), ("truck", 1.0)),  # passes every threshold
+        _detections("steps", ("car", 0.15), ("car", 0.35), ("truck", 0.55)),  # 3, 2, 1, 0, 0
+        _detections("none"),
+        _detections("tied", ("car", 0.5), ("truck", 0.5)),  # 2, 2, 2, 0, 0
+    ]
+    targets = [{"image_id": i, "concepts": ["car"]} for i in ("all", "steps", "none", "tied")]
+    solved, rendered = [], []
+    real_solve, real_render = scene.scene_csed, Transaction.to_json
+    monkeypatch.setattr(scene, "scene_csed",
+                        lambda sample, *a: solved.append(sample.image_id) or real_solve(sample, *a))
+    monkeypatch.setattr(Transaction, "to_json",
+                        lambda self: rendered.append(self.id) or real_render(self))
+    rc, *_, out = _eval_scene(tmp_path, detections, targets, ["0.1", "0.3", "0.5", "0.7", "0.9"])
+    assert rc == 0
+    expected = {"all": 1, "steps": 4, "none": 1, "tied": 2}
+    assert Counter(solved) == expected
+    assert Counter(rendered) == expected
+    files = sorted(out.glob("transactions_td*.jsonl"))
+    assert [len(p.read_text(encoding="utf-8").splitlines()) for p in files] == [4] * 5
+
+
+def test_solve_thresholds_shares_the_sample_and_script_of_an_unchanged_image(street):
+    detections = {"a": [det("a", "car", 0.9)], "b": [det("b", "car", 0.4)]}
+    targets = {"a": ConceptMultiset(["car"]), "b": ConceptMultiset(["truck"])}
+    (_, low, low_scripts), (_, high, high_scripts) = solve_thresholds(
+        detections, targets, [0.3, 0.5], street
+    )
+    assert high[0] is low[0] and high_scripts[0] is low_scripts[0]
+    assert high[1] is not low[1] and len(high[1].generated) == 0
+
+
+def test_solve_thresholds_checks_every_threshold_before_the_first_solve(street, monkeypatch):
+    solved = []
+    monkeypatch.setattr(scene, "scene_csed", lambda *args: solved.append(args))
+    detections, targets = _toy_corpus()
+    with pytest.raises(ValueError, match=r"^threshold 1\.5 outside \[0, 1\]$"):
+        next(solve_thresholds(detections, targets, [0.5, 0.7, 1.5], street))
+    assert solved == []
+
+
+def test_eval_scene_with_a_bad_last_threshold_solves_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    solved = []
+    monkeypatch.setattr(scene, "scene_csed", lambda *args: solved.append(args))
+    rc, *_, out = _eval_scene(tmp_path, _EDGE_DETECTIONS, _EDGE_TARGETS, ["0.5", "0.7", "1.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith("error: threshold 1.5 outside [0, 1]\n")
+    assert solved == [] and not out.exists()
