@@ -336,8 +336,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cfg, cost = _merge_config(args)
-    if not cost.flattened:
-        raise ValueError("gen-synthetic requires a flattened cost profile")
     n_stories, length = args.n_stories, args.length
     if n_stories < 1:
         raise ValueError(f"--n-stories must be at least 1, got {n_stories}")

@@ -9,10 +9,12 @@ attribute hamming distances, so expected values never touch the edit engine.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import permutations
 
-from .edits import ConceptMultiset
-from .errors import SpecOutOfRange
+from .edits import BRUTE_FORCE_LIMIT, ConceptMultiset
+from .errors import InstanceTooLarge, SpecOutOfRange
 from .story import ATTRIBUTES, N_CONCEPTS, ClevrObject, Story, StoryMetrics
 from .scene import DetectionRecord
 from .taxonomy import REPLACE_SHORTEST_PATH, CostConfig, Taxonomy
@@ -177,27 +179,27 @@ def _frame_cost(
     """Exact flattened frame-to-frame cost without the edit engine.
 
     Surplus objects are deleted attribute by attribute, missing ones
-    inserted, and the survivors pair up through a min-cost assignment over
-    hamming distances; pairing is never worse than a delete/insert round
-    trip because the per-attribute fix cost is bounded by it.
+    inserted, and the survivors pair up at the least hamming sum; pairing is
+    never worse than a delete/insert round trip because the per-attribute fix
+    cost is bounded by it.
 
-    The assignment is scipy's, not the engine's, so the prediction stays
-    independent. numpy and scipy are imported on the first call, so only the
-    commands that reach the harness (gen-synthetic, selftest) load them.
+    Shared objects are paired first and only the rest is searched, which is
+    exact because hamming distance is a metric: if an optimum pairs x with y
+    and x's copy x' with z (or leaves x' unpaired), pairing x with x' and z
+    with y (or leaving y unpaired) costs d(z, y) <= d(z, x') + d(x, y), so
+    some optimum pairs every shared object. The search shares no code with
+    the engine, so the prediction stays independent. ``corrupt()`` leaves at
+    most three objects; over ``BRUTE_FORCE_LIMIT`` raises ``InstanceTooLarge``.
     """
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
     n, m = len(gen), len(target)
     cost = N_CONCEPTS * cfg.delete_weight * max(n - m, 0)
     cost += N_CONCEPTS * cfg.insert_weight * max(m - n, 0)
-    if n and m:
-        grid = np.array(
-            [[_hamming(g, t) for t in target] for g in gen], dtype=float
-        )
-        rows, cols = linear_sum_assignment(grid)
-        cost += leaf_fix_cost(cfg) * float(grid[rows, cols].sum())
-    return cost
+    g, t = Counter(gen), Counter(target)
+    small, large = sorted((list((g - t).elements()), list((t - g).elements())), key=len)
+    if len(small) + len(large) > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLarge(len(small) + len(large), BRUTE_FORCE_LIMIT)
+    return cost + leaf_fix_cost(cfg) * min(
+        sum(map(_hamming, small, p)) for p in permutations(large, len(small)))
 
 
 def _first_frame_penalty(frame: list[ClevrObject]) -> float:

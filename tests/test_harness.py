@@ -1,12 +1,15 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cee import (
     ClevrObject,
     FLATTENED_CONFIG,
+    InstanceTooLarge,
     PATH_CONFIG,
     SpecOutOfRange,
     corrupt,
@@ -14,13 +17,17 @@ from cee import (
     evaluate_story,
     golden_story_pair,
 )
+from cee.edits import BRUTE_FORCE_LIMIT
 from cee.harness import (
     ATTR_DRIFT,
     ATTR_REPLACE,
+    COLORS,
     OBJECT_ADD,
     OBJECT_DROP,
     CorruptionOp,
     CorruptionSpec,
+    _frame_cost,
+    _hamming,
     generate_story,
     leaf_fix_cost,
     random_multiset,
@@ -28,7 +35,7 @@ from cee.harness import (
     random_spec,
     random_taxonomy,
 )
-from cee.story import semantic_loss_table
+from cee.story import N_CONCEPTS, semantic_loss_table
 
 
 def drop(frame):
@@ -212,6 +219,52 @@ def test_evaluator_recovers_predicted_impact(seed, cfg_index, clevr):
     assert tuple(metrics.cl_per_frame) == pytest.approx(impact.cl_trace, abs=1e-9)
     assert metrics.cl_flags == impact.cl_flags
     assert metrics.avg_cl == impact.avg_cl
+
+
+def _scipy_frame_cost(gen, target, cfg):
+    """The harness's former route: a full hamming grid solved by scipy."""
+    n, m = len(gen), len(target)
+    cost = N_CONCEPTS * cfg.delete_weight * max(n - m, 0)
+    cost += N_CONCEPTS * cfg.insert_weight * max(m - n, 0)
+    if n and m:
+        grid = np.array([[_hamming(g, t) for t in target] for g in gen], dtype=float)
+        rows, cols = linear_sum_assignment(grid)
+        cost += leaf_fix_cost(cfg) * float(grid[rows, cols].sum())
+    return cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pool_size=st.integers(min_value=1, max_value=4),
+)
+def test_frame_cost_matches_scipy_assignment(seed, pool_size):
+    # small pools make shared and duplicate objects common, which is where
+    # cancelling equal objects before the search could go wrong
+    rng = random.Random(seed)
+    pool = [random_object(rng) for _ in range(pool_size)]
+    gen = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+    target = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+    for cfg in WEIGHT_GRID:
+        assert _frame_cost(gen, target, cfg) == _scipy_frame_cost(gen, target, cfg)
+
+
+def test_frame_cost_cancels_many_shared_objects():
+    shared = ClevrObject("large", "blue", "rubber", "cube")
+    gen = [shared] * 40 + [ClevrObject("small", "red", "metallic", "sphere"),
+                           ClevrObject("large", "red", "rubber", "sphere")]
+    target = [shared] * 40 + [ClevrObject("large", "red", "rubber", "cylinder")]
+    cost = _frame_cost(gen, target, FLATTENED_CONFIG)
+    assert cost == 4.0 + 2.0 * 1  # one object deleted, one shape fixed
+    assert cost == _scipy_frame_cost(gen, target, FLATTENED_CONFIG)
+
+
+def test_frame_cost_rejects_an_oversize_residue():
+    gen = [ClevrObject("large", color, "rubber", "cube") for color in COLORS[:7]]
+    target = [ClevrObject("small", color, "rubber", "cube") for color in COLORS[:6]]
+    with pytest.raises(InstanceTooLarge) as info:
+        _frame_cost(gen, target, FLATTENED_CONFIG)
+    assert (info.value.size, info.value.limit) == (13, BRUTE_FORCE_LIMIT)
 
 
 def test_random_spec_is_always_valid():
