@@ -5,15 +5,15 @@ Evaluates generative models by computing minimum-cost concept edit scripts
 target concept sets, aggregating them into story and scene metrics, and
 mining the scripts for global explanation rules.
 
-The package exports a name when README documents it, a script under
-``scripts/`` imports it, or it is an exception type; ``ClevrObject`` is
-exported so library code can build its own stories. Every other name stays
-in its module. ``__all__`` is derived from the imports below.
+The package exports a name when README documents it or it is an exception
+type, which callers catch; ``ClevrObject`` is exported so library code can
+build its own stories. Every other name stays in its module. ``__all__`` is
+derived from the imports below.
 """
 
 import types as _types
 
-from .edits import ConceptMultiset, EditOp, EditScript, brute_force_csed, csed, operation_census
+from .edits import ConceptMultiset, EditOp, EditScript, brute_force_csed, csed
 from .errors import (
     CeeError,
     CycleDetected,
@@ -30,9 +30,9 @@ from .errors import (
     UncategorizedConcept,
     UnknownConcept,
 )
-from .explain import apriori, format_local, format_local_grouped
-from .harness import corrupt, golden_story_pair, random_scene_corpus, recovery_mismatch
-from .scene import build_samples, census_csv, read_detections, read_targets, solve_thresholds
+from .explain import apriori, format_local
+from .harness import corrupt, golden_story_pair, recovery_mismatch
+from .scene import build_samples, read_detections, read_targets, solve_thresholds
 from .story import (
     ClevrObject,
     Story,
@@ -45,7 +45,6 @@ from .story import (
 )
 from .taxonomy import (
     FLATTENED_CONFIG,
-    PATH_CONFIG,
     CostConfig,
     Taxonomy,
     clevr_taxonomy,

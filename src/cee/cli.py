@@ -2,9 +2,11 @@
 
 Subcommands mirror the workflows: ``eval-story`` (per-story and corpus
 metrics plus an edit-transaction dump), ``eval-scene`` (operation census over
-detection thresholds), ``explain`` (association rules and insert/delete
-frequency tables), ``gen-synthetic`` (seeded corpora with known expected
-losses), and ``selftest`` (embedded oracle, golden, and recovery suites).
+detection thresholds; ``--show-scripts N`` adds the grouped edit scripts of
+each threshold's N costliest images), ``explain`` (association rules and
+insert/delete frequency tables), ``gen-synthetic`` (seeded corpora with known
+expected losses), and ``selftest`` (embedded oracle, golden, and recovery
+suites).
 
 All outputs are deterministic for fixed inputs and seed: ids are sorted,
 floats use fixed formats, and no timestamps or timings are emitted.
@@ -29,6 +31,7 @@ from .edits import brute_force_csed, csed, format_cost, operation_census
 from .errors import CeeError, EmptyCorpus
 from .explain import (
     Transaction,
+    format_local_grouped,
     id_frequency_table,
     mine_rules,
     read_transactions,
@@ -84,7 +87,8 @@ class RunConfig:
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a ``RunConfig`` annotation; a bool is not a number."""
+    """Whether a JSON value fits a ``RunConfig`` annotation; a bool is not a number.
+    An int too large for a float raises ``OverflowError`` here, not where it is used."""
     if typing.get_origin(hint) is types.UnionType:
         return any(_conforms(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -93,6 +97,8 @@ def _conforms(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
+        if isinstance(value, int):
+            float(value)  # raises OverflowError for an int too large for a float
         return isinstance(value, (int, float))
     return isinstance(value, hint)
 
@@ -106,7 +112,7 @@ def _merge_config(
     if getattr(args, "config", None):
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
@@ -115,7 +121,11 @@ def _merge_config(
             raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(RunConfig)
         for key, value in file_values.items():
-            if not _conforms(value, hints[key]):
+            try:
+                conforms = _conforms(value, hints[key])
+            except OverflowError as exc:
+                raise ValueError(f"{args.config}: {key!r}: {exc}") from exc
+            if not conforms:
                 raise ValueError(
                     f"{args.config}: {key!r} must be {inspect.formatannotation(hints[key])}, "
                     f"got {json.dumps(value)}"
@@ -269,6 +279,8 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_scene(args: argparse.Namespace) -> int:
+    if args.show_scripts < 0:
+        raise ValueError(f"--show-scripts must be at least 0, got {args.show_scripts}")
     cfg, cost = _merge_config(args, scene_defaults=True)
     tax = cfg.load_taxonomy()
     detections = read_detections(args.detections, tax)
@@ -279,8 +291,12 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
     # an image's line per passing count: equal counts pass equal sets (solve_thresholds)
     lines: dict[tuple[str, int], str] = {}
+    costliest = []  # (threshold, [(script, sample)]) when --show-scripts asks for them
     for t_d, samples, scripts in solve_thresholds(detections, targets, cfg.thresholds, tax, cost):
         report.append((t_d, operation_census(scripts)))
+        if args.show_scripts:  # samples come in image-id order, and sorted() keeps it on ties
+            ranked = sorted(zip(scripts, samples), key=lambda pair: -pair[0].total_cost)
+            costliest.append((t_d, ranked[: args.show_scripts]))
         text = []
         for s, script in zip(samples, scripts):
             key = (s.image_id, len(s.generated))
@@ -293,6 +309,11 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
         _write(cfg.out_dir, name, text)
     census_text = _emit(cfg, "census", CENSUS_COLUMNS, census_rows(report))
     print(census_text, end="")
+    for t_d, shown in costliest:
+        print(f"# costliest images at threshold {format_cost(t_d)}")
+        for script, sample in shown:
+            print(f"image {sample.image_id} (cost {format_cost(script.total_cost)})")
+            print(format_local_grouped(script))
     return 0
 
 
@@ -502,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("targets", help="target concept sets (JSON lines)")
     p.add_argument("--threshold", dest="thresholds", action="append", type=float,
                    help="detection confidence cut; repeatable")
+    p.add_argument("--show-scripts", dest="show_scripts", type=int, default=0, metavar="N",
+                   help="print the grouped edit scripts of each threshold's N costliest images")
     p.set_defaults(func=cmd_eval_scene)
 
     p = sub.add_parser("explain", parents=[common],

@@ -138,6 +138,7 @@ def _read_jsonl(
                         raise MalformedObject(f"duplicate {unique} id {record_id!r}")
                     seen.add(record_id)
                 items.append(build(record))
-            except (MalformedObject, UnknownConcept, ValueError, TypeError) as exc:
+            except (MalformedObject, UnknownConcept, ValueError, TypeError,
+                    OverflowError, RecursionError) as exc:  # nested too deep, or an int too large
                 raise MalformedObject(f"{path}:{number}: {exc}") from exc
     return items

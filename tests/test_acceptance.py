@@ -14,7 +14,6 @@ from itertools import combinations
 from cee import (
     ConceptMultiset,
     FLATTENED_CONFIG,
-    PATH_CONFIG,
     apriori,
     brute_force_csed,
     build_samples,
@@ -22,11 +21,17 @@ from cee import (
     corrupt,
     csed,
     evaluate_story,
-    random_scene_corpus,
 )
 from cee.explain import mine_rules
-from cee.harness import generate_story, random_multiset, random_spec, random_taxonomy
+from cee.harness import (
+    generate_story,
+    random_multiset,
+    random_scene_corpus,
+    random_spec,
+    random_taxonomy,
+)
 from cee.scene import corpus_report
+from cee.taxonomy import PATH_CONFIG
 
 
 VERDICTS: list[str] = []

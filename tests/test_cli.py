@@ -185,6 +185,27 @@ def test_crlf_input_reads_like_lf(golden_corpus, tmp_path):
 # -- eval-scene -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("case", ["threshold-out-of-range", "unknown-concept", "missing-detections"])
+def test_eval_scene_bad_run_input_names_it(case, tmp_path, capsys):
+    det_path, tgt_path = tmp_path / "det.jsonl", tmp_path / "tgt.jsonl"
+    _write_detections(tgt_path, STREET_TARGETS)
+    if case == "threshold-out-of-range":
+        _write_detections(det_path, STREET_DETECTIONS)
+        extra, message = ["--threshold", "1.5"], "threshold 1.5 outside [0, 1]"
+    elif case == "unknown-concept":
+        _write_detections(det_path, [{"image_id": "fig", "detections": [
+            {"concept": "zebra", "confidence": 0.9}]}])
+        extra, message = [], f"{det_path}:1: concept 'zebra' is not in the taxonomy"
+    else:
+        extra, message = [], f"[Errno 2] No such file or directory: '{det_path}'"
+    out = tmp_path / "out"
+    rc = cli.main(["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street", *extra,
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_eval_scene_census(tmp_path, capsys):
     det_path = tmp_path / "det.jsonl"
     tgt_path = tmp_path / "tgt.jsonl"
@@ -372,6 +393,58 @@ def test_eval_scene_census_text_is_pinned(fmt, ext, tmp_path, capsys):
     assert written == {f"census.{ext}": PINNED_CENSUS[fmt], **PINNED_TRANSACTIONS}
 
 
+@pytest.mark.parametrize("n", ["1", "3"])  # the street fixture holds one image
+def test_eval_scene_show_scripts_is_pinned(n, tmp_path, capsys):
+    det_path, tgt_path = tmp_path / "det.jsonl", tmp_path / "tgt.jsonl"
+    _write_detections(det_path, STREET_DETECTIONS)
+    _write_detections(tgt_path, STREET_TARGETS)
+    argv = ["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+            "--threshold", "0.75", "--threshold", "0.6"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
+    census = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--show-scripts", n, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == census + (
+        "# costliest images at threshold 0.6\n"
+        "image fig (cost 14)\n"
+        "I: { }\n"
+        "D: {'car','car','car'}\n"
+        "R: {'stop sign'→'buildings','traffic light'→'light'}\n"
+        "# costliest images at threshold 0.75\n"
+        "image fig (cost 12)\n"
+        "I: { }\n"
+        "D: {'car','car'}\n"
+        "R: {'stop sign'→'buildings','traffic light'→'light'}\n"
+    )
+    # the scripts go to stdout only: the files are those of a run without the flag
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == plain
+
+
+def test_eval_scene_show_scripts_orders_by_cost_then_image_id(tmp_path, capsys):
+    det_path, tgt_path = tmp_path / "det.jsonl", tmp_path / "tgt.jsonl"
+    _write_detections(det_path, PINNED_DETECTIONS)
+    _write_detections(tgt_path, PINNED_TARGETS)
+    rc = cli.main(["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+                   "--threshold", "0.5", "--show-scripts", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    # a and b both cost 6 at 0.5, so a comes first; c costs 5 and is left out
+    shown = capsys.readouterr().out.split("# costliest images at threshold 0.5\n")[1]
+    assert [line for line in shown.splitlines() if line.startswith("image")] == [
+        "image a (cost 6)", "image b (cost 6)",
+    ]
+
+
+def test_eval_scene_negative_show_scripts_reads_and_writes_nothing(tmp_path, capsys):
+    # the inputs do not exist, so reading either would fail with another message
+    out = tmp_path / "out"
+    rc = cli.main(["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
+                   "--show-scripts", "-1", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: --show-scripts must be at least 0, got -1\n")
+    assert not out.exists()
+
+
 # -- explain ---------------------------------------------------------------------
 
 
@@ -517,7 +590,11 @@ UNKNOWN_SCENE_CONCEPTS = [
     ("target-unknown-on-joined-id",
      [GOOD_DETECTIONS, '{"image_id": "a", "concepts": ["car", "zebra"]}'],
      1, 1),
+    ("detection-unknown-on-joined-id",
+     ['{"image_id": "a", "detections": [{"concept": "zebra", "confidence": 0.9}]}', GOOD_TARGETS],
+     0, 1),
 ]
+NESTED_TOO_DEEP = "[" * 100000 + "]" * 100000  # past the JSON parser's recursion limit
 
 
 @pytest.mark.parametrize(
@@ -605,6 +682,24 @@ UNKNOWN_SCENE_CONCEPTS = [
             ["eval-story"], [GOOD_STORY, GOOD_STORY + '\n{"id": "t", "frames": []}'],
             1, 2, id="story-without-frames-on-unjoined-id",
         ),
+        pytest.param(
+            ["eval-story"], [GOOD_STORY, GOOD_STORY + "\n" + NESTED_TOO_DEEP],
+            1, 2, id="story-line-nested-too-deep",
+        ),
+        pytest.param(
+            SCENE, [NESTED_TOO_DEEP, GOOD_TARGETS],
+            0, 1, id="detection-line-nested-too-deep",
+        ),
+        pytest.param(
+            ["explain"], ['{"id": "t1", "edits": []}\n' + NESTED_TOO_DEEP],
+            0, 2, id="transaction-line-nested-too-deep",
+        ),
+        pytest.param(
+            SCENE,
+            [json.dumps({"image_id": "a", "detections": [{"concept": "car", "confidence": 10**400}]}),
+             GOOD_TARGETS],
+            0, 1, id="detection-confidence-too-large-for-a-float",
+        ),
         *(pytest.param(SCENE, texts, bad_file, bad_line, id=case)
           for case, texts, bad_file, bad_line in UNKNOWN_SCENE_CONCEPTS),
     ],
@@ -613,8 +708,9 @@ def test_malformed_line_names_path_and_line(command, texts, bad_file, bad_line, 
     paths = _write_inputs(tmp_path, texts)
     out = tmp_path / "out"
     rc = cli.main([command[0], *paths, *command[1:], "--out-dir", str(out)])
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     assert rc == 2
+    assert stdout == ""
     assert err.startswith(f"error: {paths[bad_file]}:{bad_line}: ")
     assert "Traceback" not in err
     assert not out.exists()
@@ -846,16 +942,20 @@ def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
     "content,detail",
     [
         pytest.param(b"a\tb\nb\ta\n", "cycle detected through concept 'a'", id="cycle"),
-        pytest.param(b"!root\tr\na\tr\xff\n", "'utf-8' codec can't decode byte 0xff",
-                     id="non-utf8"),
+        pytest.param(b"!root\tr\na\tr\xff\n", "'utf-8' codec can't decode byte 0xff in "
+                     "position 11: invalid start byte", id="non-utf8"),
     ],
 )
-def test_bad_taxonomy_file_names_the_file(content, detail, tmp_path, capsys):
+@pytest.mark.parametrize("command", [["selftest"], ["eval-scene", "det.jsonl", "tgt.jsonl"]])
+def test_bad_taxonomy_file_names_the_file(command, content, detail, tmp_path, capsys):
+    # eval-scene loads the taxonomy before it reads its inputs, which need not exist
     bad = tmp_path / "bad.tax"
     bad.write_bytes(content)
-    rc = cli.main(["selftest", "--taxonomy", str(bad)])
+    out = tmp_path / "out"
+    rc = cli.main([*command, "--taxonomy", str(bad), "--out-dir", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
+    assert capsys.readouterr() == ("", f"error: {bad}: {detail}\n")
+    assert not out.exists()
 
 
 def test_selftest_golden_mismatch_fails(monkeypatch, capsys):
@@ -939,33 +1039,52 @@ def test_json_format_output(golden_corpus, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key,value,expected",
+    "command", [["selftest"], ["eval-scene", "det.jsonl", "tgt.jsonl"]]
+)
+@pytest.mark.parametrize(
+    "key,value,message",
     [
-        pytest.param("delete_weight", "2", "float | None", id="weight-a-string"),
-        pytest.param("delete_weight", True, "float | None", id="weight-a-bool"),
-        pytest.param("min_support", "0.1", "float", id="support-a-string"),
-        pytest.param("thresholds", 0.5, "tuple[float, ...]", id="thresholds-not-a-list"),
+        pytest.param("delete_weight", "2", "'delete_weight' must be float | None, got \"2\"",
+                     id="weight-a-string"),
+        pytest.param("delete_weight", True, "'delete_weight' must be float | None, got true",
+                     id="weight-a-bool"),
+        pytest.param("min_support", "0.1", "'min_support' must be float, got \"0.1\"",
+                     id="support-a-string"),
+        pytest.param("thresholds", 0.5, "'thresholds' must be tuple[float, ...], got 0.5",
+                     id="thresholds-not-a-list"),
+        pytest.param("delete_weight", 10**400, "'delete_weight': int too large to convert to float",
+                     id="weight-too-large-for-a-float"),
+        pytest.param("thresholds", [10**400], "'thresholds': int too large to convert to float",
+                     id="threshold-too-large-for-a-float"),
     ],
 )
-def test_config_value_of_wrong_type_names_file_and_key(key, value, expected, tmp_path, capsys):
+def test_config_value_of_wrong_type_names_file_and_key(command, key, value, message, tmp_path,
+                                                       capsys):
+    # the config is checked before any input is read, so the inputs need not exist
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
-    rc = cli.main(["selftest", "--config", str(cfg_path)])
+    out = tmp_path / "out"
+    rc = cli.main([*command, "--config", str(cfg_path), "--out-dir", str(out)])
     assert rc == 2
-    assert capsys.readouterr() == (
-        "", f"error: {cfg_path}: {key!r} must be {expected}, got {json.dumps(value)}\n"
-    )
+    assert capsys.readouterr() == ("", f"error: {cfg_path}: {message}\n")
+    assert not out.exists()
 
 
-def test_config_file_not_json_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param("{bad", "Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)", id="not-json"),
+        pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded while "
+                     "decoding a JSON array from a unicode string", id="nested-too-deep"),
+    ],
+)
+def test_config_file_not_json_names_the_file(text, message, tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text("{bad", encoding="utf-8")
+    cfg_path.write_text(text, encoding="utf-8")
     rc = cli.main(["selftest", "--config", str(cfg_path)])
     assert rc == 2
-    assert capsys.readouterr() == (
-        "", f"error: {cfg_path}: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n"
-    )
+    assert capsys.readouterr() == ("", f"error: {cfg_path}: {message}\n")
 
 
 def test_config_file_not_utf8_names_the_file(tmp_path, capsys):

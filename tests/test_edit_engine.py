@@ -12,7 +12,6 @@ from cee import (
     EditScript,
     FLATTENED_CONFIG,
     InstanceTooLarge,
-    PATH_CONFIG,
     Taxonomy,
     UnknownConcept,
     brute_force_csed,
@@ -21,10 +20,10 @@ from cee import (
     clevr_taxonomy,
     insert_cost,
     load_taxonomy,
-    operation_census,
 )
-from cee.edits import BRUTE_FORCE_LIMIT, Census, format_cost
+from cee.edits import BRUTE_FORCE_LIMIT, Census, format_cost, operation_census
 from cee.harness import random_multiset, random_taxonomy
+from cee.taxonomy import PATH_CONFIG
 from cee import edits
 
 

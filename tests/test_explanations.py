@@ -13,11 +13,11 @@ from cee import (
     apriori,
     csed,
     format_local,
-    format_local_grouped,
 )
 from cee.explain import (
     AssociationRule,
     Transaction,
+    format_local_grouped,
     id_frequency_table,
     mine_rules,
     read_transactions,

@@ -10,7 +10,6 @@ from cee import (
     ClevrObject,
     FLATTENED_CONFIG,
     InstanceTooLarge,
-    PATH_CONFIG,
     SpecOutOfRange,
     corrupt,
     delete_cost,
@@ -36,6 +35,7 @@ from cee.harness import (
     random_taxonomy,
 )
 from cee.story import N_CONCEPTS, semantic_loss_table
+from cee.taxonomy import PATH_CONFIG
 
 
 def drop(frame):

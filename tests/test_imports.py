@@ -18,7 +18,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _sources():
-    for folder in ("src/cee", "scripts", "tests"):
+    for folder in ("src/cee", "tests"):
         yield from sorted((ROOT / folder).rglob("*.py"))
 
 
@@ -63,16 +63,6 @@ def test_no_process_wide_memo():
     assert found == []
 
 
-def _script_imports() -> dict[str, set[str]]:
-    """Script file name -> the names it imports from ``cee``."""
-    found: dict[str, set[str]] = {}
-    for path in sorted((ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module == "cee":
-                found.setdefault(path.name, set()).update(a.name for a in node.names)
-    return found
-
-
 def test_exports_are_public_names_that_resolve():
     assert cee.__all__
     for name in cee.__all__:
@@ -83,23 +73,14 @@ def test_exports_are_public_names_that_resolve():
     assert set(namespace) - {"__builtins__"} == set(cee.__all__)
 
 
-def test_scripts_import_only_exported_names():
-    imports = _script_imports()
-    assert imports
-    for script, names in imports.items():
-        assert names - set(cee.__all__) == set(), script
-
-
 def test_every_export_has_a_caller():
-    # README names it, a script imports it, callers catch it, or README tells
-    # library code to build it (ClevrObject)
+    # README names it, callers catch it, or README tells library code to build
+    # it (ClevrObject)
     documented = set(re.findall(r"\w+", README))
-    imported = set().union(*_script_imports().values())
     for name in cee.__all__:
         value = getattr(cee, name)
         assert (
             name in documented
-            or name in imported
             or (isinstance(value, type) and issubclass(value, Exception))
             or name == "ClevrObject"
         ), name

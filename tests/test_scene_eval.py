@@ -11,28 +11,26 @@ from cee import (
     EmptyCorpus,
     FLATTENED_CONFIG,
     MalformedObject,
-    PATH_CONFIG,
     build_samples,
-    census_csv,
-    operation_census,
-    random_scene_corpus,
     read_detections,
     read_targets,
 )
-from cee.edits import csed, format_cost
+from cee.edits import csed, format_cost, operation_census
 from cee.explain import Transaction
+from cee.harness import random_scene_corpus
 from cee.scene import (
     CENSUS_COLUMNS,
     CENSUS_HEADER,
     DetectionRecord,
     SceneSample,
+    census_csv,
     census_rows,
     corpus_report,
     scene_csed,
     solve_thresholds,
 )
 from cee import cli, scene, taxonomy
-from cee.taxonomy import COST_PROFILES, resolve_taxonomy
+from cee.taxonomy import COST_PROFILES, PATH_CONFIG, resolve_taxonomy
 
 
 def det(image_id, concept, confidence):

@@ -13,7 +13,6 @@ from cee import (
     EmptyStory,
     FLATTENED_CONFIG,
     LengthMismatch,
-    PATH_CONFIG,
     MalformedObject,
     Story,
     Taxonomy,
@@ -32,7 +31,7 @@ from cee import (
     validate_object,
 )
 from cee.story import global_aggregate, semantic_loss_table, write_stories
-from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
+from cee.taxonomy import PATH_CONFIG, REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
 from cee import edits
 from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, generate_story, random_object
 from cee.cli import main as cli_main

@@ -11,7 +11,6 @@ from cee import (
     EmptySource,
     FLATTENED_CONFIG,
     MultipleRoots,
-    PATH_CONFIG,
     Taxonomy,
     TaxonomyError,
     UnknownConcept,
@@ -25,7 +24,12 @@ from cee import (
     resolve_taxonomy,
 )
 from cee.harness import random_taxonomy
-from cee.taxonomy import REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH, normalize_concept
+from cee.taxonomy import (
+    PATH_CONFIG,
+    REPLACE_DELETE_PLUS_INSERT,
+    REPLACE_SHORTEST_PATH,
+    normalize_concept,
+)
 
 def _edges(tax):
     """(child, parent) pairs, read from the serialised form."""
