@@ -112,16 +112,26 @@ def _read_jsonl(
 ) -> list:
     """``build(record)`` per non-blank line of ``path``, where each line is a JSON object
     holding ``id_key`` and a list under ``list_key``; failures get a ``path:line`` prefix.
-    ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows them."""
+    A line is blank when only JSON whitespace is on it.
+    ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows
+    them, and then a line that repeats a built line byte for byte gets the same item,
+    without being decoded, parsed or built again. Only built lines are kept, so a failing
+    line still fails at its own number."""
     items, seen = [], set()
+    built: dict[bytes, Any] | None = {} if unique is None else None
     with open(path, "rb") as chunks:
         # bytes, decoded line by line, so a bad byte is reported with its line;
         # splitlines() breaks at "\n", "\r\n" and "\r", as text mode would
         lines = (line for chunk in chunks for line in chunk.splitlines())
         for number, raw in enumerate(lines, start=1):
+            if built is not None:
+                item = built.get(raw)
+                if item is not None:
+                    items.append(item)
+                    continue
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line.strip(_JSON_WS):
                     continue
                 record = _parse_line(line)
                 if not isinstance(record, dict):
@@ -137,8 +147,11 @@ def _read_jsonl(
                     if record_id in seen:
                         raise MalformedObject(f"duplicate {unique} id {record_id!r}")
                     seen.add(record_id)
-                items.append(build(record))
+                item = build(record)
             except (MalformedObject, UnknownConcept, ValueError, TypeError,
                     OverflowError, RecursionError) as exc:  # nested too deep, or an int too large
                 raise MalformedObject(f"{path}:{number}: {exc}") from exc
+            items.append(item)
+            if built is not None:
+                built[raw] = item
     return items

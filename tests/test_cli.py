@@ -531,6 +531,20 @@ def test_explain_rejects_a_malformed_edit_token(edit, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", [["x"], {"k": "v"}], ids=["list", "object"])
+def test_explain_rejects_an_unhashable_edit_like_any_non_string(edit, tmp_path, capsys):
+    tx_path = tmp_path / "tx.jsonl"
+    lines = [{"id": "s0", "edits": ["R:rubber→metallic"]}, {"id": "s1", "edits": ["I:cube", edit, 3]}]
+    tx_path.write_text(
+        "".join(json.dumps(l, ensure_ascii=False) + "\n" for l in lines), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    rc = cli.main(["explain", str(tx_path), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {tx_path}:2: edit {edit!r} is not a string\n")
+    assert not out.exists()
+
+
 def test_explain_empty_transactions(tmp_path, capsys):
     tx_path = tmp_path / "tx.jsonl"
     tx_path.write_text("", encoding="utf-8")
@@ -713,6 +727,30 @@ def test_malformed_line_names_path_and_line(command, texts, bad_file, bad_line, 
     assert stdout == ""
     assert err.startswith(f"error: {paths[bad_file]}:{bad_line}: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space", ["\x0c", "\xa0"], ids=["form-feed", "no-break-space"])
+@pytest.mark.parametrize(
+    "command,texts,bad_file",
+    [
+        pytest.param(["eval-story"], [GOOD_STORY + "\n{space}", GOOD_STORY], 0, id="generated"),
+        pytest.param(["eval-story"], [GOOD_STORY, GOOD_STORY + "\n{space}"], 1, id="ground-truth"),
+        pytest.param(SCENE, [GOOD_DETECTIONS + "\n{space}", GOOD_TARGETS], 0, id="detections"),
+        pytest.param(SCENE, [GOOD_DETECTIONS, GOOD_TARGETS + "\n{space}"], 1, id="targets"),
+        pytest.param(["explain"], ['{"id": "t1", "edits": []}\n{space}'], 0, id="transactions"),
+    ],
+)
+def test_line_of_only_non_json_whitespace_is_not_blank(command, texts, bad_file, space, tmp_path,
+                                                         capsys):
+    # str.strip() strips these, JSON does not: such a line is a bad value, not a blank line
+    paths = _write_inputs(tmp_path, [text.replace("{space}", space) for text in texts])
+    out = tmp_path / "out"
+    rc = cli.main([command[0], *paths, *command[1:], "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {paths[bad_file]}:2: Expecting value: line 1 column 1 (char 0)\n"
+    )
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -83,8 +84,12 @@ def test_read_transactions_accepts_json_whitespace_around_the_object(tmp_path):
     "lines,message",
     [
         pytest.param(['{"id": "a", "edits": [1]}'], "1: edit 1 is not a string", id="number"),
-        pytest.param(['{"id": "a", "edits": [["x"]]}'], "1: unhashable type: 'list'",
-                     id="unhashable"),
+        pytest.param(['{"id": "a", "edits": ["D:x", ["x"], 1]}'], "1: edit ['x'] is not a string",
+                     id="list"),
+        pytest.param(['{"id": "a", "edits": ["D:x", {"k": 1}, 1]}'], "1: edit {'k': 1} is not a string",
+                     id="object"),
+        pytest.param(['{"id": "a", "edits": ["D:x", 1, ["x"]]}'], "1: edit 1 is not a string",
+                     id="number-before-a-list"),
         pytest.param(['{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "b", "edits": ["D:x", "I:y", 2]}'],
                      "2: edit 2 is not a string", id="after-an-interned-list"),
     ],
@@ -105,6 +110,79 @@ def test_read_transactions_interns_equal_edit_lists(tmp_path):
     first, other, again = read_transactions(path)
     assert first.items == frozenset({"D:x", "I:y"}) and other.items == frozenset({"I:z"})
     assert first.items is again.items
+
+
+def test_read_transactions_builds_a_verbatim_repeat_once(tmp_path):
+    path = tmp_path / "t.jsonl"
+    lines = ['{"id": "a", "edits": ["D:x"]}', '{"id": "a", "edits": ["D:x"]} ',
+             '{"id": "a", "edits": ["D:x"]}']
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    first, spaced, again = read_transactions(path)
+    assert first == spaced == again
+    assert again is first and spaced is not first
+
+
+GOOD_LINE = '{"id": "a", "edits": ["D:x", "I:y"]}'
+OTHER_LINE = '{"id": "b", "edits": ["R:x→y"]}'
+BAD_LINE = '{"id": "c", "edits": ["D:x", 7]}'
+
+
+@pytest.mark.parametrize(
+    "lines,number",
+    [
+        pytest.param([GOOD_LINE, OTHER_LINE, GOOD_LINE, "", GOOD_LINE, OTHER_LINE, BAD_LINE], 7,
+                     id="after-repeats"),
+        pytest.param([GOOD_LINE, BAD_LINE, GOOD_LINE, BAD_LINE], 2, id="repeated-bad-line"),
+        pytest.param([GOOD_LINE, GOOD_LINE, GOOD_LINE.replace('["D:x", "I:y"]', '"D:x"')], 3,
+                     id="a-repeat-with-edits-not-a-list"),
+    ],
+)
+def test_read_transactions_reports_a_bad_line_after_repeats_at_its_own_number(
+    lines, number, tmp_path
+):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read_transactions(path)
+    assert str(info.value).startswith(f"{path}:{number}: ")
+
+
+VALID_EDITS = ["R:a→b", "R:b→c", "R:c→a", "D:a", "D:c", "I:b", "I:a"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    records=st.lists(
+        st.fixed_dictionaries({
+            "id": st.one_of(st.sampled_from(["a", "b", "c"]), st.integers(0, 3)),
+            "edits": st.lists(st.sampled_from(VALID_EDITS), max_size=4),
+        }),
+        min_size=1,
+        max_size=5,
+    ),
+    data=st.data(),
+)
+def test_read_transactions_matches_a_json_loads_reference(records, data, tmp_path_factory):
+    # each record spelled two ways, repeated verbatim among blank lines, with mixed endings
+    spellings = (
+        [json.dumps(r, ensure_ascii=False) for r in records]
+        + [json.dumps(r, separators=(",", ":")) for r in records]
+        + ["", "  ", "\t"]
+    )
+    lines = data.draw(st.lists(st.sampled_from(spellings), max_size=30))
+    endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                                 max_size=len(lines)))
+    path = tmp_path_factory.mktemp("tx") / "t.jsonl"
+    path.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
+    reference = [
+        Transaction(str(r["id"]), frozenset(r["edits"]))
+        for r in (json.loads(line) for line in lines if line.strip())
+    ]
+    read = read_transactions(path)
+    assert read == reference
+    for min_support in (0.01, 0.3, 1.0):
+        assert mine_rules(read, min_support) == mine_rules(reference, min_support)
+    assert id_frequency_table(read, 3) == id_frequency_table(reference, 3)
 
 
 def test_split_replace_token():
