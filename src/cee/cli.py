@@ -8,6 +8,11 @@ insert/delete frequency tables), ``gen-synthetic`` (seeded corpora with known
 expected losses), and ``selftest`` (embedded oracle, golden, and recovery
 suites).
 
+Every run option is a flag, with its default and its check (``type=``,
+``choices=``) in the parser. ``cee <command> @run.args …`` reads more
+arguments from ``run.args``, one per line, checked like the flags they spell;
+a later argument overrides an earlier one.
+
 All outputs are deterministic for fixed inputs and seed: ids are sorted,
 floats use fixed formats, and no timestamps or timings are emitted.
 """
@@ -16,14 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import random
 import sys
-import types
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -55,7 +57,6 @@ from .taxonomy import (
     FLATTENED_CONFIG,
     REPLACE_MODES,
     CostConfig,
-    Taxonomy,
     clevr_taxonomy,
     resolve_taxonomy,
 )
@@ -64,96 +65,15 @@ FORMATS = ("csv", "markdown", "json")
 _EXT = {"csv": "csv", "markdown": "md", "json": "json"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options: config-file values overridden by flags."""
-
-    taxonomy: str = "clevr"
-    cost_profile: str = "flattened"
-    replace_mode: str | None = None
-    unit_edge_cost: float | None = None
-    delete_weight: float | None = None
-    insert_weight: float | None = None
-    thresholds: tuple[float, ...] = (0.5, 0.6, 0.7)
-    min_support: float = 0.01
-    format: str = "csv"
-    seed: int = 0
-    out_dir: str = "."
-    attach_unknown: bool = False
-    top_k: int = 10
-
-    def load_taxonomy(self) -> Taxonomy:
-        return resolve_taxonomy(self.taxonomy, attach_unknown=self.attach_unknown)
-
-
-def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a ``RunConfig`` annotation; a bool is not a number.
-    An int too large for a float raises ``OverflowError`` here, not where it is used."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_conforms(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_conforms(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        if isinstance(value, int):
-            float(value)  # raises OverflowError for an int too large for a float
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _merge_config(
-    args: argparse.Namespace, scene_defaults: bool = False
-) -> tuple[RunConfig, CostConfig]:
-    """The run's options, config-file values overridden by flags, and its cost
-    config, built and checked here for every subcommand, whether it prices or not."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        try:
-            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise ValueError(f"{args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ValueError(f"{args.config}: expected a JSON object")
-        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(RunConfig)
-        for key, value in file_values.items():
-            try:
-                conforms = _conforms(value, hints[key])
-            except OverflowError as exc:
-                raise ValueError(f"{args.config}: {key!r}: {exc}") from exc
-            if not conforms:
-                raise ValueError(
-                    f"{args.config}: {key!r} must be {inspect.formatannotation(hints[key])}, "
-                    f"got {json.dumps(value)}"
-                )
-    values: dict = {}
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-        elif f.name in file_values:
-            values[f.name] = file_values[f.name]
-    if "thresholds" in values:
-        values["thresholds"] = tuple(float(t) for t in values["thresholds"])
-    if scene_defaults and "cost_profile" not in values:
-        values["cost_profile"] = "path"
-    cfg = RunConfig(**values)
-    if cfg.format not in FORMATS:
-        raise ValueError(f"unknown format {cfg.format!r}; choose from {FORMATS}")
-    if cfg.cost_profile not in COST_PROFILES:
-        raise ValueError(
-            f"unknown cost profile {cfg.cost_profile!r}; choose from {sorted(COST_PROFILES)}"
-        )
+def _cost_config(args: argparse.Namespace) -> CostConfig:
+    """The run's cost config: its profile with the weight flags given over it, built
+    and checked here for every subcommand, whether it prices or not."""
     overrides = {
-        name: getattr(cfg, name)
+        name: getattr(args, name)
         for name in ("replace_mode", "unit_edge_cost", "delete_weight", "insert_weight")
-        if getattr(cfg, name) is not None
+        if getattr(args, name) is not None
     }
-    return cfg, replace(COST_PROFILES[cfg.cost_profile], **overrides)
+    return replace(COST_PROFILES[args.cost_profile], **overrides)
 
 
 # -- table rendering ---------------------------------------------------------
@@ -189,10 +109,12 @@ def _write(out_dir: str | Path, name: str, text: str) -> Path:
     return path
 
 
-def _emit(cfg: RunConfig, stem: str, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Render one table in ``cfg.format``, write it to ``<stem>.<ext>`` and return the text."""
-    text = render_table(headers, rows, cfg.format)
-    _write(cfg.out_dir, f"{stem}.{_EXT[cfg.format]}", text)
+def _emit(
+    args: argparse.Namespace, stem: str, headers: Sequence[str], rows: Sequence[Sequence[str]]
+) -> str:
+    """Render one table in ``--format``, write it to ``<stem>.<ext>`` and return the text."""
+    text = render_table(headers, rows, args.format)
+    _write(args.out_dir, f"{stem}.{_EXT[args.format]}", text)
     return text
 
 
@@ -213,8 +135,8 @@ def _join_on_id(left: dict, right: dict, left_name: str, right_name: str):
 
 
 def cmd_eval_story(args: argparse.Namespace) -> int:
-    cfg, cost = _merge_config(args)
-    tax = cfg.load_taxonomy()
+    cost = _cost_config(args)
+    tax = resolve_taxonomy(args.taxonomy, attach_unknown=args.attach_unknown)
     gen_by_id = {s.id: s for s in read_stories(args.generated, tax)}
     gt_by_id = {s.id: s for s in read_stories(args.ground_truth, tax)}
     common, n_miss = _join_on_id(gen_by_id, gt_by_id, "generated corpus", "ground-truth corpus")
@@ -237,7 +159,7 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
     loss_table = semantic_loss_table(indexed_scripts, tax, gt_objects_per_frame)
 
     _emit(
-        cfg,
+        args,
         "story_metrics",
         ["story_id", "length", "per_frame_csed", "sl", "avg_sl", "cl", "avg_cl", "cl_flags"],
         [
@@ -248,7 +170,7 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
         ],
     )
     _emit(
-        cfg,
+        args,
         "global_summary",
         ["n_stories", "n_join_miss", "gsl", "avg_gsl", "gcl", "avg_gcl"],
         [[str(summary.n_stories), str(n_miss),
@@ -257,7 +179,7 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
     )
     frame_cols = sorted(gt_objects_per_frame)
     _emit(
-        cfg,
+        args,
         "semantic_loss",
         ["category"] + [f"frame_{k}" for k in frame_cols],
         [
@@ -265,7 +187,7 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
             for category in sorted(loss_table)
         ],
     )
-    write_transactions(Path(cfg.out_dir) / "transactions.jsonl", transactions)
+    write_transactions(Path(args.out_dir) / "transactions.jsonl", transactions)
 
     print(
         f"stories={summary.n_stories} join_miss={n_miss} "
@@ -281,18 +203,19 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
 def cmd_eval_scene(args: argparse.Namespace) -> int:
     if args.show_scripts < 0:
         raise ValueError(f"--show-scripts must be at least 0, got {args.show_scripts}")
-    cfg, cost = _merge_config(args, scene_defaults=True)
-    tax = cfg.load_taxonomy()
+    cost = _cost_config(args)
+    tax = resolve_taxonomy(args.taxonomy, attach_unknown=args.attach_unknown)
     detections = read_detections(args.detections, tax)
     targets = read_targets(args.targets, tax)
     _join_on_id(detections, targets, "detections", "targets")
+    thresholds = args.thresholds or (0.5, 0.6, 0.7)  # --threshold would append to a default
 
     report = []
     files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
     # an image's line per passing count: equal counts pass equal sets (solve_thresholds)
     lines: dict[tuple[str, int], str] = {}
     costliest = []  # (threshold, [(script, sample)]) when --show-scripts asks for them
-    for t_d, samples, scripts in solve_thresholds(detections, targets, cfg.thresholds, tax, cost):
+    for t_d, samples, scripts in solve_thresholds(detections, targets, thresholds, tax, cost):
         report.append((t_d, operation_census(scripts)))
         if args.show_scripts:  # samples come in image-id order, and sorted() keeps it on ties
             ranked = sorted(zip(scripts, samples), key=lambda pair: -pair[0].total_cost)
@@ -306,8 +229,8 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
             text.append(line)
         files.append((f"transactions_td{format_cost(t_d)}.jsonl", "".join(text)))
     for name, text in files:  # only once every threshold solved: a failed run writes nothing
-        _write(cfg.out_dir, name, text)
-    census_text = _emit(cfg, "census", CENSUS_COLUMNS, census_rows(report))
+        _write(args.out_dir, name, text)
+    census_text = _emit(args, "census", CENSUS_COLUMNS, census_rows(report))
     print(census_text, end="")
     for t_d, shown in costliest:
         print(f"# costliest images at threshold {format_cost(t_d)}")
@@ -321,12 +244,12 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    cfg, _ = _merge_config(args)  # explain prices nothing, but its cost options are checked
+    _cost_config(args)  # explain prices nothing, but its cost options are checked
     transactions = read_transactions(args.transactions)
-    rules = mine_rules(transactions, cfg.min_support)
-    table = id_frequency_table(transactions, cfg.top_k)  # checks top_k before the first write
+    rules = mine_rules(transactions, args.min_support)
+    table = id_frequency_table(transactions, args.top_k)  # checks top_k before the first write
     rules_text = _emit(
-        cfg,
+        args,
         "rules",
         [
             "source", "target", "frequency",
@@ -339,7 +262,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         ],
     )
     _emit(
-        cfg,
+        args,
         "id_frequency",
         ["kind", "concept", "count", "share_pct"],
         [
@@ -356,13 +279,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    cfg, cost = _merge_config(args)
+    cost = _cost_config(args)
     n_stories, length = args.n_stories, args.length
     if n_stories < 1:
         raise ValueError(f"--n-stories must be at least 1, got {n_stories}")
     if length < 1:
         raise ValueError(f"--length must be at least 1, got {length}")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     ground_truth = []
     generated = []
     manifest_stories = []
@@ -391,18 +314,18 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
                 "expected_avg_cl": impact.avg_cl,
             }
         )
-    out = Path(cfg.out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_stories(out / "ground_truth.jsonl", ground_truth)
     write_stories(out / "generated.jsonl", generated)
     manifest = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "n_stories": n_stories,
         "length": length,
-        "cost_profile": cfg.cost_profile,
+        "cost_profile": args.cost_profile,
         "stories": manifest_stories,
     }
-    _write(cfg.out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(args.out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {n_stories} story pairs of length {length} to {out}")
     return 0
 
@@ -468,12 +391,13 @@ def _suite_recovery(cost: CostConfig, seed: int) -> tuple[str, str]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    cfg, cost = _merge_config(args)
-    cfg.load_taxonomy()  # propagate taxonomy validation errors before running
+    cost = _cost_config(args)
+    # propagate taxonomy validation errors before running
+    resolve_taxonomy(args.taxonomy, attach_unknown=args.attach_unknown)
     results = [
-        ("oracle-equivalence", *_suite_oracle(cost, cfg.seed)),
+        ("oracle-equivalence", *_suite_oracle(cost, args.seed)),
         ("golden-story", *_suite_golden(cost)),
-        ("harness-recovery", *_suite_recovery(cost, cfg.seed)),
+        ("harness-recovery", *_suite_recovery(cost, args.seed)),
     ]
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for name, status, detail in results:
@@ -488,61 +412,63 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with RunConfig defaults")
-    common.add_argument("--taxonomy", help="bundled name, $CEE_TAXONOMY_DIR name, or path")
-    common.add_argument("--cost-profile", dest="cost_profile", choices=sorted(COST_PROFILES))
-    common.add_argument("--replace-mode", dest="replace_mode",
-                        choices=REPLACE_MODES)
-    common.add_argument("--unit-edge-cost", dest="unit_edge_cost", type=float)
-    common.add_argument("--delete-weight", dest="delete_weight", type=float)
-    common.add_argument("--insert-weight", dest="insert_weight", type=float)
-    common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--attach-unknown", dest="attach_unknown",
-                        action="store_const", const=True,
-                        help="treat unknown concepts as direct children of the root")
+def _add_run_options(p: argparse.ArgumentParser, cost_profile: str = "flattened") -> None:
+    p.add_argument("--taxonomy", default="clevr",
+                   help="bundled name, $CEE_TAXONOMY_DIR name, or path")
+    p.add_argument("--cost-profile", dest="cost_profile", choices=sorted(COST_PROFILES),
+                   default=cost_profile)
+    p.add_argument("--replace-mode", dest="replace_mode", choices=REPLACE_MODES)
+    p.add_argument("--unit-edge-cost", dest="unit_edge_cost", type=float)
+    p.add_argument("--delete-weight", dest="delete_weight", type=float)
+    p.add_argument("--insert-weight", dest="insert_weight", type=float)
+    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", dest="out_dir", default=".")
+    p.add_argument("--attach-unknown", dest="attach_unknown", action="store_true",
+                   help="treat unknown concepts as direct children of the root")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cee",
         description="Knowledge-driven counterfactual edit evaluation",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval-story", parents=[common],
+    p = sub.add_parser("eval-story",
                        help="story metrics (SL/CL and aggregates) plus transactions")
+    _add_run_options(p)
     p.add_argument("generated", help="generated stories (JSON lines)")
     p.add_argument("ground_truth", help="ground-truth stories (JSON lines)")
     p.set_defaults(func=cmd_eval_story)
 
-    p = sub.add_parser("eval-scene", parents=[common],
-                       help="operation census over detection thresholds")
+    p = sub.add_parser("eval-scene", help="operation census over detection thresholds")
+    _add_run_options(p, cost_profile="path")
     p.add_argument("detections", help="detections with confidences (JSON lines)")
     p.add_argument("targets", help="target concept sets (JSON lines)")
     p.add_argument("--threshold", dest="thresholds", action="append", type=float,
-                   help="detection confidence cut; repeatable")
+                   help="detection confidence cut; repeatable (default 0.5, 0.6, 0.7)")
     p.add_argument("--show-scripts", dest="show_scripts", type=int, default=0, metavar="N",
                    help="print the grouped edit scripts of each threshold's N costliest images")
     p.set_defaults(func=cmd_eval_scene)
 
-    p = sub.add_parser("explain", parents=[common],
-                       help="association rules and I/D frequency tables")
+    p = sub.add_parser("explain", help="association rules and I/D frequency tables")
+    _add_run_options(p)
     p.add_argument("transactions", help="edit transactions (JSON lines)")
-    p.add_argument("--min-support", dest="min_support", type=float)
-    p.add_argument("--top-k", dest="top_k", type=int)
+    p.add_argument("--min-support", dest="min_support", type=float, default=0.01)
+    p.add_argument("--top-k", dest="top_k", type=int, default=10)
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("gen-synthetic", parents=[common],
-                       help="seeded story corpora with known expected losses")
+    p = sub.add_parser("gen-synthetic", help="seeded story corpora with known expected losses")
+    _add_run_options(p)
     p.add_argument("--n-stories", type=int, default=20)
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--max-ops", type=int, default=2)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run embedded oracle, golden, and recovery suites")
+    p = sub.add_parser("selftest", help="run embedded oracle, golden, and recovery suites")
+    _add_run_options(p)
     p.set_defaults(func=cmd_selftest)
     return parser
 

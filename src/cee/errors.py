@@ -111,8 +111,8 @@ def _read_jsonl(
     path: str | Path, id_key: str, list_key: str, build: Callable[[dict], Any], unique: str | None
 ) -> list:
     """``build(record)`` per non-blank line of ``path``, where each line is a JSON object
-    holding ``id_key`` and a list under ``list_key``; failures get a ``path:line`` prefix.
-    A line is blank when only JSON whitespace is on it.
+    holding a string under ``id_key`` and a list under ``list_key``; failures get a
+    ``path:line`` prefix. A line is blank when only JSON whitespace is on it.
     ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows
     them, and then a line that repeats a built line byte for byte gets the same item,
     without being decoded, parsed or built again. Only built lines are kept, so a failing
@@ -142,8 +142,12 @@ def _read_jsonl(
                     raise MalformedObject(
                         f"{list_key!r} must be a list, got {type(record[list_key]).__name__}"
                     )
+                record_id = record[id_key]
+                if not isinstance(record_id, str):
+                    raise MalformedObject(
+                        f"{id_key!r} must be a string, got {type(record_id).__name__}"
+                    )
                 if unique is not None:
-                    record_id = str(record[id_key])
                     if record_id in seen:
                         raise MalformedObject(f"duplicate {unique} id {record_id!r}")
                     seen.add(record_id)

@@ -80,7 +80,7 @@ def read_transactions(path: str | Path) -> list[Transaction]:
                     _check_edit(item)
                     checked.add(item)
             items = interned[key] = frozenset(edits)
-        return Transaction(id=str(record["id"]), items=items)
+        return Transaction(id=record["id"], items=items)
 
     return _read_jsonl(path, "id", "edits", build, unique=None)
 

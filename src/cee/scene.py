@@ -174,7 +174,7 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
     resolve = _resolver(tax)
 
     def build(record: dict) -> tuple[str, list[DetectionRecord]]:
-        image_id = str(record["image_id"])
+        image_id = record["image_id"]
         detections = []
         for det in record["detections"]:
             if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
@@ -198,6 +198,6 @@ def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
         if not record["concepts"]:
             raise MalformedObject("a target needs at least one concept, got 'concepts': []")
         concepts = ConceptMultiset._from_normalized(map(resolve, record["concepts"]))
-        return str(record["image_id"]), concepts
+        return record["image_id"], concepts
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))

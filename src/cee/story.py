@@ -123,7 +123,7 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
             frames.append([intern(raw, k) for raw in frame])
         for obj in dict.fromkeys(fresh):
             validate_object(obj, tax)
-        return Story(id=str(record["id"]), frames=frames)
+        return Story(id=record["id"], frames=frames)
 
     return _read_jsonl(path, "id", "frames", build, unique="story")
 

@@ -281,8 +281,8 @@ def resolve_taxonomy(name_or_path: str, attach_unknown: bool = False) -> Taxonom
     env_dir = os.environ.get(TAXONOMY_DIR_ENV)
     named = f"{name_or_path}.tax"
     source = Path(name_or_path)
-    if source.suffix != ".tax" and not source.exists():
-        if env_dir and (Path(env_dir) / named).exists():
+    if source.suffix != ".tax" and not source.is_file():
+        if env_dir and (Path(env_dir) / named).is_file():
             source = Path(env_dir) / named
         else:
             source = resources.files("cee") / "data" / named

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -754,6 +755,35 @@ def test_line_of_only_non_json_whitespace_is_not_blank(command, texts, bad_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_id", [None, 1, {"k": 1}], ids=["null", "number", "object"])
+@pytest.mark.parametrize(
+    "command,lines,bad_file,id_key",
+    [
+        pytest.param(["eval-story"], [GOOD_STORY, GOOD_STORY], 0, "id", id="stories"),
+        pytest.param(SCENE, [GOOD_DETECTIONS, GOOD_TARGETS], 0, "image_id", id="detections"),
+        pytest.param(SCENE, [GOOD_DETECTIONS, GOOD_TARGETS], 1, "image_id", id="targets"),
+        pytest.param(["explain"], ['{"id": "t1", "edits": ["R:a→b"]}'], 0, "id",
+                     id="transactions"),
+    ],
+)
+def test_non_string_id_names_path_and_line(command, lines, bad_file, id_key, bad_id, tmp_path,
+                                           capsys):
+    # line 2 repeats line 1 under an id that is not a string; a null id read as
+    # "None" would join the string id "None" of the other file
+    texts = list(lines)
+    bad = {**json.loads(lines[bad_file]), id_key: bad_id}
+    texts[bad_file] += "\n" + json.dumps(bad, ensure_ascii=False)
+    paths = _write_inputs(tmp_path, texts)
+    out = tmp_path / "out"
+    rc = cli.main([command[0], *paths, *command[1:], "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {paths[bad_file]}:2: {id_key!r} must be a string, "
+            f"got {type(bad_id).__name__}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "texts", [pytest.param(texts, id=case) for case, texts, _, _ in UNKNOWN_SCENE_CONCEPTS]
 )
@@ -830,6 +860,19 @@ def test_selftest_default_all_pass(capsys):
     assert rc == 0
     assert out.count("[PASS]") == 3
     assert "3 passed, 0 failed, 0 skipped" in out
+
+
+def test_directories_named_like_bundled_taxonomies_are_passed_over(tmp_path, monkeypatch,
+                                                                    capsys):
+    for name in ("clevr", "street"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["selftest"]) == 0
+    assert capsys.readouterr().out.endswith("3 passed, 0 failed, 0 skipped\n")
+    _write_detections("det.jsonl", STREET_DETECTIONS)
+    _write_detections("tgt.jsonl", STREET_TARGETS)
+    assert cli.main(["eval-scene", "det.jsonl", "tgt.jsonl", "--taxonomy", "street",
+                     "--out-dir", "out"]) == 0
 
 
 def test_selftest_nondefault_weights_skip_golden(capsys):
@@ -948,16 +991,11 @@ def test_identical_one_frame_story_scores_zero_at_an_overflowing_weight(tmp_path
         (["--insert-weight", "nan"], "insert_weight must be finite, got nan"),
         (["--delete-weight", "inf"], "delete_weight must be finite, got inf"),
         (["--unit-edge-cost", "0"], "unit_edge_cost must be positive, got 0.0"),
-        (["--config"], "unknown cost profile 'bogus'; choose from ['flattened', 'path']"),
     ],
 )
 def test_every_subcommand_checks_the_cost_options(command, inputs, option, message, tmp_path,
                                                   capsys):
     # the options are checked before any input is read, so the inputs need not exist
-    if option == ["--config"]:
-        config = tmp_path / "run.json"
-        config.write_text('{"cost_profile": "bogus"}', encoding="utf-8")
-        option = ["--config", str(config)]
     out = tmp_path / "out"
     paths = [str(tmp_path / f"input{k}.jsonl") for k in range(inputs)]
     rc = cli.main([command, *paths, *option, "--out-dir", str(out)])
@@ -1042,25 +1080,7 @@ def test_selftest_recovery_mismatch_fails(field, wrong, monkeypatch, capsys):
     ]
 
 
-# -- config file and formats --------------------------------------------------------
-
-
-def test_config_file_with_flag_override(golden_corpus, tmp_path):
-    gen_path, gt_path = golden_corpus
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"format": "markdown", "out_dir": str(tmp_path / "from_cfg")}),
-        encoding="utf-8",
-    )
-    out = tmp_path / "override"
-    rc = cli.main(
-        ["eval-story", str(gen_path), str(gt_path),
-         "--config", str(cfg_path), "--out-dir", str(out)]
-    )
-    assert rc == 0
-    assert not (tmp_path / "from_cfg").exists()  # flag overrides config file
-    text = (out / "story_metrics.md").read_text(encoding="utf-8")
-    assert text.startswith("| story_id |")
+# -- formats ------------------------------------------------------------------------
 
 
 def test_json_format_output(golden_corpus, tmp_path):
@@ -1076,81 +1096,86 @@ def test_json_format_output(golden_corpus, tmp_path):
     assert rows[0]["sl"] == "10"
 
 
-@pytest.mark.parametrize(
-    "command", [["selftest"], ["eval-scene", "det.jsonl", "tgt.jsonl"]]
-)
-@pytest.mark.parametrize(
-    "key,value,message",
-    [
-        pytest.param("delete_weight", "2", "'delete_weight' must be float | None, got \"2\"",
-                     id="weight-a-string"),
-        pytest.param("delete_weight", True, "'delete_weight' must be float | None, got true",
-                     id="weight-a-bool"),
-        pytest.param("min_support", "0.1", "'min_support' must be float, got \"0.1\"",
-                     id="support-a-string"),
-        pytest.param("thresholds", 0.5, "'thresholds' must be tuple[float, ...], got 0.5",
-                     id="thresholds-not-a-list"),
-        pytest.param("delete_weight", 10**400, "'delete_weight': int too large to convert to float",
-                     id="weight-too-large-for-a-float"),
-        pytest.param("thresholds", [10**400], "'thresholds': int too large to convert to float",
-                     id="threshold-too-large-for-a-float"),
-    ],
-)
-def test_config_value_of_wrong_type_names_file_and_key(command, key, value, message, tmp_path,
-                                                       capsys):
-    # the config is checked before any input is read, so the inputs need not exist
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
+# -- run options: defaults, args files, README ------------------------------------
+
+POSITIONALS = {"eval-story": 2, "eval-scene": 2, "explain": 1, "gen-synthetic": 0, "selftest": 0}
+RUN_DEFAULTS = {
+    "taxonomy": "clevr", "replace_mode": None, "unit_edge_cost": None, "delete_weight": None,
+    "insert_weight": None, "format": "csv", "seed": 0, "out_dir": ".", "attach_unknown": False,
+}
+
+
+@pytest.mark.parametrize("command", list(POSITIONALS))
+def test_parsed_defaults_of_each_subcommand(command):
+    args = cli.build_parser().parse_args([command, *["in.jsonl"] * POSITIONALS[command]])
+    options = vars(args)
+    assert {key: options[key] for key in RUN_DEFAULTS} == RUN_DEFAULTS
+    assert args.cost_profile == ("path" if command == "eval-scene" else "flattened")
+    if command == "eval-scene":
+        assert (args.thresholds, args.show_scripts) == (None, 0)
+    if command == "explain":
+        assert (args.min_support, args.top_k) == (0.01, 10)
+
+
+def _args_file(path, *args):
+    path.write_text("".join(f"{a}\n" for a in args), encoding="utf-8")
+    return f"@{path}"
+
+
+def test_args_file_sets_format_and_out_dir(golden_corpus, tmp_path):
+    gen_path, gt_path = golden_corpus
+    out = tmp_path / "from_file"
+    args_file = _args_file(tmp_path / "run.args", "--format", "markdown", "--out-dir", out)
+    assert cli.main(["eval-story", args_file, str(gen_path), str(gt_path)]) == 0
+    text = (out / "story_metrics.md").read_text(encoding="utf-8")
+    assert text.startswith("| story_id |")
+
+
+def test_later_flag_overrides_the_args_file(golden_corpus, tmp_path):
+    gen_path, gt_path = golden_corpus
+    args_file = _args_file(tmp_path / "run.args", "--out-dir", tmp_path / "from_file")
+    out = tmp_path / "override"
+    assert cli.main(["eval-story", args_file, str(gen_path), str(gt_path),
+                     "--out-dir", str(out)]) == 0
+    assert not (tmp_path / "from_file").exists()
+    assert (out / "story_metrics.csv").exists()
+
+
+def test_bad_value_in_the_args_file_names_the_option(tmp_path, capsys):
+    args_file = _args_file(tmp_path / "run.args", "--delete-weight", "true")
     out = tmp_path / "out"
-    rc = cli.main([*command, "--config", str(cfg_path), "--out-dir", str(out)])
-    assert rc == 2
-    assert capsys.readouterr() == ("", f"error: {cfg_path}: {message}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", args_file, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.endswith(
+        "cee selftest: error: argument --delete-weight: invalid float value: 'true'\n"
+    )
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        pytest.param("{bad", "Expecting property name enclosed in double quotes: "
-                     "line 1 column 2 (char 1)", id="not-json"),
-        pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded while "
-                     "decoding a JSON array from a unicode string", id="nested-too-deep"),
-    ],
-)
-def test_config_file_not_json_names_the_file(text, message, tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(text, encoding="utf-8")
-    rc = cli.main(["selftest", "--config", str(cfg_path)])
-    assert rc == 2
-    assert capsys.readouterr() == ("", f"error: {cfg_path}: {message}\n")
-
-
-def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_bytes(b'{"seed": 1}\xff')
-    rc = cli.main(["selftest", "--config", str(cfg_path)])
-    assert rc == 2
-    assert capsys.readouterr() == (
-        "", f"error: {cfg_path}: 'utf-8' codec can't decode byte 0xff in position 11: "
-            "invalid start byte\n"
+def test_thresholds_from_the_args_file_and_the_command_line_accumulate(tmp_path):
+    args_file = _args_file(tmp_path / "run.args", "--threshold", "0.3")
+    args = cli.build_parser().parse_args(
+        ["eval-scene", args_file, "det.jsonl", "tgt.jsonl", "--threshold", "0.7"]
     )
+    assert args.thresholds == [0.3, 0.7]
 
 
-def test_unknown_config_key_rejected(golden_corpus, tmp_path, capsys):
-    gen_path, gt_path = golden_corpus
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"fromat": "csv"}), encoding="utf-8")
-    rc = cli.main(["eval-story", str(gen_path), str(gt_path), "--config", str(cfg_path)])
-    assert rc == 2
-    assert "fromat" in capsys.readouterr().err
-
-
-def test_unknown_config_key_names_the_file(tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"fromat": "csv", "seed": 1}), encoding="utf-8")
-    rc = cli.main(["selftest", "--config", str(cfg_path)])
-    assert rc == 2
-    assert capsys.readouterr() == ("", f"error: {cfg_path}: unknown config keys: ['fromat']\n")
+def test_readme_command_lines_parse():
+    # every `cee` line of README's sh blocks, continuations joined, is a valid command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```sh\n")[1:]
+    lines = [
+        line
+        for block in blocks
+        for line in block.split("```")[0].replace("\\\n", " ").splitlines()
+        if line.startswith("cee ")
+    ]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == set(POSITIONALS)
 
 
 # -- determinism -----------------------------------------------------------------

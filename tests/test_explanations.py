@@ -154,7 +154,7 @@ VALID_EDITS = ["R:a→b", "R:b→c", "R:c→a", "D:a", "D:c", "I:b", "I:a"]
 @given(
     records=st.lists(
         st.fixed_dictionaries({
-            "id": st.one_of(st.sampled_from(["a", "b", "c"]), st.integers(0, 3)),
+            "id": st.sampled_from(["a", "b", "c", "0", "1", "2", "3"]),
             "edits": st.lists(st.sampled_from(VALID_EDITS), max_size=4),
         }),
         min_size=1,
@@ -175,7 +175,7 @@ def test_read_transactions_matches_a_json_loads_reference(records, data, tmp_pat
     path = tmp_path_factory.mktemp("tx") / "t.jsonl"
     path.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
     reference = [
-        Transaction(str(r["id"]), frozenset(r["edits"]))
+        Transaction(r["id"], frozenset(r["edits"]))
         for r in (json.loads(line) for line in lines if line.strip())
     ]
     read = read_transactions(path)

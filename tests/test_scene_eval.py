@@ -233,7 +233,7 @@ def test_read_detections_and_targets(tmp_path, street):
 def test_read_detections_normalises_each_concept_once(tmp_path, street, monkeypatch):
     det_path = tmp_path / "det.jsonl"
     det_path.write_text(
-        '{"image_id": 7, "detections": [{"concept": " Car ", "confidence": 0.9},'
+        '{"image_id": "7", "detections": [{"concept": " Car ", "confidence": 0.9},'
         ' {"concept": "TRUCK", "confidence": 1}]}\n',
         encoding="utf-8",
     )
@@ -245,7 +245,7 @@ def test_read_detections_normalises_each_concept_once(tmp_path, street, monkeypa
         )
     detections = read_detections(det_path, street)
     assert calls == [" Car ", "TRUCK"]  # once each, by Taxonomy.resolve
-    assert detections == {"7": [det(7, "car", 0.9), det(7, "truck", 1.0)]}
+    assert detections == {"7": [det("7", "car", 0.9), det("7", "truck", 1.0)]}
 
 
 def _detection_line(image_id, *concepts):

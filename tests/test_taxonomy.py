@@ -166,6 +166,17 @@ def test_resolve_taxonomy_env_dir(tmp_path, monkeypatch):
     assert tax.depth("small") == 2
 
 
+def test_resolve_taxonomy_passes_over_directories(tmp_path, monkeypatch):
+    # a directory is not a taxonomy file, in the cwd or in $CEE_TAXONOMY_DIR
+    expected = {name: resolve_taxonomy(name).to_text() for name in ("clevr", "street")}
+    for name in expected:
+        (tmp_path / name).mkdir()
+        (tmp_path / f"{name}.tax").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CEE_TAXONOMY_DIR", str(tmp_path))
+    assert {name: resolve_taxonomy(name).to_text() for name in expected} == expected
+
+
 def test_resolve_taxonomy_bad_file_names_it(tmp_path):
     bad = tmp_path / "bad.tax"
     bad.write_text("a\tb\nb\ta\n", encoding="utf-8")
