@@ -428,8 +428,14 @@ def _add_run_options(p: argparse.ArgumentParser, cost_profile: str = "flattened"
                    help="treat unknown concepts as direct children of the root")
 
 
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """An ``@file`` line is one argument, taken as written; a blank line is none."""
+        return [arg_line] if arg_line.strip() else []
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cee",
         description="Knowledge-driven counterfactual edit evaluation",
         fromfile_prefix_chars="@",

@@ -37,7 +37,7 @@ class Transaction:
         tokens: set[str] = set()
         for script in scripts:
             tokens.update(script.edit_tokens())
-        return cls(id=str(id), items=frozenset(tokens))
+        return cls(id=id, items=frozenset(tokens))
 
     def to_json(self) -> str:
         return _ENCODER.encode({"id": self.id, "edits": sorted(self.items)})

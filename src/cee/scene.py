@@ -32,7 +32,6 @@ class DetectionRecord:
     confidence: float
 
     def __post_init__(self):
-        object.__setattr__(self, "image_id", str(self.image_id))
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 

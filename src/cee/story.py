@@ -25,13 +25,13 @@ from .errors import (
     _read_jsonl,
 )
 from .taxonomy import FLATTENED_CONFIG, REPLACE_DELETE_PLUS_INSERT, CostConfig, CostModel
-from .taxonomy import Taxonomy, normalize_concept
+from .taxonomy import Taxonomy, _hops, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
 _NOTHING = ConceptMultiset()
 _NO_EDITS = EditScript(())
-# One-sided frames are written in closed form only for prices in
+# Residues are written in closed form only for prices in
 # [_LOWEST_PRICE, _DIRECT_LIMIT). Below it the 1e-9 dummy-route bias swamps
 # the prices; from the top, as in ``edits._direct``, rounding starts to
 # absorb the bias, and prices that overflow must reach the solve to fail.
@@ -161,27 +161,35 @@ def frame_csed(
     from, or solved into, its memo through ``edits._script``, as ``csed``
     reads it; the frame's script is made of the model's own ops.
 
-    Two kinds of frame skip the solve, told apart by the multiset difference
-    of their objects. Frames of the same objects, in any order, get the
-    empty script unpriced: a zero-cost matching exists and no cell is below
-    0, so the solver keeps u = v = 0 and picks zero-cost cells only, which
-    are pair scripts of total 0 (no op) or dummy-to-dummy, the one route
-    without ``_TIE_EPS``.
+    Most frames skip the solve, told apart by their residue: the objects
+    left on each side once the shared ones cancel (a multiset difference),
+    which ``_residue_scripts`` writes where it can. Frames of the same
+    objects, in any order, leave none and get the empty script unpriced: a
+    zero-cost matching exists and no cell is below 0, so the solver keeps
+    u = v = 0 and picks zero-cost cells only, which are pair scripts of
+    total 0 (no op) or dummy-to-dummy, the one route without ``_TIE_EPS``.
 
-    Frames that keep objects on one side only, once the shared ones cancel,
-    get the deletes of each surplus generated object, or the inserts of each
-    surplus target object, with no pair priced, where ``_one_sided_exact``
-    holds: replaces priced as delete plus insert, leaf concepts only, and
-    every delete and insert price in [2**-20, 2**20). There a pair of
-    objects (a, b) costs del(a) + ins(b) less del + ins of the concepts they
-    share, since equal concepts are the only free pairs between leaves. So
-    an assignment costs del(G) + ins(T), less what its pairs share, plus the
-    bias on each dummy route: never below the closed form, and equal only
-    when each object of the smaller frame is matched to one that holds all
-    its concepts, an equal object since each holds four, which gives the
-    closed form's script. Any other assignment is dearer by a concept's
-    del + ins, at least 2**-19, and takes no fewer dummy routes, so at these
-    prices neither the bias nor float rounding can pick it.
+    A residue that keeps at most one object on one side is written in
+    closed form where ``_residue_exact`` holds: replaces priced as delete
+    plus insert, leaf concepts only, and every delete and insert price in
+    [2**-20, 2**20). There a pair of objects (a, b) costs del(a) + ins(b)
+    less what they share, the del + ins of the concepts both hold, since
+    equal concepts are the only free pairs between leaves. So an assignment
+    costs del(G) + ins(T), less what its pairs share, plus the bias on each
+    dummy route. What an object c shares with x plus what it shares with y
+    is at most all of c plus what x and y share, so some optimum pairs each
+    shared object with its copy (the swap argument of
+    ``harness._frame_cost``), and only the lone object's partner is left to
+    decide. With no lone object (a one-sided frame) each leftover object is
+    deleted or inserted whole; otherwise the lone object pairs with the
+    leftover object that shares strictly the most with it, and more than
+    nothing, and every other leftover object is deleted or inserted whole.
+    Every optimum writes those ops, and any assignment that writes others
+    is dearer by a concept's del + ins, at least 2**-19, and takes no fewer
+    dummy routes, so at these prices neither the bias nor float rounding
+    can pick it. A tie for the best partner, a best partner that shares
+    nothing, two or more objects left on both sides, and frames that fail
+    the guard go to the padded solve.
 
     Objects are expected to have passed ``validate_object`` against ``tax``."""
     extra, missing = [], [o.multiset for o in gt_frame]  # the multiset difference
@@ -190,15 +198,9 @@ def frame_csed(
             missing.remove(obj.multiset)
         else:
             extra.append(obj.multiset)
-    if not extra and not missing:
-        return _NO_EDITS
-
     model = tax.cost_model(cfg)
-    # one-sided, the larger frame holds every object of the other
-    if not (extra and missing) and _one_sided_exact(gen_frame if extra else gt_frame, model):
-        chosen = [_script(multiset, _NOTHING, model) for multiset in extra]
-        chosen += [_script(_NOTHING, multiset, model) for multiset in missing]
-    else:
+    chosen = _residue_scripts(extra, missing, (gen_frame, gt_frame), model)
+    if chosen is None:
         n, m = len(gen_frame), len(gt_frame)
         pair_scripts = [
             [_script(gen_obj.multiset, gt_obj.multiset, model) for gt_obj in gt_frame]
@@ -212,25 +214,77 @@ def frame_csed(
             deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
             for i, j in cells
         ]
+    if len(chosen) == 1:  # already ordered and summed
+        return chosen[0]
     return EditScript(tuple(op for script in chosen for op in script.ops))
 
 
-def _one_sided_exact(frame: Sequence[ClevrObject], model: CostModel) -> bool:
-    """Whether every concept of ``frame`` meets the conditions under which
-    ``frame_csed`` writes a one-sided frame in closed form (see there)."""
+def _residue_scripts(
+    extra: list[ConceptMultiset],
+    missing: list[ConceptMultiset],
+    frames: tuple[Sequence[ClevrObject], Sequence[ClevrObject]],
+    model: CostModel,
+) -> list[EditScript] | None:
+    """The scripts of the frame's optimum, from the objects left on the
+    generated side (``extra``) and the target side (``missing``), or None
+    where the padded solve must decide (see ``frame_csed``)."""
+    lone, rest = (extra, missing) if len(extra) <= len(missing) else (missing, extra)
+    if not rest:  # the same objects on both sides
+        return [_NO_EDITS]
+    if len(lone) > 1 or not _residue_exact(frames, model):
+        return None
+    if lone:
+        # units of a concept's delete plus insert: one flattened, else its depth
+        units = {name: _hops(model.tax, name, model.cfg) for name in lone[0]}
+        shares = [_shared(lone[0], other, units) for other in rest]
+        best = max(shares)
+        if not best or shares.count(best) > 1:
+            return None
+        partner = rest.pop(shares.index(best))
+        pair = (lone[0], partner) if lone is extra else (partner, lone[0])
+        chosen = [_script(*pair, model)]
+    else:
+        chosen = []
+    if rest is extra:  # each other leftover object is deleted, or inserted, whole
+        return chosen + [_script(other, _NOTHING, model) for other in rest]
+    return chosen + [_script(_NOTHING, other, model) for other in rest]
+
+
+def _residue_exact(
+    frames: tuple[Sequence[ClevrObject], Sequence[ClevrObject]], model: CostModel
+) -> bool:
+    """Whether every concept of both ``frames`` meets the conditions under
+    which ``frame_csed`` writes a residue in closed form (see there). Each
+    object multiset is checked once per model, its verdict kept in
+    ``model.closed_form``."""
     if model.cfg.replace_mode != REPLACE_DELETE_PLUS_INSERT:
         return False
-    tax = model.tax
-    for obj in frame:
-        for name in obj.multiset:
-            delete, insert = model.costs(name)
-            if not (
-                _LOWEST_PRICE <= delete < _DIRECT_LIMIT
-                and _LOWEST_PRICE <= insert < _DIRECT_LIMIT
-                and tax.is_leaf(name)
-            ):
+    tax, known = model.tax, model.closed_form
+    for frame in frames:
+        for obj in frame:
+            exact = known.get(obj.multiset)
+            if exact is None:
+                exact = known[obj.multiset] = all(
+                    tax.is_leaf(name)
+                    and all(_LOWEST_PRICE <= price < _DIRECT_LIMIT for price in model.costs(name))
+                    for name in obj.multiset
+                )
+            if not exact:
                 return False
     return True
+
+
+def _shared(a: ConceptMultiset, b: ConceptMultiset, units: Mapping[str, int]) -> int:
+    """Units of the concepts ``a`` and ``b`` both hold, as multisets. A
+    concept's delete plus insert is its units times the delete weight plus
+    the insert weight, so units compare shares exactly, where float sums of
+    the prices could split a tie."""
+    rest, total = list(b), 0
+    for name in a:
+        if name in rest:
+            rest.remove(name)
+            total += units[name]
+    return total
 
 
 def story_loss(

@@ -367,7 +367,9 @@ class CostModel:
     edit op those scripts hold, keyed by (kind, source, target): the solve
     builds and checks an op the first time it chooses it under this model,
     so scripts of one model that make the same edit share one op object,
-    and two models never share one.
+    and two models never share one. ``closed_form`` holds, per object
+    multiset, whether ``story.frame_csed`` may write a frame holding it
+    without the solve; the frame guard fills it.
     """
 
     def __init__(self, tax: Taxonomy, cfg: CostConfig):
@@ -377,6 +379,7 @@ class CostModel:
         self._pairs: dict[tuple[str, str], float | None] = {}
         self.scripts: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
         self.ops: dict[tuple[str, str | None, str | None], EditOp] = {}
+        self.closed_form: dict[tuple[str, ...], bool] = {}
 
     def costs(self, name: str) -> tuple[float, float]:
         """(delete, insert) price of one concept."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cee import cli, edits
+from cee import cli, edits, story
 from cee.harness import golden_story_pair, random_scene_corpus
 from cee.story import ClevrObject, Story, write_stories
 from cee.taxonomy import resolve_taxonomy
@@ -1163,6 +1163,19 @@ def test_thresholds_from_the_args_file_and_the_command_line_accumulate(tmp_path)
     assert args.thresholds == [0.3, 0.7]
 
 
+def test_blank_lines_in_the_args_file_are_skipped(golden_corpus, tmp_path, capsys):
+    # a line that is empty or only whitespace is no argument; the others stay as written
+    args_file = _args_file(tmp_path / "blank.args", "--seed", "1", "", " \t")
+    assert cli.main(["selftest", args_file, "--out-dir", str(tmp_path / "selftest")]) == 0
+    gen_path, gt_path = golden_corpus
+    args = cli.build_parser().parse_args(["eval-story", args_file, str(gen_path), str(gt_path)])
+    assert (args.seed, args.generated, args.ground_truth) == (1, str(gen_path), str(gt_path))
+    out = tmp_path / "story"
+    assert cli.main(["eval-story", args_file, str(gen_path), str(gt_path),
+                     "--out-dir", str(out)]) == 0
+    assert (out / "story_metrics.csv").read_text(encoding="utf-8").count("\n") == 2
+
+
 def test_readme_command_lines_parse():
     # every `cee` line of README's sh blocks, continuations joined, is a valid command
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1202,17 +1215,22 @@ _PROFILES = ([], ["--delete-weight", "0.5", "--insert-weight", "2"],
 
 
 def _outputs(argv, out, closed_form):
-    """Every file one in-process run writes, with ``edits._direct`` on or
-    forced to decline, and how many scripts it wrote without the solve."""
-    real, written = edits._direct, []
+    """Every file one in-process run writes, with the closed forms on or
+    forced to decline, those of object scripts (``edits._direct``) and of
+    story frames (``story._residue_scripts``), and how many scripts it wrote
+    without the solve."""
+    written = []
 
-    def direct(*priced):
-        cells = real(*priced) if closed_form else None
-        written.append(cells is not None)
-        return cells
+    def shortcut(real):
+        def decide(*args):
+            chosen = real(*args) if closed_form else None
+            written.append(chosen is not None)
+            return chosen
+        return decide
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(edits, "_direct", direct)
+        mp.setattr(edits, "_direct", shortcut(edits._direct))
+        mp.setattr(story, "_residue_scripts", shortcut(story._residue_scripts))
         assert cli.main([*argv, "--out-dir", str(out)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, sum(written)
 

@@ -30,10 +30,11 @@ from cee import (
     story_loss,
     validate_object,
 )
-from cee.story import global_aggregate, semantic_loss_table, write_stories
 from cee.taxonomy import PATH_CONFIG, REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH
 from cee import edits
-from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, generate_story, random_object
+from cee.harness import COLORS, MATERIALS, SHAPES, SIZES, _frame_cost, _hamming, generate_story
+from cee.harness import random_object
+from cee.story import N_CONCEPTS, global_aggregate, semantic_loss_table, write_stories
 from cee.cli import main as cli_main
 
 
@@ -252,9 +253,23 @@ HUGE = [CostConfig(delete_weight=1e308, flattened=True),
     "gen,gt,tax,cfg,calls_made",
     [
         pytest.param([obj(), obj(color="red")], [obj(), obj(color="red", size="large")], "clevr",
-                     FLATTENED_CONFIG, [4], id="one-attribute-changed"),
+                     FLATTENED_CONFIG, [], id="one-attribute-changed"),
         pytest.param([obj(), obj(), obj(color="red")], [obj(), obj(color="red"), obj(color="red")],
-                     "clevr", FLATTENED_CONFIG, [6], id="same-objects-other-counts"),
+                     "clevr", FLATTENED_CONFIG, [], id="same-objects-other-counts"),
+        pytest.param([obj(color="red", size="large")], [obj(), obj(color="red"), obj(shape="cube")],
+                     "clevr", PATH_CONFIG, [], id="lone-object-with-a-best-partner"),
+        pytest.param([obj(color="dark red")], [obj(color="dark red", size="large"), obj()],
+                     "dark red", PATH_CONFIG, [], id="lone-object-under-a-hierarchy-of-leaves"),
+        pytest.param([obj(color="red")],
+                     [obj(color="red", size="large"), obj(color="red", shape="cube")],
+                     "clevr", FLATTENED_CONFIG, [3], id="lone-object-with-two-best-partners"),
+        pytest.param([obj(), obj()], [obj(), obj(size="large", color="red", material="metallic",
+                                                 shape="cube")],
+                     "clevr", FLATTENED_CONFIG, [4], id="lone-object-sharing-nothing"),
+        pytest.param([obj(color="dark red")], [obj(color="red"), obj(color="red", size="large")],
+                     "dark red", FLATTENED_CONFIG, [3], id="lone-object-over-a-non-leaf"),
+        pytest.param([obj(), obj(color="red")], [obj(size="large"), obj(color="red", size="large")],
+                     "clevr", FLATTENED_CONFIG, [4], id="two-objects-left-on-both-sides"),
         pytest.param([obj(), obj(color="red")], [obj()], "clevr", FLATTENED_CONFIG, [],
                      id="extra-generated-object"),
         pytest.param([obj()], [obj(), obj(color="red")], "clevr", FLATTENED_CONFIG, [],
@@ -271,8 +286,8 @@ HUGE = [CostConfig(delete_weight=1e308, flattened=True),
                      id="extra-object-under-shortest-path"),
     ],
 )
-def test_differing_frames_skip_the_solver_only_when_one_sided_and_exact(gen, gt, tax, cfg,
-                                                                       calls_made, monkeypatch):
+def test_differing_frames_skip_the_solver_only_for_an_exact_residue_with_a_lone_object(
+        gen, gt, tax, cfg, calls_made, monkeypatch):
     # a fresh taxonomy, so the objects' own scripts are solved in this call
     tax = dark_red_taxonomy() if tax == "dark red" else resolve_taxonomy("clevr")
     calls = _counting_solver(monkeypatch)
@@ -319,6 +334,47 @@ def test_one_sided_frames_match_the_padded_solve(cfg, hierarchical, on_gen_side,
     )
 
 
+# objects that differ in one or two attributes, so that frames often leave one object on a
+# side, tie two partners for it, or chain it through a shared object
+CLEVR_POOL = st.sampled_from([
+    obj(), obj(color="red"), obj(size="large"), obj(color="red", size="large"),
+    obj(shape="cube"), obj(color="red", material="metallic"),
+])
+DARK_RED_POOL = st.sampled_from([
+    obj(color="red"), obj(color="dark red"), obj(color="dark red", size="large"), obj(),
+    obj(size="large", shape="cube"),
+])
+RESIDUE_CONFIGS = [
+    FLATTENED_CONFIG,
+    PATH_CONFIG,
+    CostConfig(delete_weight=0.1, insert_weight=0.1, flattened=True),
+    CostConfig(delete_weight=0.7, insert_weight=0.3, flattened=True),
+    CostConfig(delete_weight=1 / 3, insert_weight=3.0, flattened=True),
+    TINY,
+    *HUGE,
+    CostConfig(delete_weight=1e8, flattened=True),
+]
+
+
+@pytest.mark.parametrize("hierarchical", [False, True], ids=["clevr", "dark-red"])
+@pytest.mark.parametrize("cfg", RESIDUE_CONFIGS)
+@settings(max_examples=40, deadline=None)
+@given(on_gen_side=st.booleans(), data=st.data())
+def test_frames_with_a_lone_leftover_object_match_the_padded_solve(cfg, hierarchical, on_gen_side,
+                                                                   data, clevr, dark_red):
+    pool = DARK_RED_POOL if hierarchical else CLEVR_POOL
+    tax = dark_red if hierarchical else clevr
+    shared = data.draw(st.lists(pool, max_size=3))
+    lone = data.draw(st.lists(pool, max_size=1))
+    others = data.draw(st.lists(pool, min_size=1, max_size=3))
+    smaller = data.draw(st.permutations(shared + lone))
+    larger = data.draw(st.permutations(shared + others))
+    gen, gt = (larger, smaller) if on_gen_side else (smaller, larger)
+    assert _outcome(lambda: frame_csed(gen, gt, tax, cfg)) == _outcome(
+        lambda: padded_route(gen, gt, tax, cfg)[0]
+    )
+
+
 def test_generated_corpus_frames_match_the_padded_solve(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert cli_main(["gen-synthetic", "--seed", "1", "--n-stories", "40", "--length", "6",
@@ -333,15 +389,28 @@ def test_generated_corpus_frames_match_the_padded_solve(tmp_path, capsys):
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_solver(mp)
         scripts = [frame_csed(a, b, tax, FLATTENED_CONFIG) for a, b in frames]
-    sides = Counter()  # frames by how many sides keep objects once shared ones cancel
+    kinds = Counter()  # frames by how many objects each side keeps once shared ones cancel
+    solved = 0  # frames the closed form leaves to the solver
     for script, (a, b) in zip(scripts, frames):
         expected, _ = padded_route(a, b, tax, FLATTENED_CONFIG)
         assert script.edit_tokens() == expected.edit_tokens()
         assert script.total_cost == expected.total_cost
-        sides[bool(Counter(a) - Counter(b)) + bool(Counter(b) - Counter(a))] += 1
-    # no clevr object's own script needs the solver, so each call is a two-sided frame's
-    assert len(calls) == sides[2]
-    assert all(sides[k] for k in range(3))  # the corpus holds every kind of frame
+        lone, rest = sorted(
+            (list((Counter(a) - Counter(b)).elements()), list((Counter(b) - Counter(a)).elements())),
+            key=len,
+        )
+        kinds[len(lone), min(len(rest), 2)] += 1
+        if len(lone) == 1:  # flattened, two objects share their equal attributes
+            shares = sorted((N_CONCEPTS - _hamming(lone[0], other) for other in rest), reverse=True)
+            solved += shares[0] == 0 or shares[:1] == shares[1:2]
+        solved += len(lone) > 1
+    # no clevr object's own script needs the solver, so each call is a frame's
+    assert len(calls) == solved
+    # the corpus holds every kind of residue the closed form writes (none left, one side
+    # only, a lone object against one or more), none with two or more on both sides,
+    # and frames that still reach the solver
+    assert set(kinds) == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)}
+    assert solved
 
 
 # -- story I/O ------------------------------------------------------------------
