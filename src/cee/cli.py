@@ -9,11 +9,12 @@ expected losses), and ``selftest`` (embedded oracle, golden, and recovery
 suites).
 
 Every run option is a flag, with its default and its check (``type=``,
-``choices=``) in the parser. ``cee <command> @run.args …`` reads more
-arguments from ``run.args``, one per line, checked like the flags they spell;
-a later argument overrides an earlier one.
+``choices=``) in ``_ARGUMENTS``; a subcommand takes only the ones its command
+reads (``_COMMANDS``). ``cee <command> @run.args …`` reads more arguments from
+``run.args``, one per line, checked like the flags they spell; a later
+argument overrides an earlier one.
 
-All outputs are deterministic for fixed inputs and seed: ids are sorted,
+All outputs are deterministic for fixed inputs and options: ids are sorted,
 floats use fixed formats, and no timestamps or timings are emitted.
 """
 
@@ -39,19 +40,13 @@ from .explain import (
     read_transactions,
     write_transactions,
 )
-from .harness import (
-    corrupt,
-    generate_story,
-    golden_story_pair,
-    random_multiset,
-    random_spec,
-    random_taxonomy,
-    recovery_mismatch,
-)
+from .harness import VOCABULARY, corrupt, generate_story, golden_story_pair, random_multiset
+from .harness import random_spec, random_taxonomy, recovery_mismatch
 from .scene import CENSUS_COLUMNS, census_rows, read_detections, read_targets, solve_thresholds
 # unused here, but perfbench/tracer.py wraps these names on this module
 from .scene import build_samples, census_csv, corpus_report, scene_csed  # noqa: F401
-from .story import evaluate_story, global_aggregate, read_stories, semantic_loss_table, write_stories
+from .story import evaluate_story, global_aggregate, read_stories, semantic_loss_table
+from .story import validate_attribute, write_stories
 from .taxonomy import (
     COST_PROFILES,
     FLATTENED_CONFIG,
@@ -67,7 +62,7 @@ _EXT = {"csv": "csv", "markdown": "md", "json": "json"}
 
 def _cost_config(args: argparse.Namespace) -> CostConfig:
     """The run's cost config: its profile with the weight flags given over it, built
-    and checked here for every subcommand, whether it prices or not."""
+    and checked here before any input is read."""
     overrides = {
         name: getattr(args, name)
         for name in ("replace_mode", "unit_edge_cost", "delete_weight", "insert_weight")
@@ -136,7 +131,7 @@ def _join_on_id(left: dict, right: dict, left_name: str, right_name: str):
 
 def cmd_eval_story(args: argparse.Namespace) -> int:
     cost = _cost_config(args)
-    tax = resolve_taxonomy(args.taxonomy, attach_unknown=args.attach_unknown)
+    tax = resolve_taxonomy(args.taxonomy)
     gen_by_id = {s.id: s for s in read_stories(args.generated, tax)}
     gt_by_id = {s.id: s for s in read_stories(args.ground_truth, tax)}
     common, n_miss = _join_on_id(gen_by_id, gt_by_id, "generated corpus", "ground-truth corpus")
@@ -244,7 +239,6 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    _cost_config(args)  # explain prices nothing, but its cost options are checked
     transactions = read_transactions(args.transactions)
     rules = mine_rules(transactions, args.min_support)
     table = id_frequency_table(transactions, args.top_k)  # checks top_k before the first write
@@ -280,6 +274,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cost = _cost_config(args)
+    tax = resolve_taxonomy(args.taxonomy)
+    for attr, values in VOCABULARY.items():  # every value drawn must read back in eval-story
+        for value in values:
+            validate_attribute(attr, value, tax)
     n_stories, length = args.n_stories, args.length
     if n_stories < 1:
         raise ValueError(f"--n-stories must be at least 1, got {n_stories}")
@@ -392,8 +390,6 @@ def _suite_recovery(cost: CostConfig, seed: int) -> tuple[str, str]:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     cost = _cost_config(args)
-    # propagate taxonomy validation errors before running
-    resolve_taxonomy(args.taxonomy, attach_unknown=args.attach_unknown)
     results = [
         ("oracle-equivalence", *_suite_oracle(cost, args.seed)),
         ("golden-story", *_suite_golden(cost)),
@@ -412,20 +408,51 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_run_options(p: argparse.ArgumentParser, cost_profile: str = "flattened") -> None:
-    p.add_argument("--taxonomy", default="clevr",
-                   help="bundled name, $CEE_TAXONOMY_DIR name, or path")
-    p.add_argument("--cost-profile", dest="cost_profile", choices=sorted(COST_PROFILES),
-                   default=cost_profile)
-    p.add_argument("--replace-mode", dest="replace_mode", choices=REPLACE_MODES)
-    p.add_argument("--unit-edge-cost", dest="unit_edge_cost", type=float)
-    p.add_argument("--delete-weight", dest="delete_weight", type=float)
-    p.add_argument("--insert-weight", dest="insert_weight", type=float)
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default=".")
-    p.add_argument("--attach-unknown", dest="attach_unknown", action="store_true",
-                   help="treat unknown concepts as direct children of the root")
+_COST = ("--cost-profile", "--replace-mode", "--unit-edge-cost", "--delete-weight",
+         "--insert-weight")
+_EVAL = ("--taxonomy", *_COST, "--format", "--out-dir")
+_ARGUMENTS = {  # add_argument keywords by name
+    "--taxonomy": {"default": "clevr", "help": "bundled name, $CEE_TAXONOMY_DIR name, or path"},
+    "--cost-profile": {"choices": sorted(COST_PROFILES), "default": "flattened"},
+    "--replace-mode": {"choices": REPLACE_MODES},
+    "--unit-edge-cost": {"type": float},
+    "--delete-weight": {"type": float},
+    "--insert-weight": {"type": float},
+    "--format": {"choices": FORMATS, "default": "csv"},
+    "--seed": {"type": int, "default": 0},
+    "--out-dir": {"default": "."},
+    "--attach-unknown": {"action": "store_true",
+                         "help": "treat unknown concepts as direct children of the root"},
+    "generated": {"help": "generated stories (JSON lines)"},
+    "ground_truth": {"help": "ground-truth stories (JSON lines)"},
+    "detections": {"help": "detections with confidences (JSON lines)"},
+    "targets": {"help": "target concept sets (JSON lines)"},
+    "--threshold": {"dest": "thresholds", "action": "append", "type": float,
+                    "help": "detection confidence cut; repeatable (default 0.5, 0.6, 0.7)"},
+    "--show-scripts": {"type": int, "default": 0, "metavar": "N", "help": "print the grouped "
+                       "edit scripts of each threshold's N costliest images"},
+    "transactions": {"help": "edit transactions (JSON lines)"},
+    "--min-support": {"type": float, "default": 0.01},
+    "--top-k": {"type": int, "default": 10},
+    "--n-stories": {"type": int, "default": 20},
+    "--length": {"type": int, "default": 4},
+    "--max-ops": {"type": int, "default": 2},
+}
+_COMMANDS = {  # help, the arguments the command reads (and no others), defaults
+    "eval-story": ("story metrics (SL/CL and aggregates) plus transactions",
+                   (*_EVAL, "generated", "ground_truth"), {"func": cmd_eval_story}),
+    "eval-scene": ("operation census over detection thresholds",
+                   (*_EVAL, "--attach-unknown", "detections", "targets", "--threshold",
+                    "--show-scripts"), {"func": cmd_eval_scene, "cost_profile": "path"}),
+    "explain": ("association rules and I/D frequency tables",
+                ("--format", "--out-dir", "transactions", "--min-support", "--top-k"),
+                {"func": cmd_explain}),
+    "gen-synthetic": ("seeded story corpora with known expected losses",
+                      ("--taxonomy", *_COST, "--seed", "--out-dir", "--n-stories", "--length",
+                       "--max-ops"), {"func": cmd_gen_synthetic}),
+    "selftest": ("run embedded oracle, golden, and recovery suites", (*_COST, "--seed"),
+                 {"func": cmd_selftest}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -441,41 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
         fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval-story",
-                       help="story metrics (SL/CL and aggregates) plus transactions")
-    _add_run_options(p)
-    p.add_argument("generated", help="generated stories (JSON lines)")
-    p.add_argument("ground_truth", help="ground-truth stories (JSON lines)")
-    p.set_defaults(func=cmd_eval_story)
-
-    p = sub.add_parser("eval-scene", help="operation census over detection thresholds")
-    _add_run_options(p, cost_profile="path")
-    p.add_argument("detections", help="detections with confidences (JSON lines)")
-    p.add_argument("targets", help="target concept sets (JSON lines)")
-    p.add_argument("--threshold", dest="thresholds", action="append", type=float,
-                   help="detection confidence cut; repeatable (default 0.5, 0.6, 0.7)")
-    p.add_argument("--show-scripts", dest="show_scripts", type=int, default=0, metavar="N",
-                   help="print the grouped edit scripts of each threshold's N costliest images")
-    p.set_defaults(func=cmd_eval_scene)
-
-    p = sub.add_parser("explain", help="association rules and I/D frequency tables")
-    _add_run_options(p)
-    p.add_argument("transactions", help="edit transactions (JSON lines)")
-    p.add_argument("--min-support", dest="min_support", type=float, default=0.01)
-    p.add_argument("--top-k", dest="top_k", type=int, default=10)
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("gen-synthetic", help="seeded story corpora with known expected losses")
-    _add_run_options(p)
-    p.add_argument("--n-stories", type=int, default=20)
-    p.add_argument("--length", type=int, default=4)
-    p.add_argument("--max-ops", type=int, default=2)
-    p.set_defaults(func=cmd_gen_synthetic)
-
-    p = sub.add_parser("selftest", help="run embedded oracle, golden, and recovery suites")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_selftest)
+    for name, (help_text, arguments, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS[argument])
+        p.set_defaults(**defaults)
     return parser
 
 

@@ -138,12 +138,15 @@ def validate_object(obj: ClevrObject, tax: Taxonomy) -> None:
     if not isinstance(obj, ClevrObject):
         raise MalformedObject(f"expected ClevrObject, got {type(obj).__name__}")
     for attr in ATTRIBUTES:
-        value = getattr(obj, attr)
-        category = tax.category_of(value)
-        if category != attr:
-            raise MalformedObject(
-                f"attribute {value!r} resolves to category {category!r}, expected {attr!r}"
-            )
+        validate_attribute(attr, getattr(obj, attr), tax)
+
+
+def validate_attribute(attr: str, value: str, tax: Taxonomy) -> None:
+    category = tax.category_of(value)
+    if category != attr:
+        raise MalformedObject(
+            f"attribute {value!r} resolves to category {category!r}, expected {attr!r}"
+        )
 
 
 def frame_csed(

@@ -224,7 +224,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
     for name in ("e1", "e2"):
         out = tmp_path / name
         assert cli.main(
-            ["eval-story", str(gen), str(gt), "--seed", "5", "--out-dir", str(out)]
+            ["eval-story", str(gen), str(gt), "--out-dir", str(out)]
         ) == 0
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert runs[0] == runs[1], "eval-story outputs differ"
@@ -243,7 +243,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
         out = tmp_path / name
         assert cli.main(
             ["eval-scene", str(det), str(tgt), "--taxonomy", "street",
-             "--seed", "5", "--out-dir", str(out)]
+             "--out-dir", str(out)]
         ) == 0
         scene_runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert scene_runs[0] == scene_runs[1], "eval-scene outputs differ"
@@ -253,7 +253,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
     for name in ("x1", "x2"):
         out = tmp_path / name
         assert cli.main(
-            ["explain", str(tx), "--min-support", "0.2", "--seed", "5",
+            ["explain", str(tx), "--min-support", "0.2",
              "--out-dir", str(out)]
         ) == 0
         explain_runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

@@ -982,7 +982,7 @@ def test_identical_one_frame_story_scores_zero_at_an_overflowing_weight(tmp_path
 
 @pytest.mark.parametrize(
     "command,inputs",
-    [("eval-story", 2), ("eval-scene", 2), ("explain", 1), ("gen-synthetic", 0), ("selftest", 0)],
+    [("eval-story", 2), ("eval-scene", 2), ("gen-synthetic", 0), ("selftest", 0)],
 )
 @pytest.mark.parametrize(
     "option,message",
@@ -998,20 +998,63 @@ def test_every_subcommand_checks_the_cost_options(command, inputs, option, messa
     # the options are checked before any input is read, so the inputs need not exist
     out = tmp_path / "out"
     paths = [str(tmp_path / f"input{k}.jsonl") for k in range(inputs)]
-    rc = cli.main([command, *paths, *option, "--out-dir", str(out)])
+    out_dir = [] if command == "selftest" else ["--out-dir", str(out)]
+    rc = cli.main([command, *paths, *option, *out_dir])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
-def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
+def test_gen_synthetic_corrupt_taxonomy_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tax"
     bad.write_text("a -> b\nb -> a\n", encoding="utf-8")
-    rc = cli.main(["selftest", "--taxonomy", str(bad)])
+    out = tmp_path / "out"
+    rc = cli.main(["gen-synthetic", "--taxonomy", str(bad), "--out-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: line 1: expected 'child<TAB>parent', got 'a -> b'\n"
     )
+    assert not out.exists()
+
+
+CLEVR_TEXT = resolve_taxonomy("clevr").to_text()
+
+
+@pytest.mark.parametrize(
+    "tax_text,message",
+    [
+        (None, "concept 'large' is not in the taxonomy"),
+        (CLEVR_TEXT.replace("small\tsize", "small\tshape"),
+         "attribute 'small' resolves to category 'shape', expected 'size'"),
+    ],
+    ids=["street", "misplaced-size"],
+)
+def test_gen_synthetic_rejects_a_taxonomy_without_its_vocabulary(tax_text, message, tmp_path,
+                                                                  capsys):
+    # every value the generator draws must sit under its slot's category, as
+    # eval-story checks of each object it reads, before any story is drawn
+    taxonomy = "street"
+    if tax_text is not None:
+        taxonomy = str(tmp_path / "moved.tax")
+        Path(taxonomy).write_text(tax_text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["gen-synthetic", "--taxonomy", taxonomy, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_gen_synthetic_reads_its_taxonomy(tmp_path, capsys):
+    # a taxonomy that holds the vocabulary where clevr does draws the same corpus
+    wider = tmp_path / "wider.tax"
+    wider.write_text(CLEVR_TEXT + "texture\tentity\nsmooth\ttexture\n", encoding="utf-8")
+    corpora = []
+    for taxonomy in ("clevr", str(wider)):
+        out = tmp_path / Path(taxonomy).stem
+        assert cli.main(["gen-synthetic", "--taxonomy", taxonomy, "--seed", "3",
+                         "--out-dir", str(out)]) == 0
+        corpora.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert corpora[0] == corpora[1]
 
 
 @pytest.mark.parametrize(
@@ -1022,7 +1065,7 @@ def test_selftest_corrupt_taxonomy_errors(tmp_path, capsys):
                      "position 11: invalid start byte", id="non-utf8"),
     ],
 )
-@pytest.mark.parametrize("command", [["selftest"], ["eval-scene", "det.jsonl", "tgt.jsonl"]])
+@pytest.mark.parametrize("command", [["gen-synthetic"], ["eval-scene", "det.jsonl", "tgt.jsonl"]])
 def test_bad_taxonomy_file_names_the_file(command, content, detail, tmp_path, capsys):
     # eval-scene loads the taxonomy before it reads its inputs, which need not exist
     bad = tmp_path / "bad.tax"
@@ -1099,22 +1142,71 @@ def test_json_format_output(golden_corpus, tmp_path):
 # -- run options: defaults, args files, README ------------------------------------
 
 POSITIONALS = {"eval-story": 2, "eval-scene": 2, "explain": 1, "gen-synthetic": 0, "selftest": 0}
-RUN_DEFAULTS = {
-    "taxonomy": "clevr", "replace_mode": None, "unit_edge_cost": None, "delete_weight": None,
-    "insert_weight": None, "format": "csv", "seed": 0, "out_dir": ".", "attach_unknown": False,
+_COST = {"cost_profile": "flattened", "replace_mode": None, "unit_edge_cost": None,
+         "delete_weight": None, "insert_weight": None}
+# every value each subcommand parses, its inputs given as "in.jsonl": 40 options in all
+PARSED_DEFAULTS = {
+    "eval-story": {"taxonomy": "clevr", **_COST, "format": "csv", "out_dir": ".",
+                   "generated": "in.jsonl", "ground_truth": "in.jsonl"},
+    "eval-scene": {"taxonomy": "clevr", **_COST, "cost_profile": "path", "format": "csv",
+                   "out_dir": ".", "attach_unknown": False, "detections": "in.jsonl",
+                   "targets": "in.jsonl", "thresholds": None, "show_scripts": 0},
+    "explain": {"format": "csv", "out_dir": ".", "transactions": "in.jsonl",
+                "min_support": 0.01, "top_k": 10},
+    "gen-synthetic": {"taxonomy": "clevr", **_COST, "seed": 0, "out_dir": ".",
+                      "n_stories": 20, "length": 4, "max_ops": 2},
+    "selftest": {**_COST, "seed": 0},
 }
 
 
 @pytest.mark.parametrize("command", list(POSITIONALS))
 def test_parsed_defaults_of_each_subcommand(command):
-    args = cli.build_parser().parse_args([command, *["in.jsonl"] * POSITIONALS[command]])
-    options = vars(args)
-    assert {key: options[key] for key in RUN_DEFAULTS} == RUN_DEFAULTS
-    assert args.cost_profile == ("path" if command == "eval-scene" else "flattened")
-    if command == "eval-scene":
-        assert (args.thresholds, args.show_scripts) == (None, 0)
-    if command == "explain":
-        assert (args.min_support, args.top_k) == (0.01, 10)
+    args = vars(cli.build_parser().parse_args([command, *["in.jsonl"] * POSITIONALS[command]]))
+    assert args.pop("command") == command
+    assert args.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_"))
+    assert args == PARSED_DEFAULTS[command]
+
+
+UNREAD_OPTIONS = [  # options another subcommand takes, which these commands would not read
+    ("eval-story", ["--seed", "5"]),
+    ("eval-story", ["--attach-unknown"]),
+    ("eval-scene", ["--seed", "5"]),
+    ("explain", ["--taxonomy", "street"]),
+    ("explain", ["--cost-profile", "path"]),
+    ("explain", ["--replace-mode", "shortest-path"]),
+    ("explain", ["--unit-edge-cost", "2"]),
+    ("explain", ["--delete-weight", "5"]),
+    ("explain", ["--insert-weight", "5"]),
+    ("explain", ["--seed", "5"]),
+    ("explain", ["--attach-unknown"]),
+    ("gen-synthetic", ["--format", "markdown"]),
+    ("gen-synthetic", ["--attach-unknown"]),
+    ("selftest", ["--taxonomy", "street"]),
+    ("selftest", ["--attach-unknown"]),
+    ("selftest", ["--format", "markdown"]),
+    ("selftest", ["--out-dir", "out"]),
+]
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS,
+                         ids=[f"{command} {option[0]}" for command, option in UNREAD_OPTIONS])
+def test_options_a_subcommand_does_not_read_are_rejected(command, option, golden_corpus,
+                                                         tmp_path, monkeypatch, capsys):
+    # the inputs are valid, so only the option stops the run, before it writes anything
+    monkeypatch.chdir(tmp_path)
+    inputs = {"eval-story": list(map(str, golden_corpus)),
+              "eval-scene": ["det.jsonl", "tgt.jsonl"], "explain": ["tx.jsonl"]}.get(command, [])
+    _write_detections("det.jsonl", STREET_DETECTIONS)
+    _write_detections("tgt.jsonl", STREET_TARGETS)
+    Path("tx.jsonl").write_text('{"id": "a", "edits": ["I:car"]}\n', encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _args_file(path, *args):
@@ -1145,12 +1237,12 @@ def test_bad_value_in_the_args_file_names_the_option(tmp_path, capsys):
     args_file = _args_file(tmp_path / "run.args", "--delete-weight", "true")
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["selftest", args_file, "--out-dir", str(out)])
+        cli.main(["gen-synthetic", args_file, "--out-dir", str(out)])
     assert exc.value.code == 2
     out_text, err = capsys.readouterr()
     assert out_text == ""
     assert err.endswith(
-        "cee selftest: error: argument --delete-weight: invalid float value: 'true'\n"
+        "cee gen-synthetic: error: argument --delete-weight: invalid float value: 'true'\n"
     )
     assert not out.exists()
 
@@ -1165,11 +1257,12 @@ def test_thresholds_from_the_args_file_and_the_command_line_accumulate(tmp_path)
 
 def test_blank_lines_in_the_args_file_are_skipped(golden_corpus, tmp_path, capsys):
     # a line that is empty or only whitespace is no argument; the others stay as written
-    args_file = _args_file(tmp_path / "blank.args", "--seed", "1", "", " \t")
-    assert cli.main(["selftest", args_file, "--out-dir", str(tmp_path / "selftest")]) == 0
+    args_file = _args_file(tmp_path / "blank.args", "--delete-weight", "1", "", " \t")
+    assert cli.main(["selftest", args_file]) == 0
     gen_path, gt_path = golden_corpus
     args = cli.build_parser().parse_args(["eval-story", args_file, str(gen_path), str(gt_path)])
-    assert (args.seed, args.generated, args.ground_truth) == (1, str(gen_path), str(gt_path))
+    assert (args.delete_weight, args.generated, args.ground_truth) == (
+        1.0, str(gen_path), str(gt_path))
     out = tmp_path / "story"
     assert cli.main(["eval-story", args_file, str(gen_path), str(gt_path),
                      "--out-dir", str(out)]) == 0
@@ -1305,10 +1398,10 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy(argv, tmp_path):
     # evaluation runs on the owned assignment solver and the harness prices
     # frames by its own exhaustive pairing, so no command loads either
     src = str(Path(cli.__file__).resolve().parents[1])
-    run = "" if argv is None else f"assert cee.cli.main({argv + ['--out-dir', str(tmp_path)]!r}) == 0; "
+    run = "" if argv is None else f"assert cee.cli.main({argv!r}) == 0; "
     code = f"import sys, cee.cli; {run}print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
