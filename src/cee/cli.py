@@ -207,8 +207,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
     report = []
     files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
-    # an image's line per passing count: equal counts pass equal sets (solve_thresholds)
-    lines: dict[tuple[str, int], str] = {}
+    lines: dict[tuple, str] = {}  # an image's line per (image id, passing set)
     costliest = []  # (threshold, [(script, sample)]) when --show-scripts asks for them
     for t_d, samples, scripts in solve_thresholds(detections, targets, thresholds, tax, cost):
         report.append((t_d, operation_census(scripts)))
@@ -217,7 +216,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
             costliest.append((t_d, ranked[: args.show_scripts]))
         text = []
         for s, script in zip(samples, scripts):
-            key = (s.image_id, len(s.generated))
+            key = (s.image_id, s.generated)
             line = lines.get(key)
             if line is None:
                 line = lines[key] = Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
@@ -460,16 +459,25 @@ class _Parser(argparse.ArgumentParser):
         """An ``@file`` line is one argument, taken as written; a blank line is none."""
         return [arg_line] if arg_line.strip() else []
 
+    def parse_known_args(self, args=None, namespace=None):
+        """An argument this parser does not take is its own error, so a subcommand
+        names itself and shows its own usage."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cee",
         description="Knowledge-driven counterfactual edit evaluation",
         fromfile_prefix_chars="@",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, defaults) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS[argument])
         p.set_defaults(**defaults)

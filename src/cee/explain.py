@@ -60,27 +60,17 @@ def read_transactions(path: str | Path) -> list[Transaction]:
     """Ids may repeat: pooled per-threshold files hold each image once per threshold.
 
     A line that repeats an earlier line byte for byte is parsed once: it gets
-    the same ``Transaction``. Edit lists are interned per file: equal lists
-    share one frozenset, built once, and each distinct edit of the file passes
-    ``_check_edit`` once. Mining then counts each distinct edit set once,
-    weighted by how many transactions hold it."""
-    interned: dict[tuple, frozenset[str]] = {}
+    the same ``Transaction``. Each distinct edit of the file passes
+    ``_check_edit`` once."""
     checked: set[str] = set()
 
     def build(record: dict) -> Transaction:
         edits = record["edits"]
-        key = tuple(edits)
-        try:
-            items = interned.get(key)
-        except TypeError:  # an unhashable edit, named below like any other non-string
-            items = None
-        if items is None:
-            for item in edits:  # in list order, so the first bad edit is named
-                if not isinstance(item, str) or item not in checked:
-                    _check_edit(item)
-                    checked.add(item)
-            items = interned[key] = frozenset(edits)
-        return Transaction(id=record["id"], items=items)
+        for item in edits:  # in list order, so the first bad edit is named
+            if not isinstance(item, str) or item not in checked:
+                _check_edit(item)
+                checked.add(item)
+        return Transaction(id=record["id"], items=frozenset(edits))
 
     return _read_jsonl(path, "id", "edits", build, unique=None)
 

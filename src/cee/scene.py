@@ -86,34 +86,17 @@ def solve_thresholds(
     tax: Taxonomy,
     cfg: CostConfig = PATH_CONFIG,
 ) -> Iterator[tuple[float, list[SceneSample], list[EditScript]]]:
-    """Joined samples and their edit scripts, one threshold at a time, as
-    ``build_samples`` and ``scene_csed`` give them; each distinct (image,
-    passing detections) is built and solved once.
-
-    Thresholds are deduplicated and yielded in ascending order. All
-    thresholds are checked before the first is solved. An image's passing
-    detections only shrink as the threshold rises, so a threshold that
-    passes as many of them as the one before passes the same ones: the
-    image keeps that threshold's sample and script, shared, not rebuilt.
-    """
+    """``build_samples`` and their ``scene_csed`` scripts, one threshold at a
+    time. Thresholds are deduplicated and yielded in ascending order, and all
+    of them are checked before the first is solved."""
     ts = sorted({_check_threshold(t) for t in thresholds})
     if not ts:
         raise ValueError("no thresholds given")
-    ids = sorted(detections.keys() & targets.keys())
-    if not ids:
+    if not detections.keys() & targets.keys():
         raise EmptyCorpus("no image ids shared between detections and targets")
-    passing = [-1] * len(ids)  # per image, at the threshold its sample was built for
-    samples: list = [None] * len(ids)
-    scripts: list = [None] * len(ids)
     for t_d in ts:
-        for k, image_id in enumerate(ids):
-            kept = [rec.concept for rec in detections[image_id] if rec.confidence >= t_d]
-            if len(kept) != passing[k]:
-                passing[k] = len(kept)
-                concepts = ConceptMultiset._from_normalized(kept)
-                samples[k] = SceneSample(image_id, concepts, targets[image_id])
-                scripts[k] = scene_csed(samples[k], tax, cfg)
-        yield t_d, samples[:], scripts[:]
+        samples = build_samples(detections, targets, t_d)
+        yield t_d, samples, [scene_csed(s, tax, cfg) for s in samples]
 
 
 def corpus_report(

@@ -44,8 +44,8 @@ def _inputs(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "explain"])
-def test_traced_child_run_reports_a_trace(command, tmp_path):
+def _traced(command, tmp_path):
+    """The trace of ``perfbench/child.py`` running ``command`` on the inputs above."""
     argv = _inputs(tmp_path)[command]
     argv = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in argv]
     report = tmp_path / "report.json"
@@ -56,4 +56,16 @@ def test_traced_child_run_reports_a_trace(command, tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "trace" in json.loads(report.read_text(encoding="utf-8"))
+    return json.loads(report.read_text(encoding="utf-8"))["trace"]
+
+
+@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "explain"])
+def test_traced_child_run_reports_a_trace(command, tmp_path):
+    assert "totals" in _traced(command, tmp_path)
+
+
+def test_traced_scene_run_builds_and_solves_each_threshold_once(tmp_path):
+    # one image at two thresholds: one join and one script per (image, threshold)
+    totals = _traced("eval-scene", tmp_path)["totals"]  # span name -> [calls, s, self s]
+    assert totals["scene.build_samples"][0] == 2
+    assert totals["scene.scene_csed"][0] == 2

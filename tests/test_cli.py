@@ -1188,10 +1188,9 @@ UNREAD_OPTIONS = [  # options another subcommand takes, which these commands wou
 ]
 
 
-@pytest.mark.parametrize("command,option", UNREAD_OPTIONS,
-                         ids=[f"{command} {option[0]}" for command, option in UNREAD_OPTIONS])
-def test_options_a_subcommand_does_not_read_are_rejected(command, option, golden_corpus,
-                                                         tmp_path, monkeypatch, capsys):
+def _assert_rejected(command, option, golden_corpus, tmp_path, monkeypatch, capsys):
+    """``cee <command> <valid inputs> <option>`` exits 2 naming the subcommand and
+    ``option`` as unrecognized, and prints and writes nothing."""
     # the inputs are valid, so only the option stops the run, before it writes anything
     monkeypatch.chdir(tmp_path)
     inputs = {"eval-story": list(map(str, golden_corpus)),
@@ -1205,8 +1204,48 @@ def test_options_a_subcommand_does_not_read_are_rejected(command, option, golden
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+    assert err.startswith(f"usage: cee {command} ")
+    assert err.endswith(f"cee {command}: error: unrecognized arguments: {' '.join(option)}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS,
+                         ids=[f"{command} {option[0]}" for command, option in UNREAD_OPTIONS])
+def test_options_a_subcommand_does_not_read_are_rejected(command, option, golden_corpus,
+                                                         tmp_path, monkeypatch, capsys):
+    _assert_rejected(command, option, golden_corpus, tmp_path, monkeypatch, capsys)
+
+
+ABBREVIATED_OPTIONS = [  # (command, an abbreviated flag, the flag in full): every flag
+    ("selftest", ["--se", "3"], ["--seed", "3"]),
+    ("selftest", ["--del", "0.7"], ["--delete-weight", "0.7"]),
+    ("selftest", ["--ins", "0.3"], ["--insert-weight", "0.3"]),
+    ("explain", ["--t", "5"], ["--top-k", "5"]),
+    ("explain", ["--top=5"], ["--top-k=5"]),
+    ("explain", ["--min", "0.5"], ["--min-support", "0.5"]),
+    ("eval-story", ["--tax", "clevr"], ["--taxonomy", "clevr"]),
+    ("eval-story", ["--cost", "path"], ["--cost-profile", "path"]),
+    ("eval-story", ["--form", "json"], ["--format", "json"]),
+    ("eval-scene", ["--thr", "0.5"], ["--threshold", "0.5"]),
+    ("eval-scene", ["--show", "2"], ["--show-scripts", "2"]),
+    ("eval-scene", ["--attach"], ["--attach-unknown"]),
+    ("eval-scene", ["--unit", "2"], ["--unit-edge-cost", "2"]),
+    ("eval-scene", ["--replace", "shortest-path"], ["--replace-mode", "shortest-path"]),
+    ("gen-synthetic", ["--n", "3"], ["--n-stories", "3"]),
+    ("gen-synthetic", ["--len", "2"], ["--length", "2"]),
+    ("gen-synthetic", ["--max", "1"], ["--max-ops", "1"]),
+    ("gen-synthetic", ["--out", "o"], ["--out-dir", "o"]),
+]
+
+
+@pytest.mark.parametrize("command,option,full", ABBREVIATED_OPTIONS,
+                         ids=[f"{command} {option[0]}" for command, option, _
+                              in ABBREVIATED_OPTIONS])
+def test_abbreviated_options_are_rejected(command, option, full, golden_corpus,
+                                          tmp_path, monkeypatch, capsys):
+    positionals = ["in.jsonl"] * POSITIONALS[command]
+    assert cli.build_parser().parse_args([command, *positionals, *full]).command == command
+    _assert_rejected(command, option, golden_corpus, tmp_path, monkeypatch, capsys)
 
 
 def _args_file(path, *args):

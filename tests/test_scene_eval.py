@@ -29,7 +29,7 @@ from cee.scene import (
     scene_csed,
     solve_thresholds,
 )
-from cee import cli, scene, taxonomy
+from cee import cli, edits, scene, taxonomy
 from cee.taxonomy import COST_PROFILES, PATH_CONFIG, resolve_taxonomy
 
 
@@ -54,7 +54,6 @@ def test_detection_confidence_range_enforced():
 
 
 def test_sample_is_frozen():
-    # solve_thresholds shares one sample between thresholds that pass the same detections
     sample = SceneSample(image_id="i", generated=ConceptMultiset(), target=ConceptMultiset(["car"]))
     with pytest.raises(dataclasses.FrozenInstanceError):
         sample.generated = ConceptMultiset(["car"])
@@ -436,7 +435,9 @@ def test_eval_scene_matches_a_sweep_solved_threshold_by_threshold(
     assert capsys.readouterr().out == expected[f"census.{cli._EXT[fmt]}"]
 
 
-def test_eval_scene_solves_and_renders_each_distinct_passing_set_once(tmp_path, monkeypatch):
+def test_eval_scene_solves_each_distinct_pair_and_renders_each_distinct_line_once(
+    tmp_path, monkeypatch
+):
     detections = [
         _detections("all", ("car", 0.95), ("truck", 1.0)),  # passes every threshold
         _detections("steps", ("car", 0.15), ("car", 0.35), ("truck", 0.55)),  # 3, 2, 1, 0, 0
@@ -444,29 +445,32 @@ def test_eval_scene_solves_and_renders_each_distinct_passing_set_once(tmp_path, 
         _detections("tied", ("car", 0.5), ("truck", 0.5)),  # 2, 2, 2, 0, 0
     ]
     targets = [{"image_id": i, "concepts": ["car"]} for i in ("all", "steps", "none", "tied")]
-    solved, rendered = [], []
-    real_solve, real_render = scene.scene_csed, Transaction.to_json
+    scored, solved, rendered = [], [], []
+    real_score, real_solve, real_render = scene.scene_csed, edits._solve, Transaction.to_json
     monkeypatch.setattr(scene, "scene_csed",
-                        lambda sample, *a: solved.append(sample.image_id) or real_solve(sample, *a))
+                        lambda s, *a: scored.append(s.image_id) or real_score(s, *a))
+    monkeypatch.setattr(edits, "_solve",
+                        lambda s, t, model: solved.append((s, t)) or real_solve(s, t, model))
     monkeypatch.setattr(Transaction, "to_json",
                         lambda self: rendered.append(self.id) or real_render(self))
     rc, *_, out = _eval_scene(tmp_path, detections, targets, ["0.1", "0.3", "0.5", "0.7", "0.9"])
     assert rc == 0
-    expected = {"all": 1, "steps": 4, "none": 1, "tied": 2}
-    assert Counter(solved) == expected
-    assert Counter(rendered) == expected
+    assert Counter(scored) == {"all": 5, "steps": 5, "none": 5, "tied": 5}
+    # (car truck | car), (car car truck | car), (truck | car) and ( | car), each solved once
+    assert len(solved) == len(set(solved)) == 4
+    assert Counter(rendered) == {"all": 1, "steps": 4, "none": 1, "tied": 2}
     files = sorted(out.glob("transactions_td*.jsonl"))
     assert [len(p.read_text(encoding="utf-8").splitlines()) for p in files] == [4] * 5
 
 
-def test_solve_thresholds_shares_the_sample_and_script_of_an_unchanged_image(street):
+def test_solve_thresholds_shares_the_script_of_an_unchanged_image(street):
     detections = {"a": [det("a", "car", 0.9)], "b": [det("b", "car", 0.4)]}
     targets = {"a": ConceptMultiset(["car"]), "b": ConceptMultiset(["truck"])}
     (_, low, low_scripts), (_, high, high_scripts) = solve_thresholds(
         detections, targets, [0.3, 0.5], street
     )
-    assert high[0] is low[0] and high_scripts[0] is low_scripts[0]
-    assert high[1] is not low[1] and len(high[1].generated) == 0
+    assert high_scripts[0] is low_scripts[0]
+    assert len(low[1].generated) == 1 and len(high[1].generated) == 0
 
 
 def test_solve_thresholds_checks_every_threshold_before_the_first_solve(street, monkeypatch):
