@@ -118,9 +118,6 @@ def apriori(
     """
     itemsets = _distinct(transactions)
     min_count = _min_count(min_support, len(transactions))
-    if not itemsets:
-        return {}
-
     counts: dict[frozenset[str], int] = {}
     singles: dict[frozenset[str], int] = {}
     for t, weight in itemsets.items():
@@ -228,8 +225,8 @@ def _quoted(names: Iterable[str]) -> str:
     return "{" + ",".join(f"'{n}'" for n in names) + "}"
 
 
-def _semantic_label(name: str | None, tax: Taxonomy | None) -> str:
-    if tax is None or name is None:
+def _semantic_label(name: str, tax: Taxonomy | None) -> str:
+    if tax is None:
         return "?"
     cat = tax.category_of(name)
     return cat.capitalize() if cat else "?"

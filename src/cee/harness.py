@@ -335,11 +335,7 @@ def random_scene_corpus(
     for i in range(n_images):
         image_id = f"img-{i:03d}"
         detections[image_id] = [
-            DetectionRecord(
-                image_id=image_id,
-                concept=rng.choice(pool),
-                confidence=rng.random(),
-            )
+            DetectionRecord(concept=rng.choice(pool), confidence=rng.random())
             for _ in range(rng.randint(0, max_detections))
         ]
         targets[image_id] = ConceptMultiset(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .edits import Census, ConceptMultiset, EditScript, csed, format_cost, operation_census
 from .errors import EmptyCorpus, MalformedObject, _read_jsonl
@@ -25,9 +25,9 @@ CENSUS_HEADER = ",".join(CENSUS_COLUMNS)
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detection; ``concept`` is taken as ``Taxonomy.resolve`` returns it."""
+    """One detection, filed under its image id by the reader; ``concept`` is
+    taken as ``Taxonomy.resolve`` returns it."""
 
-    image_id: str
     concept: str
     confidence: float
 
@@ -133,30 +133,11 @@ def census_csv(rows: Iterable[tuple[float, Census]]) -> str:
 # -- JSONL ingestion ---------------------------------------------------------
 
 
-def _resolver(tax: Taxonomy) -> Callable[[Any], str]:
-    """``tax.resolve`` that checks each distinct string once. Only strings are
-    remembered: any other value, and a name that fails, go to ``tax.resolve``
-    every time, so each fails with its own message on its own line."""
-    resolved: dict[str, str] = {}
-
-    def resolve(raw: Any) -> str:
-        if not isinstance(raw, str):
-            return tax.resolve(raw)  # rejects it
-        name = resolved.get(raw)
-        if name is None:
-            name = resolved[raw] = tax.resolve(raw)
-        return name
-
-    return resolve
-
-
 def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[DetectionRecord]]:
-    """Detections of ``path`` by image id; every concept must resolve in ``tax``,
-    and each distinct concept string is resolved once per file."""
-    resolve = _resolver(tax)
+    """Detections of ``path``, filed by image id; every concept must resolve
+    in ``tax``, which checks each distinct string once."""
 
     def build(record: dict) -> tuple[str, list[DetectionRecord]]:
-        image_id = record["image_id"]
         detections = []
         for det in record["detections"]:
             if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
@@ -164,22 +145,20 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
             confidence = det["confidence"]
             if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
                 raise MalformedObject(f"confidence must be a number, got {confidence!r}")
-            concept = resolve(det["concept"])
-            detections.append(DetectionRecord(image_id, concept, float(confidence)))
-        return image_id, detections
+            detections.append(DetectionRecord(tax.resolve(det["concept"]), float(confidence)))
+        return record["image_id"], detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))
 
 
 def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
-    """Target multisets of ``path`` by image id; every concept must resolve in ``tax``,
-    and each distinct concept string is resolved once per file."""
-    resolve = _resolver(tax)
+    """Target multisets of ``path`` by image id; every concept must resolve
+    in ``tax``, which checks each distinct string once."""
 
     def build(record: dict) -> tuple[str, ConceptMultiset]:
         if not record["concepts"]:
             raise MalformedObject("a target needs at least one concept, got 'concepts': []")
-        concepts = ConceptMultiset._from_normalized(map(resolve, record["concepts"]))
+        concepts = ConceptMultiset._from_normalized(map(tax.resolve, record["concepts"]))
         return record["image_id"], concepts
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))

@@ -85,8 +85,8 @@ class Taxonomy:
     """Immutable rooted concept hierarchy with cached path queries.
 
     Instances are safe to share across threads once constructed; the lazy
-    caches (distances, cost models) are only ever filled with idempotent
-    values.
+    caches (resolved names, distances, cost models) are only ever filled
+    with idempotent values.
     """
 
     def __init__(
@@ -120,6 +120,7 @@ class Taxonomy:
             for p in ps:
                 children[p].add(child)
         self._children = {n: frozenset(c) for n, c in children.items()}
+        self._resolved: dict[str, str] = {}
         self._dist: dict[str, dict[str, int]] = {}
         self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
@@ -138,9 +139,14 @@ class Taxonomy:
     def resolve(self, name: str) -> str:
         """Normalize ``name``; unknown concepts are an error unless the
         taxonomy was built with ``attach_unknown``. This is the one check of a
-        name from outside: the queries below take names as it returns them."""
-        norm = normalize_concept(name)
-        return norm if norm in self._nodes else self._unknown(norm)
+        name from outside: the queries below take names as it returns them.
+        Each string is checked once per taxonomy, and only a string that
+        resolves is remembered, so a bad name fails every time it is asked."""
+        found = self._resolved.get(name) if isinstance(name, str) else None
+        if found is None:
+            norm = normalize_concept(name)  # rejects anything but a string
+            found = self._resolved[name] = norm if norm in self._nodes else self._unknown(norm)
+        return found
 
     def _unknown(self, name: str) -> str:
         """``name``, which is no node, when the taxonomy attaches unknowns, else

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -503,6 +504,11 @@ def test_markdown_writes_a_line_break_in_a_cell_as_br(tmp_path, capsys):
     )
     assert cli.render_table(["h"], [["e\nf"]], "csv") == 'h\n"e\nf"\n'
     assert cli.render_table(["h"], [["e\nf"]], "json") == '[\n  {\n    "h": "e\\nf"\n  }\n]\n'
+
+
+def test_render_table_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        cli.render_table(["h"], [["1"]], "xml")
 
 
 @pytest.mark.parametrize(
@@ -1088,6 +1094,27 @@ def test_selftest_golden_mismatch_fails(monkeypatch, capsys):
         "[PASS] harness-recovery: 100 corrupted stories recovered exactly\n"
         "2 passed, 1 failed, 0 skipped\n"
     )
+
+
+def test_selftest_oracle_mismatch_fails(monkeypatch, capsys):
+    real = cli.brute_force_csed
+
+    def costlier(*args):  # an oracle that finds one more insert than the solver
+        extra = edits.EditOp("I", target="extra", cost=1.0)
+        return edits.EditScript(ops=(*real(*args).ops, extra))
+
+    monkeypatch.setattr(cli, "brute_force_csed", costlier)
+    rc = cli.main(["selftest"])
+    assert rc == 1
+    first, *rest = capsys.readouterr().out.splitlines()
+    found = re.fullmatch(r"\[FAIL\] oracle-equivalence: assignment (\S+) != brute force (\S+) "
+                         r"on S=\[.*\] T=\[.*\]", first)
+    assert found and float(found[2]) == float(found[1]) + 1
+    assert rest == [
+        "[PASS] golden-story: reference story pair reproduced exactly",
+        "[PASS] harness-recovery: 100 corrupted stories recovered exactly",
+        "2 passed, 1 failed, 0 skipped",
+    ]
 
 
 @pytest.mark.parametrize(

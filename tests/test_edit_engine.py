@@ -47,6 +47,10 @@ def test_multiset_equality_ignores_taxonomy_tag():
     assert ConceptMultiset(["a", "b"]) == ConceptMultiset(["b", "a"])
 
 
+def test_multiset_repr_lists_its_sorted_names():
+    assert repr(ConceptMultiset(["b", "a"])) == "ConceptMultiset(['a', 'b'])"
+
+
 def test_edit_op_validation():
     with pytest.raises(ValueError):
         EditOp("R", source="a")  # replace needs both endpoints
@@ -54,6 +58,8 @@ def test_edit_op_validation():
         EditOp("D", source="a", target="b")
     with pytest.raises(ValueError):
         EditOp("I", target="b", cost=-1)
+    with pytest.raises(ValueError, match="^insert needs only a target$"):
+        EditOp("I", source="x", target="y")
     with pytest.raises(ValueError):
         EditOp("X", source="a", target="b")
 

@@ -230,6 +230,10 @@ def test_apriori_counts_planted_pair():
     assert frozenset({"r"}) not in counts  # 25% < 50%
 
 
+def test_apriori_of_no_transactions_is_empty():
+    assert apriori([], 0.5) == {}
+
+
 def test_apriori_rejects_bad_support():
     with pytest.raises(ValueError):
         apriori([{"a"}], 0.0)
@@ -472,6 +476,11 @@ def test_format_local_two_replacements(clevr):
 def test_format_local_single_replacement(clevr):
     script = _script(EditOp("R", source="rubber", target="metallic", cost=2))
     assert format_local(script, clevr) == "'rubber' → 'metallic' | R | 2 | Material"
+
+
+def test_format_local_without_a_taxonomy_labels_semantics_unknown():
+    script = _script(EditOp("R", source="rubber", target="metallic", cost=2))
+    assert format_local(script) == "'rubber' → 'metallic' | R | 2 | ?"
 
 
 def test_format_local_empty():

@@ -290,6 +290,11 @@ def test_random_taxonomy_is_wellformed():
         assert delete_cost(tax, node, FLATTENED_CONFIG) >= 0
 
 
+def test_random_taxonomy_needs_a_root_and_a_concept():
+    with pytest.raises(ValueError, match="^need at least a root and one concept$"):
+        random_taxonomy(random.Random(0), n_nodes=1)
+
+
 def test_random_multiset_respects_bounds():
     rng = random.Random(13)
     tax = random_taxonomy(rng, n_nodes=15)

@@ -11,6 +11,7 @@ from cee import (
     EmptyCorpus,
     FLATTENED_CONFIG,
     MalformedObject,
+    UnknownConcept,
     build_samples,
     read_detections,
     read_targets,
@@ -33,8 +34,8 @@ from cee import cli, edits, scene, taxonomy
 from cee.taxonomy import COST_PROFILES, PATH_CONFIG, resolve_taxonomy
 
 
-def det(image_id, concept, confidence):
-    return DetectionRecord(image_id=image_id, concept=concept, confidence=confidence)
+def det(concept, confidence):
+    return DetectionRecord(concept=concept, confidence=confidence)
 
 
 def generated(detections, t_d):
@@ -48,9 +49,9 @@ def generated(detections, t_d):
 
 def test_detection_confidence_range_enforced():
     with pytest.raises(ValueError):
-        det("i", "car", 1.2)
+        det("car", 1.2)
     with pytest.raises(ValueError):
-        det("i", "car", -0.1)
+        det("car", -0.1)
 
 
 def test_sample_is_frozen():
@@ -68,24 +69,24 @@ def test_sample_requires_nonempty_target():
 
 
 def test_filter_drops_low_confidence():
-    kept = generated({"i": [det("i", "car", 0.65), det("i", "dog", 0.55)]}, 0.6)
+    kept = generated({"i": [det("car", 0.65), det("dog", 0.55)]}, 0.6)
     assert kept == {"i": ConceptMultiset(["car"])}
 
 
 def test_filter_boundary_inclusive():
-    kept = generated({"i": [det("i", "car", 0.60)]}, 0.6)
+    kept = generated({"i": [det("car", 0.60)]}, 0.6)
     assert kept["i"] == ConceptMultiset(["car"])
 
 
 def test_filter_zero_keeps_everything():
-    records = {"i": [det("i", "car", 0.0), det("i", "car", 0.9)], "j": [det("j", "dog", 0.4)]}
+    records = {"i": [det("car", 0.0), det("car", 0.9)], "j": [det("dog", 0.4)]}
     kept = generated(records, 0.0)
     assert kept["i"] == ConceptMultiset(["car", "car"])
     assert kept["j"] == ConceptMultiset(["dog"])
 
 
 def test_filter_keeps_image_key_when_all_cut():
-    kept = generated({"i": [det("i", "car", 0.2)]}, 0.9)
+    kept = generated({"i": [det("car", 0.2)]}, 0.9)
     assert kept == {"i": ConceptMultiset()}
 
 
@@ -134,9 +135,9 @@ def test_empty_generated_set_all_inserts(street):
 
 def _toy_corpus():
     detections = {
-        "a": [det("a", "car", 0.55), det("a", "light", 0.9)],
-        "b": [det("b", "truck", 0.65), det("b", "person", 0.45)],
-        "c": [det("c", "buildings", 0.75)],
+        "a": [det("car", 0.55), det("light", 0.9)],
+        "b": [det("truck", 0.65), det("person", 0.45)],
+        "c": [det("buildings", 0.75)],
     }
     targets = {
         "a": ConceptMultiset(["car", "light"]),
@@ -155,7 +156,7 @@ def test_insert_count_monotone_on_toy_corpus(street):
 
 
 def test_perfect_corpus_all_zero(street):
-    detections = {"a": [det("a", "car", 0.9)]}
+    detections = {"a": [det("car", 0.9)]}
     targets = {"a": ConceptMultiset(["car"])}
     ((_, census),) = corpus_report(detections, targets, [0.5], street, FLATTENED_CONFIG)
     assert census.n_insert == census.n_delete == census.n_replace == 0
@@ -165,8 +166,8 @@ def test_perfect_corpus_all_zero(street):
 def test_street_scene_census_row(street):
     detections = {
         "fig": [
-            det("fig", "car", 0.9), det("fig", "car", 0.8), det("fig", "car", 0.7),
-            det("fig", "traffic light", 0.95), det("fig", "stop sign", 0.85),
+            det("car", 0.9), det("car", 0.8), det("car", 0.7),
+            det("traffic light", 0.95), det("stop sign", 0.85),
         ]
     }
     targets = {"fig": ConceptMultiset(["light", "buildings"])}
@@ -194,7 +195,7 @@ def test_census_additivity(street):
 
 
 def test_build_samples_keeps_only_joined_ids(street):
-    detections = {"a": [det("a", "car", 0.9)], "only-det": []}
+    detections = {"a": [det("car", 0.9)], "only-det": []}
     targets = {"a": ConceptMultiset(["car"]), "only-tgt": ConceptMultiset(["light"])}
     samples = build_samples(detections, targets, 0.5)
     assert [s.image_id for s in samples] == ["a"]
@@ -229,22 +230,29 @@ def test_read_detections_and_targets(tmp_path, street):
     assert targets["x"] == ConceptMultiset(["car", "light"])
 
 
-def test_read_detections_normalises_each_concept_once(tmp_path, street, monkeypatch):
+def _count_normalize(monkeypatch, *modules):
+    """Names passed to ``normalize_concept`` from here on, through ``modules``."""
+    calls = []
+    for module in modules:
+        real = module.normalize_concept
+        monkeypatch.setattr(
+            module, "normalize_concept", lambda name, real=real: calls.append(name) or real(name)
+        )
+    return calls
+
+
+def test_read_detections_normalises_each_concept_once(tmp_path, monkeypatch):
     det_path = tmp_path / "det.jsonl"
     det_path.write_text(
         '{"image_id": "7", "detections": [{"concept": " Car ", "confidence": 0.9},'
         ' {"concept": "TRUCK", "confidence": 1}]}\n',
         encoding="utf-8",
     )
-    calls = []
-    for module in (taxonomy, scene):
-        real = module.normalize_concept
-        monkeypatch.setattr(
-            module, "normalize_concept", lambda name, real=real: calls.append(name) or real(name)
-        )
-    detections = read_detections(det_path, street)
+    tax = resolve_taxonomy("street")  # its own: nothing resolved yet
+    calls = _count_normalize(monkeypatch, taxonomy, scene)
+    detections = read_detections(det_path, tax)
     assert calls == [" Car ", "TRUCK"]  # once each, by Taxonomy.resolve
-    assert detections == {"7": [det("7", "car", 0.9), det("7", "truck", 1.0)]}
+    assert detections == {"7": [det("car", 0.9), det("truck", 1.0)]}
 
 
 def _detection_line(image_id, *concepts):
@@ -256,22 +264,39 @@ def _target_line(image_id, *concepts):
     return json.dumps({"image_id": image_id, "concepts": list(concepts)}) + "\n"
 
 
-@pytest.mark.parametrize("reader,line", [(read_detections, _detection_line),
-                                         (read_targets, _target_line)])
-def test_scene_readers_resolve_each_distinct_concept_once(reader, line, tmp_path, street,
-                                                          monkeypatch):
-    path = tmp_path / "in.jsonl"
+_READERS = [(read_detections, _detection_line), (read_targets, _target_line)]
+
+
+@pytest.mark.parametrize("first,second", [_READERS, _READERS[::-1]],
+                         ids=["detections-then-targets", "targets-then-detections"])
+def test_scene_readers_resolve_each_distinct_concept_once(first, second, tmp_path, monkeypatch):
+    tax = resolve_taxonomy("street")
+    calls = _count_normalize(monkeypatch, taxonomy, scene)
+    (reader, line), (other_reader, other_line) = first, second
+    path = tmp_path / "first.jsonl"
     path.write_text(line("x", "car", " Car ", "car") + line("y", "car", "truck"), encoding="utf-8")
-    calls = []
-    real = type(street).resolve
-    monkeypatch.setattr(type(street), "resolve",
-                        lambda tax, name: calls.append(name) or real(tax, name))
-    reader(path, street)
+    reader(path, tax)
     assert calls == ["car", " Car ", "truck"]
+    other = tmp_path / "second.jsonl"
+    other.write_text(other_line("x", "truck", " Car ", "light") + other_line("y", "light", "car"),
+                     encoding="utf-8")
+    other_reader(other, tax)
+    assert calls == ["car", " Car ", "truck", "light"]  # the file's only new string
 
 
-@pytest.mark.parametrize("reader,line", [(read_detections, _detection_line),
-                                         (read_targets, _target_line)])
+def test_resolve_remembers_an_attached_unknown_but_never_a_rejected_name(monkeypatch):
+    attached = resolve_taxonomy("street", attach_unknown=True)
+    strict = resolve_taxonomy("street")
+    calls = _count_normalize(monkeypatch, taxonomy)
+    assert [attached.resolve(" Zebra ") for _ in range(3)] == ["zebra"] * 3
+    assert calls == [" Zebra "]
+    for _ in range(3):
+        with pytest.raises(UnknownConcept):
+            strict.resolve(" Zebra ")
+    assert calls == [" Zebra "] * 4
+
+
+@pytest.mark.parametrize("reader,line", _READERS)
 @pytest.mark.parametrize(
     "bad,message",
     [
@@ -464,13 +489,19 @@ def test_eval_scene_solves_each_distinct_pair_and_renders_each_distinct_line_onc
 
 
 def test_solve_thresholds_shares_the_script_of_an_unchanged_image(street):
-    detections = {"a": [det("a", "car", 0.9)], "b": [det("b", "car", 0.4)]}
+    detections = {"a": [det("car", 0.9)], "b": [det("car", 0.4)]}
     targets = {"a": ConceptMultiset(["car"]), "b": ConceptMultiset(["truck"])}
     (_, low, low_scripts), (_, high, high_scripts) = solve_thresholds(
         detections, targets, [0.3, 0.5], street
     )
     assert high_scripts[0] is low_scripts[0]
     assert len(low[1].generated) == 1 and len(high[1].generated) == 0
+
+
+def test_solve_thresholds_needs_a_threshold(street):
+    detections, targets = _toy_corpus()
+    with pytest.raises(ValueError, match="^no thresholds given$"):
+        next(solve_thresholds(detections, targets, [], street))
 
 
 def test_solve_thresholds_checks_every_threshold_before_the_first_solve(street, monkeypatch):

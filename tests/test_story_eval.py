@@ -66,6 +66,11 @@ def test_validate_object_catches_misplaced_concept(clevr):
         validate_object(bad, clevr)
 
 
+def test_validate_object_rejects_a_non_object(clevr):
+    with pytest.raises(MalformedObject, match="^expected ClevrObject, got str$"):
+        validate_object("x", clevr)
+
+
 def test_object_concepts_multiset():
     assert sorted(obj().concepts()) == ["brown", "rubber", "small", "sphere"]
 
@@ -513,6 +518,8 @@ def test_empty_story_rejected(clevr):
     empty = Story(id="empty", frames=[])
     with pytest.raises(EmptyStory):
         story_loss(empty, empty, clevr, FLATTENED_CONFIG)
+    with pytest.raises(EmptyStory):
+        consistency_loss(empty, clevr, FLATTENED_CONFIG)
 
 
 # -- consistency loss -------------------------------------------------------------

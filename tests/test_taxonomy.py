@@ -98,6 +98,12 @@ def test_load_multiple_roots_rejected():
         load_taxonomy("a\tr1\nb\tr2\n")
 
 
+def test_load_two_declared_roots_rejected():
+    with pytest.raises(MultipleRoots) as info:
+        load_taxonomy("!root\tr2\n!root\tr1\na\tr1\n")
+    assert str(info.value) == "expected exactly one root, found ['r1', 'r2']"
+
+
 def test_load_stray_parentless_node_rejected():
     with pytest.raises(DanglingEdge):
         load_taxonomy("!root\tr\na\tr\nb\tother\n")
