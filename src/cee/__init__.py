@@ -30,7 +30,7 @@ from .errors import (
     UncategorizedConcept,
     UnknownConcept,
 )
-from .explain import apriori, format_local
+from .explain import apriori, edit_set_counts, format_local
 from .harness import corrupt, golden_story_pair, recovery_mismatch
 from .scene import build_samples, read_detections, read_targets, solve_thresholds
 from .story import (

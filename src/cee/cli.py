@@ -34,6 +34,7 @@ from .edits import brute_force_csed, csed, format_cost, operation_census
 from .errors import CeeError, EmptyCorpus
 from .explain import (
     Transaction,
+    edit_set_counts,
     format_local_grouped,
     id_frequency_table,
     mine_rules,
@@ -239,8 +240,9 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     transactions = read_transactions(args.transactions)
-    rules = mine_rules(transactions, args.min_support)
-    table = id_frequency_table(transactions, args.top_k)  # checks top_k before the first write
+    edit_sets = edit_set_counts(t.items for t in transactions)
+    rules = mine_rules(edit_sets, args.min_support)
+    table = id_frequency_table(edit_sets, args.top_k)  # checks top_k before the first write
     rules_text = _emit(
         args,
         "rules",

@@ -293,8 +293,9 @@ def csed(
 ) -> EditScript:
     """Minimum-cost edit script turning ``generated`` into ``target``.
 
-    Pairs priced at zero (equal concepts, or generated concept strictly more
-    specific than the target) emit no op. Cost ties between a replace and the
+    An op priced at zero is not written: a free pair (equal concepts, or the
+    generated concept strictly more specific than the target), or a delete or
+    insert of the root. Cost ties between a replace and the
     delete-plus-insert route resolve to the replace while prices stay small
     enough for the ``_TIE_EPS`` bias to count (see there).
 
@@ -343,9 +344,9 @@ def _solve(
             key, cost = (DELETE, s_items[i], None), del_costs[i]
         elif i >= n:
             key, cost = (INSERT, None, t_items[j]), ins_costs[j]
-        elif pair[i][j] > 0.0:
-            key, cost = (REPLACE, s_items[i], t_items[j]), float(pair[i][j])
         else:
+            key, cost = (REPLACE, s_items[i], t_items[j]), float(pair[i][j])
+        if cost == 0.0:  # a free pair, or a delete or insert of the root: no op
             continue
         op = built.get(key)
         if op is None:  # first use under this model: build and check the op once
@@ -406,9 +407,10 @@ def brute_force_csed(
 
     ops: list[EditOp] = []
     taken = [False] * m
-    for i, j in enumerate(best_choice):
+    for i, j in enumerate(best_choice):  # an op of cost 0 is not written
         if j == -1:
-            ops.append(EditOp(DELETE, source=s_items[i], cost=del_costs[i]))
+            if del_costs[i] > 0.0:
+                ops.append(EditOp(DELETE, source=s_items[i], cost=del_costs[i]))
         else:
             taken[j] = True
             if pair[i][j] > 0.0:
@@ -416,7 +418,7 @@ def brute_force_csed(
                     EditOp(REPLACE, source=s_items[i], target=t_items[j], cost=pair[i][j])
                 )
     for j in range(m):
-        if not taken[j]:
+        if not taken[j] and ins_costs[j] > 0.0:
             ops.append(EditOp(INSERT, target=t_items[j], cost=ins_costs[j]))
     return EditScript(tuple(ops))
 

@@ -108,54 +108,53 @@ def _parse_line(line: str) -> Any:
 
 
 def _read_jsonl(
-    path: str | Path, id_key: str, list_key: str, build: Callable[[dict], Any], unique: str | None
+    path: str | Path, id_key: str, list_key: str, build: Callable[[str, list], Any],
+    unique: str | None,
 ) -> list:
-    """``build(record)`` per non-blank line of ``path``, where each line is a JSON object
-    holding a string under ``id_key`` and a list under ``list_key``; failures get a
-    ``path:line`` prefix. A line is blank when only JSON whitespace is on it.
+    """``build(id, values)`` per non-blank line of ``path``, where each line is a JSON
+    object holding a string ``id`` under ``id_key`` and a list ``values`` under
+    ``list_key``; failures get a ``path:line`` prefix. The file is read at once and
+    split once. A line is blank when only JSON whitespace is on it.
     ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows
     them, and then a line that repeats a built line byte for byte gets the same item,
     without being decoded, parsed or built again. Only built lines are kept, so a failing
     line still fails at its own number."""
     items, seen = [], set()
     built: dict[bytes, Any] | None = {} if unique is None else None
-    with open(path, "rb") as chunks:
-        # bytes, decoded line by line, so a bad byte is reported with its line;
-        # splitlines() breaks at "\n", "\r\n" and "\r", as text mode would
-        lines = (line for chunk in chunks for line in chunk.splitlines())
-        for number, raw in enumerate(lines, start=1):
-            if built is not None:
-                item = built.get(raw)
-                if item is not None:
-                    items.append(item)
-                    continue
+    # bytes, decoded line by line, so a bad byte is reported with its line;
+    # splitlines() breaks at "\n", "\r\n" and "\r", as text mode would
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if built is not None:
+            item = built.get(raw)
+            if item is not None:
+                items.append(item)
+                continue
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip(_JSON_WS):
+                continue
+            record = _parse_line(line)
+            if not isinstance(record, dict):
+                raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
             try:
-                line = raw.decode("utf-8")
-                if not line.strip(_JSON_WS):
-                    continue
-                record = _parse_line(line)
-                if not isinstance(record, dict):
-                    raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
-                if id_key not in record or list_key not in record:
-                    raise MalformedObject(f"line needs {id_key!r} and {list_key!r}")
-                if not isinstance(record[list_key], list):
-                    raise MalformedObject(
-                        f"{list_key!r} must be a list, got {type(record[list_key]).__name__}"
-                    )
-                record_id = record[id_key]
-                if not isinstance(record_id, str):
-                    raise MalformedObject(
-                        f"{id_key!r} must be a string, got {type(record_id).__name__}"
-                    )
-                if unique is not None:
-                    if record_id in seen:
-                        raise MalformedObject(f"duplicate {unique} id {record_id!r}")
-                    seen.add(record_id)
-                item = build(record)
-            except (MalformedObject, UnknownConcept, ValueError, TypeError,
-                    OverflowError, RecursionError) as exc:  # nested too deep, or an int too large
-                raise MalformedObject(f"{path}:{number}: {exc}") from exc
-            items.append(item)
-            if built is not None:
-                built[raw] = item
+                record_id, values = record[id_key], record[list_key]
+            except KeyError:
+                raise MalformedObject(f"line needs {id_key!r} and {list_key!r}") from None
+            if not isinstance(values, list):
+                raise MalformedObject(f"{list_key!r} must be a list, got {type(values).__name__}")
+            if not isinstance(record_id, str):
+                raise MalformedObject(
+                    f"{id_key!r} must be a string, got {type(record_id).__name__}"
+                )
+            if unique is not None:
+                if record_id in seen:
+                    raise MalformedObject(f"duplicate {unique} id {record_id!r}")
+                seen.add(record_id)
+            item = build(record_id, values)
+        except (MalformedObject, UnknownConcept, ValueError, TypeError,
+                OverflowError, RecursionError) as exc:  # nested too deep, or an int too large
+            raise MalformedObject(f"{path}:{number}: {exc}") from exc
+        items.append(item)
+        if built is not None:
+            built[raw] = item
     return items

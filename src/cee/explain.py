@@ -3,8 +3,9 @@
 Local: an edit script rendered as a human-readable row (story frames) or a
 grouped I/D/R listing (scenes). Global: replacement rules counted from the
 R tokens of each transaction, plus insert/delete frequency tables; apriori
-mines general frequent itemsets over the same transactions. All three count
-each distinct edit set once, weighted by how many transactions hold it.
+mines general frequent itemsets over the same transactions. All three take
+``edit_set_counts``: each distinct edit set once, weighted by how many
+transactions hold it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
 from .errors import MalformedObject, _read_jsonl
@@ -25,8 +26,7 @@ from .taxonomy import Taxonomy, normalize_concept
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """Deduplicated edit tokens for one story or image."""
 
     id: str
@@ -64,13 +64,12 @@ def read_transactions(path: str | Path) -> list[Transaction]:
     ``_check_edit`` once."""
     checked: set[str] = set()
 
-    def build(record: dict) -> Transaction:
-        edits = record["edits"]
+    def build(id: str, edits: list) -> Transaction:
         for item in edits:  # in list order, so the first bad edit is named
             if not isinstance(item, str) or item not in checked:
                 _check_edit(item)
                 checked.add(item)
-        return Transaction(id=record["id"], items=frozenset(edits))
+        return Transaction(id, frozenset(edits))
 
     return _read_jsonl(path, "id", "edits", build, unique=None)
 
@@ -88,9 +87,9 @@ def split_replace_token(token: str) -> tuple[str, str] | None:
     return source, target
 
 
-def _distinct(transactions: Sequence[Transaction | Collection[str]]) -> Counter[frozenset[str]]:
-    """Each distinct item set with the number of transactions that hold it."""
-    return Counter(frozenset(t.items if isinstance(t, Transaction) else t) for t in transactions)
+def edit_set_counts(edit_sets: Iterable[Collection[str]]) -> Counter[frozenset[str]]:
+    """Each distinct edit set with the number of transactions that hold it."""
+    return Counter(map(frozenset, edit_sets))
 
 
 def _add(counts: dict, keys: Iterable, weight: int) -> None:
@@ -108,19 +107,19 @@ def _min_count(min_support: float, n: int) -> int:
 
 
 def apriori(
-    transactions: Sequence[Transaction | Collection[str]],
+    edit_sets: Mapping[frozenset[str], int],
     min_support: float,
 ) -> dict[frozenset[str], int]:
-    """Frequent itemsets (by absolute transaction count) at min_support.
+    """Frequent itemsets (by absolute transaction count) at min_support, over
+    ``edit_set_counts`` of the transactions.
 
     Classic level-wise search: level k candidates join two frequent (k-1)
     itemsets and are pruned unless every (k-1) subset is frequent.
     """
-    itemsets = _distinct(transactions)
-    min_count = _min_count(min_support, len(transactions))
+    min_count = _min_count(min_support, sum(edit_sets.values()))
     counts: dict[frozenset[str], int] = {}
     singles: dict[frozenset[str], int] = {}
-    for t, weight in itemsets.items():
+    for t, weight in edit_sets.items():
         _add(singles, (frozenset([item]) for item in t), weight)
     level = {k: v for k, v in singles.items() if v >= min_count}
     counts.update(level)
@@ -135,7 +134,7 @@ def apriori(
             if all(union - {item} in level for item in union):
                 candidates.add(union)
         next_level: dict[frozenset[str], int] = {}
-        for t, weight in itemsets.items():
+        for t, weight in edit_sets.items():
             _add(next_level, (cand for cand in candidates if cand <= t), weight)
         level = {c: v for c, v in next_level.items() if v >= min_count}
         counts.update(level)
@@ -154,28 +153,37 @@ class AssociationRule:
 
 
 def mine_rules(
-    transactions: Sequence[Transaction | Collection[str]],
+    edit_sets: Mapping[frozenset[str], int],
     min_support: float = 0.01,
 ) -> list[AssociationRule]:
-    """Replacement rules ranked by support.
+    """Replacement rules ranked by support, over ``edit_set_counts`` of the
+    transactions.
 
     support counts transactions holding the exact R token; antecedent /
     consequent support count transactions holding any R token with the same
     source / target. Membership is per transaction, so a token repeated
     within one sample still counts once. Each distinct edit set is visited
-    once and counts as many times as transactions hold it.
+    once and counts as many times as transactions hold it; each distinct
+    token is split once.
     """
-    n = len(transactions)
+    n = sum(edit_sets.values())
     min_count = _min_count(min_support, n)
     if n == 0:
         return []
 
-    # a token maps to exactly one (source, target) and back, so pairs count tokens
+    # rules read only a transaction's R tokens, so each distinct set of them is
+    # counted once; a token maps to exactly one (source, target) and back
+    split = {token: split_replace_token(token) for token in set().union(*edit_sets)}
+    replaces = frozenset(token for token, pair in split.items() if pair is not None)
+    replace_sets: dict[frozenset[str], int] = {}
+    for t, weight in edit_sets.items():
+        key = t & replaces
+        replace_sets[key] = replace_sets.get(key, 0) + weight
     pair_counts: dict[tuple[str, str], int] = {}
     source_members: dict[str, int] = {}
     target_members: dict[str, int] = {}
-    for t, weight in _distinct(transactions).items():
-        pairs = [pair for pair in map(split_replace_token, t) if pair is not None]
+    for tokens, weight in replace_sets.items():
+        pairs = [split[token] for token in tokens]
         _add(pair_counts, pairs, weight)
         _add(source_members, {source for source, _ in pairs}, weight)
         _add(target_members, {target for _, target in pairs}, weight)
@@ -197,20 +205,24 @@ def mine_rules(
 
 
 def id_frequency_table(
-    transactions: Sequence[Transaction | Collection[str]],
+    edit_sets: Mapping[frozenset[str], int],
     top_k: int,
 ) -> dict[str, list[tuple[str, int, float]]]:
-    """Top inserted/deleted concepts: (concept, count, share of that kind's
-    edits as a percentage). Ties rank lexicographically. Each distinct edit
-    set is visited once and counts as many times as transactions hold it."""
+    """Top inserted/deleted concepts over ``edit_set_counts`` of the
+    transactions: (concept, count, share of that kind's edits as a
+    percentage). Ties rank lexicographically. Each distinct edit set is
+    visited once and counts as many times as transactions hold it; each
+    distinct token is split once."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
+    token_counts: dict[str, int] = {}
+    for t, weight in edit_sets.items():
+        _add(token_counts, t, weight)
     counts: dict[str, dict[str, int]] = {INSERT: {}, DELETE: {}}
-    for t, weight in _distinct(transactions).items():
-        for token in t:
-            kind, _, concept = token.partition(":")
-            if kind in counts and concept:
-                counts[kind][concept] = counts[kind].get(concept, 0) + weight
+    for token, count in token_counts.items():  # a token is one (kind, concept) and back
+        kind, _, concept = token.partition(":")
+        if kind in counts and concept:
+            counts[kind][concept] = count
     table: dict[str, list[tuple[str, int, float]]] = {}
     for kind, row in counts.items():
         total = sum(row.values())

@@ -137,16 +137,16 @@ def read_detections(path: str | Path, tax: Taxonomy) -> dict[str, list[Detection
     """Detections of ``path``, filed by image id; every concept must resolve
     in ``tax``, which checks each distinct string once."""
 
-    def build(record: dict) -> tuple[str, list[DetectionRecord]]:
+    def build(image_id: str, dets: list) -> tuple[str, list[DetectionRecord]]:
         detections = []
-        for det in record["detections"]:
+        for det in dets:
             if not isinstance(det, dict) or "concept" not in det or "confidence" not in det:
                 raise MalformedObject(f"a detection needs 'concept' and 'confidence': {det!r}")
             confidence = det["confidence"]
             if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
                 raise MalformedObject(f"confidence must be a number, got {confidence!r}")
             detections.append(DetectionRecord(tax.resolve(det["concept"]), float(confidence)))
-        return record["image_id"], detections
+        return image_id, detections
 
     return dict(_read_jsonl(path, "image_id", "detections", build, unique="image"))
 
@@ -155,10 +155,9 @@ def read_targets(path: str | Path, tax: Taxonomy) -> dict[str, ConceptMultiset]:
     """Target multisets of ``path`` by image id; every concept must resolve
     in ``tax``, which checks each distinct string once."""
 
-    def build(record: dict) -> tuple[str, ConceptMultiset]:
-        if not record["concepts"]:
+    def build(image_id: str, names: list) -> tuple[str, ConceptMultiset]:
+        if not names:
             raise MalformedObject("a target needs at least one concept, got 'concepts': []")
-        concepts = ConceptMultiset._from_normalized(map(tax.resolve, record["concepts"]))
-        return record["image_id"], concepts
+        return image_id, ConceptMultiset._from_normalized(map(tax.resolve, names))
 
     return dict(_read_jsonl(path, "image_id", "concepts", build, unique="image"))

@@ -91,7 +91,7 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
     ``ClevrObject``, built and validated once."""
     interned: dict[tuple, ClevrObject] = {}
 
-    def build(record: dict) -> Story:
+    def build(story_id: str, raw_frames: list) -> Story:
         fresh: list[ClevrObject] = []
 
         def intern(raw, k: int) -> ClevrObject:
@@ -111,11 +111,11 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
                     interned[key] = obj
             return obj
 
-        if not record["frames"]:
+        if not raw_frames:
             raise MalformedObject("a story needs at least one frame, got 'frames': []")
         # every object of the line is built before any is validated
         frames = []
-        for k, frame in enumerate(record["frames"], start=1):
+        for k, frame in enumerate(raw_frames, start=1):
             if not isinstance(frame, list):
                 raise MalformedObject(
                     f"frame {k} must be a list of objects, got {type(frame).__name__}"
@@ -123,7 +123,7 @@ def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
             frames.append([intern(raw, k) for raw in frame])
         for obj in dict.fromkeys(fresh):
             validate_object(obj, tax)
-        return Story(id=record["id"], frames=frames)
+        return Story(id=story_id, frames=frames)
 
     return _read_jsonl(path, "id", "frames", build, unique="story")
 

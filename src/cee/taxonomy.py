@@ -122,6 +122,7 @@ class Taxonomy:
         self._children = {n: frozenset(c) for n, c in children.items()}
         self._resolved: dict[str, str] = {}
         self._dist: dict[str, dict[str, int]] = {}
+        self._depth = self._bfs(root)
         self._models: dict[CostConfig, CostModel] = {}
         self._category = self._derive_categories()
 
@@ -225,10 +226,11 @@ class Taxonomy:
 
     def depth(self, name: str) -> int:
         """Edge count to the root, read from the one BFS out of the root."""
-        if name not in self._nodes:
+        found = self._depth.get(name)
+        if found is None:
             self._unknown(name)
             return 1
-        return self._bfs(self.root)[name]
+        return found
 
     def cost_model(self, cfg: CostConfig) -> "CostModel":
         """The one cost model of this taxonomy under ``cfg``."""

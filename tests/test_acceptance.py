@@ -22,7 +22,7 @@ from cee import (
     csed,
     evaluate_story,
 )
-from cee.explain import mine_rules
+from cee.explain import edit_set_counts, mine_rules
 from cee.harness import (
     generate_story,
     random_multiset,
@@ -196,10 +196,10 @@ def test_criterion_07_apriori():
             for _ in range(rng.randint(1, 12))
         ]
         min_support = rng.choice(supports)
-        got = apriori(data, min_support)
+        got = apriori(edit_set_counts(data), min_support)
         want = _exhaustive_frequent(data, min_support)
         assert got == want, f"set {i}: apriori disagrees at min_support={min_support}"
-        for rule in mine_rules(data, min_support=0.01):
+        for rule in mine_rules(edit_set_counts(data), min_support=0.01):
             assert rule.support <= min(
                 rule.antecedent_support, rule.consequent_support
             ) + 1e-12, f"set {i}: rule {rule} violates the support bound"

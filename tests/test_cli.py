@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from cee import cli, edits, story
+from cee.errors import MalformedObject
+from cee.explain import read_transactions
 from cee.harness import golden_story_pair, random_scene_corpus
-from cee.story import ClevrObject, Story, write_stories
+from cee.scene import read_detections, read_targets
+from cee.story import ClevrObject, Story, read_stories, write_stories
 from cee.taxonomy import resolve_taxonomy
 
 
@@ -231,6 +234,30 @@ def test_eval_scene_census(tmp_path, capsys):
         "D:car", "R:traffic light→light", "R:stop sign→buildings",
     }
     assert capsys.readouterr().out.startswith(header)
+
+
+@pytest.mark.parametrize("profile", ["flattened", "path"])
+def test_eval_scene_writes_no_op_for_a_target_naming_the_root(profile, tmp_path):
+    # inserting the root costs 0, and like a free pair it writes no op, so the
+    # census counts nothing and both transactions are empty
+    det_path, tgt_path = tmp_path / "det.jsonl", tmp_path / "tgt.jsonl"
+    _write_detections(det_path, [
+        {"image_id": "a", "detections": [{"concept": "car", "confidence": 0.9}]},
+        {"image_id": "b", "detections": []},
+    ])
+    _write_detections(tgt_path, [
+        {"image_id": "a", "concepts": ["entity", "car"]},
+        {"image_id": "b", "concepts": ["entity"]},
+    ])
+    out = tmp_path / "out"
+    rc = cli.main(["eval-scene", str(det_path), str(tgt_path), "--taxonomy", "street",
+                   "--cost-profile", profile, "--threshold", "0.5", "--out-dir", str(out)])
+    assert rc == 0
+    assert (out / "census.csv").read_text(encoding="utf-8").splitlines()[1] == (
+        "0.5,0,0,0,0,0,0,0.0000"
+    )
+    tx = (out / "transactions_td0.5.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in tx] == [{"edits": [], "id": "a"}, {"edits": [], "id": "b"}]
 
 
 def test_eval_scene_threshold_sweep_monotone_inserts(tmp_path):
@@ -552,6 +579,20 @@ def test_explain_rejects_an_unhashable_edit_like_any_non_string(edit, tmp_path, 
     assert not out.exists()
 
 
+def test_explain_calls_each_stage_once(tmp_path, monkeypatch):
+    tx_path = tmp_path / "tx.jsonl"
+    tx_path.write_text('{"id": "s0", "edits": ["R:a→b", "I:c"]}\n' * 3, encoding="utf-8")
+    calls = dict.fromkeys(["read_transactions", "mine_rules", "id_frequency_table"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["explain", str(tx_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == {"read_transactions": 1, "mine_rules": 1, "id_frequency_table": 1}
+
+
 def test_explain_empty_transactions(tmp_path, capsys):
     tx_path = tmp_path / "tx.jsonl"
     tx_path.write_text("", encoding="utf-8")
@@ -788,6 +829,55 @@ def test_non_string_id_names_path_and_line(command, lines, bad_file, id_key, bad
             f"got {type(bad_id).__name__}\n"
     )
     assert not out.exists()
+
+
+# each reader with three good lines; only transactions may repeat an id, and do
+READERS = {
+    "stories": (lambda path: read_stories(path, resolve_taxonomy("clevr")),
+                [GOOD_STORY.replace('"s"', f'"s{k}"') for k in range(3)]),
+    "detections": (lambda path: read_detections(path, resolve_taxonomy("street")),
+                   [GOOD_DETECTIONS.replace('"a"', f'"a{k}"') for k in range(3)]),
+    "targets": (lambda path: read_targets(path, resolve_taxonomy("street")),
+                [GOOD_TARGETS.replace('"a"', f'"a{k}"') for k in range(3)]),
+    "transactions": (read_transactions,
+                     ['{"id": "t0", "edits": ["R:a→b"]}', '{"id": "t1", "edits": ["D:x"]}',
+                      '{"id": "t0", "edits": ["R:a→b"]}']),
+}
+LINE_BREAKS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\r", "\r\n", "\n"]}
+
+
+def _joined(lines, breaks):
+    """``lines`` as bytes, line k ended by ``breaks[k % len(breaks)]``."""
+    return b"".join(line + breaks[k % len(breaks)].encode() for k, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+@pytest.mark.parametrize("breaks", LINE_BREAKS)
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_split_at_every_line_break(reader, breaks, final, tmp_path):
+    read, lines = READERS[reader]
+    raw = [lines[0].encode(), b"", lines[1].encode(), b" \t", lines[2].encode()]
+    data = _joined(raw, LINE_BREAKS[breaks])
+    path, reference = tmp_path / "in.jsonl", tmp_path / "lf.jsonl"
+    path.write_bytes(data if final else data.rstrip(b"\r\n"))
+    reference.write_bytes(_joined(raw, ["\n"]))
+    got = read(path)
+    assert len(got) == 3 and got == read(reference)
+
+
+@pytest.mark.parametrize("breaks", LINE_BREAKS)
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_report_a_bad_utf8_byte_at_its_own_line(reader, breaks, tmp_path):
+    read, lines = READERS[reader]
+    bad = lines[2].encode().replace(b'"', b'"\xff', 1)
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(_joined([lines[0].encode(), b"", lines[1].encode(), bad, bad],
+                             LINE_BREAKS[breaks]))
+    with pytest.raises(UnicodeDecodeError) as want:
+        bad.decode("utf-8")
+    with pytest.raises(MalformedObject) as info:
+        read(path)
+    assert str(info.value) == f"{path}:4: {want.value}"
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,19 @@ def test_brute_force_inserts_only(clevr):
     assert script.total_cost == 2.0
 
 
+@pytest.mark.parametrize("cfg", [PATH_CONFIG, FLATTENED_CONFIG], ids=["path", "flattened"])
+@pytest.mark.parametrize("solve", [csed, brute_force_csed], ids=["csed", "brute-force"])
+def test_a_delete_or_insert_of_the_root_writes_no_op(solve, cfg, street):
+    # the root costs 0 to delete or insert, and like a free pair it writes no op
+    root = street.root
+    assert solve(["car"], [root, "car"], street, cfg).ops == ()
+    assert solve([], [root], street, cfg).ops == ()
+    assert solve([root, "car"], ["car"], street, cfg).ops == ()
+    script = solve([root], ["car"], street, cfg)
+    assert [(op.kind, op.source, op.target) for op in script] == [("I", None, "car")]
+    assert script.total_cost == insert_cost(street, "car", cfg)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_assignment_matches_brute_force(seed):

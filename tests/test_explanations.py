@@ -18,6 +18,7 @@ from cee import (
 from cee.explain import (
     AssociationRule,
     Transaction,
+    edit_set_counts,
     format_local_grouped,
     id_frequency_table,
     mine_rules,
@@ -133,6 +134,8 @@ BAD_LINE = '{"id": "c", "edits": ["D:x", 7]}'
         pytest.param([GOOD_LINE, OTHER_LINE, GOOD_LINE, "", GOOD_LINE, OTHER_LINE, BAD_LINE], 7,
                      id="after-repeats"),
         pytest.param([GOOD_LINE, BAD_LINE, GOOD_LINE, BAD_LINE], 2, id="repeated-bad-line"),
+        pytest.param([GOOD_LINE + "\r" + GOOD_LINE + "\r\n", BAD_LINE + "\r" + GOOD_LINE, BAD_LINE],
+                     4, id="repeated-bad-line-after-cr-and-crlf-breaks"),
         pytest.param([GOOD_LINE, GOOD_LINE, GOOD_LINE.replace('["D:x", "I:y"]', '"D:x"')], 3,
                      id="a-repeat-with-edits-not-a-list"),
     ],
@@ -180,9 +183,11 @@ def test_read_transactions_matches_a_json_loads_reference(records, data, tmp_pat
     ]
     read = read_transactions(path)
     assert read == reference
+    read_sets, reference_sets = (edit_set_counts(t.items for t in ts) for ts in (read, reference))
+    assert read_sets == reference_sets
     for min_support in (0.01, 0.3, 1.0):
-        assert mine_rules(read, min_support) == mine_rules(reference, min_support)
-    assert id_frequency_table(read, 3) == id_frequency_table(reference, 3)
+        assert mine_rules(read_sets, min_support) == mine_rules(reference_sets, min_support)
+    assert id_frequency_table(read_sets, 3) == id_frequency_table(reference_sets, 3)
 
 
 def test_split_replace_token():
@@ -219,26 +224,26 @@ def _exhaustive_counts(itemsets, min_support):
     min_support=st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
 )
 def test_apriori_matches_exhaustive_enumeration(data, min_support):
-    assert apriori(data, min_support) == _exhaustive_counts(data, min_support)
+    assert apriori(edit_set_counts(data), min_support) == _exhaustive_counts(data, min_support)
 
 
 def test_apriori_counts_planted_pair():
     data = [{"p", "q"}, {"p", "q"}, {"p", "q", "r"}, {"p"}]
-    counts = apriori(data, 0.5)
+    counts = apriori(edit_set_counts(data), 0.5)
     assert counts[frozenset({"p"})] == 4
     assert counts[frozenset({"p", "q"})] == 3
     assert frozenset({"r"}) not in counts  # 25% < 50%
 
 
 def test_apriori_of_no_transactions_is_empty():
-    assert apriori([], 0.5) == {}
+    assert apriori(edit_set_counts([]), 0.5) == {}
 
 
 def test_apriori_rejects_bad_support():
     with pytest.raises(ValueError):
-        apriori([{"a"}], 0.0)
+        apriori(edit_set_counts([{"a"}]), 0.0)
     with pytest.raises(ValueError):
-        apriori([{"a"}], 1.5)
+        apriori(edit_set_counts([{"a"}]), 1.5)
 
 
 # -- rule mining ------------------------------------------------------------------
@@ -251,7 +256,7 @@ def test_mined_rule_percentages():
         {"R:a→b"},
         {"D:x"},
     ]
-    rules = mine_rules(data, min_support=0.25)
+    rules = mine_rules(edit_set_counts(data), min_support=0.25)
     top = rules[0]
     assert (top.source, top.target, top.frequency) == ("a", "b", 2)
     assert top.support == 50.0
@@ -261,8 +266,8 @@ def test_mined_rule_percentages():
 
 
 def test_rules_empty_input():
-    assert mine_rules([]) == []
-    assert mine_rules([{"D:x"}, {"I:y"}]) == []  # no replacement tokens
+    assert mine_rules(edit_set_counts([])) == []
+    assert mine_rules(edit_set_counts([{"D:x"}, {"I:y"}])) == []  # no replacement tokens
 
 
 def test_rule_support_bounded_by_marginals():
@@ -273,7 +278,7 @@ def test_rule_support_bounded_by_marginals():
         {"R:e→b", "D:z"},
         {"I:q"},
     ]
-    for rule in mine_rules(data, min_support=0.01):
+    for rule in mine_rules(edit_set_counts(data), min_support=0.01):
         assert rule.support <= min(rule.antecedent_support, rule.consequent_support)
         assert 0 < rule.support <= 100.0
 
@@ -286,7 +291,7 @@ def _rules_via_apriori(itemsets, min_support):
         return 100.0 * sum(1 for t in itemsets if any(has(tok) for tok in t)) / n
 
     rules = []
-    for itemset, count in apriori(itemsets, min_support).items():
+    for itemset, count in apriori(edit_set_counts(itemsets), min_support).items():
         parsed = split_replace_token(min(itemset)) if len(itemset) == 1 else None
         if parsed is None:
             continue
@@ -323,7 +328,7 @@ def _rules_via_apriori(itemsets, min_support):
     min_support=st.floats(min_value=0.01, max_value=1.0),
 )
 def test_mine_rules_matches_apriori_oracle(data, min_support):
-    assert mine_rules(data, min_support) == _rules_via_apriori(data, min_support)
+    assert mine_rules(edit_set_counts(data), min_support) == _rules_via_apriori(data, min_support)
 
 
 def _counted_one_by_one(transactions, min_support, top_k):
@@ -388,27 +393,47 @@ def test_counts_over_repeated_transactions_match_a_count_one_by_one(
 ):
     # sampling from a few distinct sets repeats them in shuffled order
     picks = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30))
-    transactions = [
-        Transaction(id=str(i), items=items) if i % 2 else set(items)
-        for i, items in enumerate(picks)
-    ]
+    edit_sets = edit_set_counts(picks)
     rules, table = _counted_one_by_one(picks, min_support, top_k)
-    assert mine_rules(transactions, min_support) == rules
-    assert id_frequency_table(transactions, top_k) == table
+    assert mine_rules(edit_sets, min_support) == rules
+    assert id_frequency_table(edit_sets, top_k) == table
+
+
+SHARED_SIDES = [
+    {"R:a→b", "R:a→c", "D:x"},  # two replaces from one source
+    {"R:a→c", "R:b→c", "I:y"},  # two replaces into one target
+    {"R:a→b", "R:a→c", "D:x"},
+    {"D:x", "I:y", "x", "I:"},  # no R token; "x" and "I:" are of no kind
+    {"R:a→b"},
+    set(),
+]
+
+
+def test_tables_count_a_shared_source_or_target_once_per_transaction():
+    edit_sets = edit_set_counts(SHARED_SIDES)
+    for min_support in (0.01, 0.3, 0.5, 1.0):
+        rules, table = _counted_one_by_one(SHARED_SIDES, min_support, 2)
+        assert mine_rules(edit_sets, min_support) == rules
+        assert id_frequency_table(edit_sets, 2) == table
+    rules = {(r.source, r.target): r for r in mine_rules(edit_sets)}
+    assert rules["a", "c"].frequency == 3
+    assert rules["a", "c"].antecedent_support == 400 / 6  # a is replaced in 4 of 6
+    assert rules["b", "c"].consequent_support == 50.0  # c is a target in 3 of 6
+    assert id_frequency_table(edit_sets, 3) == {"I": [("y", 2, 100.0)], "D": [("x", 3, 100.0)]}
 
 
 def test_mine_rules_rejects_bad_support():
     with pytest.raises(ValueError):
-        mine_rules([{"R:a→b"}], 0.0)
+        mine_rules(edit_set_counts([{"R:a→b"}]), 0.0)
     with pytest.raises(ValueError):
-        mine_rules([{"R:a→b"}], 1.5)
+        mine_rules(edit_set_counts([{"R:a→b"}]), 1.5)
     with pytest.raises(ValueError):
-        mine_rules([], 1.5)
+        mine_rules(edit_set_counts([]), 1.5)
 
 
 def test_rule_tie_break_is_lexicographic():
     data = [{"R:b→z", "R:a→z", "R:a→y"}]
-    rules = mine_rules(data, min_support=1.0)
+    rules = mine_rules(edit_set_counts(data), min_support=1.0)
     assert [(r.source, r.target) for r in rules] == [("a", "y"), ("a", "z"), ("b", "z")]
 
 
@@ -418,7 +443,7 @@ def test_rules_from_real_scripts(clevr):
         for _ in range(3)
     ] + [csed(ConceptMultiset(["red"]), ConceptMultiset(["blue"]), clevr, FLATTENED_CONFIG)]
     transactions = [Transaction.from_scripts(f"s{i}", [s]) for i, s in enumerate(scripts)]
-    rules = mine_rules(transactions, min_support=0.5)
+    rules = mine_rules(edit_set_counts(t.items for t in transactions), min_support=0.5)
     assert len(rules) == 1
     assert rules[0] == AssociationRule(
         source="rubber",
@@ -440,22 +465,22 @@ def test_id_frequency_shares():
         {"I:person"},
         {"I:car"},
     ]
-    table = id_frequency_table(data, top_k=5)
+    table = id_frequency_table(edit_set_counts(data), top_k=5)
     assert table["I"] == [("person", 3, 75.0), ("car", 1, 25.0)]
     assert table["D"] == [("car", 1, 100.0)]
     assert sum(share for _, _, share in table["I"]) == pytest.approx(100.0)
 
 
 def test_id_frequency_empty_kind_and_top_k():
-    table = id_frequency_table([{"I:a"}, {"I:b"}, {"I:a"}], top_k=1)
+    table = id_frequency_table(edit_set_counts([{"I:a"}, {"I:b"}, {"I:a"}]), top_k=1)
     assert table["I"] == [("a", 2, pytest.approx(200 / 3))]
     assert table["D"] == []
     with pytest.raises(ValueError):
-        id_frequency_table([], top_k=0)
+        id_frequency_table(edit_set_counts([]), top_k=0)
 
 
 def test_id_frequency_ties_rank_lexicographically():
-    table = id_frequency_table([{"D:zebra", "D:ant"}], top_k=2)
+    table = id_frequency_table(edit_set_counts([{"D:zebra", "D:ant"}]), top_k=2)
     assert [c for c, _, _ in table["D"]] == ["ant", "zebra"]
 
 
