@@ -84,12 +84,14 @@ class ConceptMultiset(tuple):
 
 @dataclass(frozen=True)
 class EditOp:
-    """One Replace / Delete / Insert with its cost."""
+    """One Replace / Delete / Insert with its cost. Its sort key is built
+    once, with the op, and takes no part in equality, hashing or repr."""
 
     kind: str
     source: str | None = None
     target: str | None = None
     cost: float = 0.0
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
@@ -102,6 +104,8 @@ class EditOp:
             raise ValueError("insert needs only a target")
         if self.cost < 0:
             raise ValueError("op cost must be non-negative")
+        key = (_KIND_ORDER[self.kind], self.source or "", self.target or "", self.cost)
+        object.__setattr__(self, "_key", key)
 
     @property
     def token(self) -> str:
@@ -112,7 +116,11 @@ class EditOp:
         return f"I:{self.target}"
 
     def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.source or "", self.target or "", self.cost)
+        return self._key
+
+
+_op_key = attrgetter("_key")
+_op_cost = attrgetter("cost")
 
 
 @dataclass(frozen=True)
@@ -124,9 +132,9 @@ class EditScript:
     total_cost: float = field(init=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.ops, key=EditOp.sort_key))
+        ordered = tuple(sorted(self.ops, key=_op_key))
         object.__setattr__(self, "ops", ordered)
-        object.__setattr__(self, "total_cost", float(sum(op.cost for op in ordered)))
+        object.__setattr__(self, "total_cost", float(sum(map(_op_cost, ordered))))
 
     def __len__(self) -> int:
         return len(self.ops)

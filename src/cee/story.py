@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +30,7 @@ from .taxonomy import Taxonomy, _hops, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
+_raw_key = itemgetter(*ATTRIBUTES)  # a raw object's attribute values, in one call
 _NOTHING = ConceptMultiset()
 _NO_EDITS = EditScript(())
 # Residues are written in closed form only for prices in
@@ -87,42 +89,42 @@ class Story:
 def read_stories(path: str | Path, tax: Taxonomy) -> list[Story]:
     """Stories of ``path``; every object passes ``validate_object`` against ``tax``.
 
-    Objects are interned per file: equal raw attribute values share one
-    ``ClevrObject``, built and validated once."""
-    interned: dict[tuple, ClevrObject] = {}
+    Objects are interned per taxonomy, in ``tax.objects``: equal raw
+    attribute values share one ``ClevrObject``, built and validated once,
+    across every file read against ``tax``. A line's new objects join the
+    table only once the whole line is built and they all pass."""
+    interned = tax.objects
 
     def build(story_id: str, raw_frames: list) -> Story:
-        fresh: list[ClevrObject] = []
-
-        def intern(raw, k: int) -> ClevrObject:
-            try:
-                key = tuple(raw[a] for a in ATTRIBUTES)
-                obj = interned.get(key)
-            except (KeyError, TypeError):  # not an attribute mapping, or unhashable values
-                key = obj = None
-            if obj is None:
-                if not isinstance(raw, dict):  # checked on a miss: only a JSON object can hit
-                    raise MalformedObject(
-                        f"frame {k} must be a list of objects, got {type(raw).__name__} in it"
-                    )
-                obj = ClevrObject.from_dict(raw)
-                fresh.append(obj)
-                if key is not None:
-                    interned[key] = obj
-            return obj
-
         if not raw_frames:
             raise MalformedObject("a story needs at least one frame, got 'frames': []")
         # every object of the line is built before any is validated
+        fresh: dict[tuple, ClevrObject] = {}
         frames = []
         for k, frame in enumerate(raw_frames, start=1):
             if not isinstance(frame, list):
                 raise MalformedObject(
                     f"frame {k} must be a list of objects, got {type(frame).__name__}"
                 )
-            frames.append([intern(raw, k) for raw in frame])
-        for obj in dict.fromkeys(fresh):
+            objects = []
+            for raw in frame:
+                try:
+                    key = _raw_key(raw)
+                    obj = interned.get(key) or fresh.get(key)
+                except (KeyError, TypeError):  # not an attribute mapping, or unhashable values
+                    key = obj = None
+                if obj is None:
+                    if not isinstance(raw, dict):  # checked on a miss: only a JSON object can hit
+                        raise MalformedObject(
+                            f"frame {k} must be a list of objects, got {type(raw).__name__} in it"
+                        )
+                    # a raw object with no key fails here, so None never keys an object
+                    obj = fresh[key] = ClevrObject.from_dict(raw)
+                objects.append(obj)
+            frames.append(objects)
+        for obj in fresh.values():
             validate_object(obj, tax)
+        interned.update(fresh)
         return Story(id=story_id, frames=frames)
 
     return _read_jsonl(path, "id", "frames", build, unique="story")

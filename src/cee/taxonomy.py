@@ -29,12 +29,14 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .edits import EditOp, EditScript
+    from .story import ClevrObject
 
 REPLACE_DELETE_PLUS_INSERT = "delete-plus-insert"
 REPLACE_SHORTEST_PATH = "shortest-path"
 REPLACE_MODES = (REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH)
 
 _WS = re.compile(r"\s+")
+_UNPRICED = object()  # marks a (s, t) pair the cost model has not priced yet
 
 
 def normalize_concept(name: str) -> str:
@@ -85,8 +87,11 @@ class Taxonomy:
     """Immutable rooted concept hierarchy with cached path queries.
 
     Instances are safe to share across threads once constructed; the lazy
-    caches (resolved names, distances, cost models) are only ever filled
-    with idempotent values.
+    caches (resolved names, distances, cost models, story objects) are only
+    ever filled with idempotent values. ``objects`` holds every story object
+    ``story.read_stories`` built and validated against this taxonomy, keyed
+    by its raw attribute values, so each distinct object is built once per
+    taxonomy, whichever file it is read from; one that fails is not kept.
     """
 
     def __init__(
@@ -124,6 +129,7 @@ class Taxonomy:
         self._dist: dict[str, dict[str, int]] = {}
         self._depth = self._bfs(root)
         self._models: dict[CostConfig, CostModel] = {}
+        self.objects: dict[tuple, ClevrObject] = {}
         self._category = self._derive_categories()
 
     # -- basic queries --------------------------------------------------
@@ -362,12 +368,13 @@ class CostModel:
     """The prices of one (taxonomy, cost config), each computed once.
 
     Reached through ``Taxonomy.cost_model``. Every price comes from the free
-    functions above, which stay the only copy of each formula (a pair is free
-    when ``is_descendant_or_equal``, the test ``distance`` starts with); the
-    model only remembers them by name, or by (s, t) name pair. It takes names
-    as ``Taxonomy.resolve`` returns them, as the readers and ``ConceptMultiset``
-    hold them; any other name raises ``UnknownConcept`` on every call, since
-    failures are not remembered.
+    functions above, which stay the reference for each formula (a pair is
+    free when ``is_descendant_or_equal``, the test ``distance`` starts with);
+    the model remembers one entry per concept, its (delete, insert) prices
+    and the root children at or above it, and one price per (s, t) name
+    pair. It takes names as ``Taxonomy.resolve`` returns them, as the
+    readers and ``ConceptMultiset`` hold them; any other name raises
+    ``UnknownConcept`` on every call, since failures are not remembered.
 
     ``scripts`` holds every edit script solved under this model, keyed by
     the (S, T) multiset pair; ``edits.csed`` and ``story.frame_csed`` read
@@ -383,32 +390,49 @@ class CostModel:
     def __init__(self, tax: Taxonomy, cfg: CostConfig):
         self.tax = tax
         self.cfg = cfg
-        self._costs: dict[str, tuple[float, float]] = {}
+        self._concepts: dict[str, tuple[tuple[float, float], frozenset[str]]] = {}
         self._pairs: dict[tuple[str, str], float | None] = {}
         self.scripts: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
         self.ops: dict[tuple[str, str | None, str | None], EditOp] = {}
         self.closed_form: dict[tuple[str, ...], bool] = {}
 
+    def _concept(self, name: str) -> tuple[tuple[float, float], frozenset[str]]:
+        """(delete, insert) price of one concept, and the root children at or
+        above it: none for the root, the name itself for an attached unknown."""
+        entry = self._concepts.get(name)
+        if entry is None:
+            tax, cfg = self.tax, self.cfg
+            prices = (delete_cost(tax, name, cfg), insert_cost(tax, name, cfg))
+            if name in tax.nodes:
+                above = tax.ancestors_or_self(name) & tax._children[tax.root]
+            else:  # an attached unknown hangs from the root (prices raise for any other)
+                above = frozenset({name})
+            entry = self._concepts[name] = (prices, above)
+        return entry
+
     def costs(self, name: str) -> tuple[float, float]:
         """(delete, insert) price of one concept."""
-        price = self._costs.get(name)
-        if price is None:
-            tax, cfg = self.tax, self.cfg
-            price = self._costs[name] = (delete_cost(tax, name, cfg), insert_cost(tax, name, cfg))
-        return price
+        return self._concept(name)[0]
 
     def pair(self, s: str, t: str) -> float | None:
         """Price of turning generated s into target t: 0.0 when s satisfies
         t, the replace cost when s -> t is actionable, None otherwise."""
         key = (s, t)
-        if key in self._pairs:
-            return self._pairs[key]
+        price = self._pairs.get(key, _UNPRICED)
+        if price is _UNPRICED:
+            price = self._pairs[key] = self._price(s, t)
+        return price
+
+    def _price(self, s: str, t: str) -> float | None:
         tax, cfg = self.tax, self.cfg
         if tax.is_descendant_or_equal(s, t):
-            price = 0.0
-        elif is_replaceable(tax, s, t, cfg):
-            price = replace_cost(tax, s, t, cfg)
-        else:
-            price = None
-        self._pairs[key] = price
-        return price
+            return 0.0
+        if cfg.replace_mode == REPLACE_SHORTEST_PATH:
+            return replace_cost(tax, s, t, cfg) if is_replaceable(tax, s, t, cfg) else None
+        # Under delete-plus-insert, replace_cost is this very sum, so
+        # is_replaceable's price test never holds and only its shared-ancestor
+        # test decides: an ancestor below the root is shared exactly when some
+        # root child lies at or above both concepts.
+        (delete, _), above_s = self._concept(s)
+        (_, insert), above_t = self._concept(t)
+        return None if above_s.isdisjoint(above_t) else delete + insert

@@ -4,8 +4,9 @@ perfbench/test_bench.py compares the outputs of every workload's canary run
 against the SHA-256 digests recorded in perfbench/digests.json. It is not
 collected with this suite (it lives outside ``tests/``), so it runs here in a
 subprocess, the way test_benchmark_tracer.py runs perfbench/child.py. Those
-tests cover the canary only; the story workload's main inputs for seeds 0-19,
-whose digests perfbench/run.py checks one seed a run, are swept here in process.
+tests cover the canary only. The main inputs, whose digests perfbench/run.py
+checks one seed a run, are swept here in process: the story workload's for
+seeds 0-19, and the scene, bigtax and explain workloads' for seeds 0-4.
 """
 
 import json
@@ -42,11 +43,23 @@ def bench(tmp_path_factory):
     return checks, workloads, recorded
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_story_workload_outputs_match_recorded_digests(seed, bench, tmp_path, capsys):
-    # the main inputs of each seed the benchmark checks, run in this process
+def _main_inputs_match(workload, seed, bench, tmp_path):
+    # the main inputs of a seed the benchmark checks, run in this process
     checks, workloads, recorded = bench
-    inp = workloads.generate("story", seed, tmp_path / "in")
+    inp = workloads.generate(workload, seed, tmp_path / "in")
     out = tmp_path / "out"
     assert cli_main([*inp.argv, "--out-dir", str(out)]) == 0
-    assert checks.failed_against(inp, out, recorded["story"][str(seed)]) == set()
+    assert checks.failed_against(inp, out, recorded[workload][str(seed)]) == set()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_story_workload_outputs_match_recorded_digests(seed, bench, tmp_path, capsys):
+    _main_inputs_match("story", seed, bench, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("workload", ["scene", "bigtax", "explain"])
+def test_other_workload_outputs_match_recorded_digests(workload, seed, bench, tmp_path, capsys):
+    # the cost model prices scene and bigtax pairs too; the explain inputs are
+    # the transactions eval-scene writes, so they pass through it as well
+    _main_inputs_match(workload, seed, bench, tmp_path)

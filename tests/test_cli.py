@@ -146,6 +146,35 @@ def test_eval_story_misplaced_attribute_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_story_reads_each_distinct_object_once(golden_corpus, tmp_path, monkeypatch, capsys):
+    # the ground-truth file's objects are the generated file's, where equal
+    pairs = []
+    evaluate = cli.evaluate_story
+    monkeypatch.setattr(cli, "evaluate_story", lambda gen, gt, *rest: pairs.append((gen, gt))
+                        or evaluate(gen, gt, *rest))
+    gen_path, gt_path = golden_corpus
+    assert cli.main(["eval-story", str(gen_path), str(gt_path), "--out-dir", str(tmp_path)]) == 0
+    [(gen, gt)] = pairs
+    generated = {o: o for frame in gen.frames for o in frame}
+    shared = [o for frame in gt.frames for o in frame if o in generated]
+    assert shared and all(generated[o] is o for o in shared)
+
+
+def test_eval_story_fails_a_bad_ground_truth_object_at_its_own_line(tmp_path, capsys):
+    # the generated file's good object is interned first; the ground truth's
+    # misplaced one still fails with its own file and line
+    good = {"size": "small", "color": "red", "material": "rubber", "shape": "cube"}
+    gen, gt = tmp_path / "gen.jsonl", tmp_path / "gt.jsonl"
+    gen.write_text(json.dumps({"id": "s", "frames": [[good, good]]}) + "\n", encoding="utf-8")
+    gt.write_text(json.dumps({"id": "r", "frames": [[good]]}) + "\n"
+                  + json.dumps({"id": "s", "frames": [[good, MISPLACED]]}) + "\n", encoding="utf-8")
+    rc = cli.main(["eval-story", str(gen), str(gt), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {gt}:2: attribute 'red' resolves to category 'color', expected 'size'\n"
+    )
+
+
 def test_eval_story_missing_file_reports_error(tmp_path, capsys):
     rc = cli.main(["eval-story", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope.jsonl")])
     assert rc == 2

@@ -84,6 +84,45 @@ def test_script_orders_deletes_replaces_inserts():
     assert script.total_cost == 6.0
 
 
+def _old_sort_key(op):
+    """The order key EditScript sorted by before ops stored theirs."""
+    return ({"D": 0, "R": 1, "I": 2}[op.kind], op.source or "", op.target or "", op.cost)
+
+
+def test_edit_op_stored_key_leaves_equality_hash_and_repr_alone():
+    op = EditOp("R", source="a", target="b", cost=2.5)
+    twin = EditOp("R", source="a", target="b", cost=2.5)
+    assert op == twin and op is not twin
+    assert hash(op) == hash(twin) == hash(("R", "a", "b", 2.5))
+    assert op != EditOp("R", source="a", target="b", cost=3.0)
+    assert repr(op) == "EditOp(kind='R', source='a', target='b', cost=2.5)"
+    for built in (op, EditOp("D", source="m", cost=1), EditOp("I", target="q", cost=0.5)):
+        assert built.sort_key() == _old_sort_key(built)
+    assert EditOp("I", source="", target="q").sort_key() == (2, "", "q", 0.0)
+
+
+_NAME = st.sampled_from(["", "a", "b", "car", "z"])
+
+
+@st.composite
+def _edit_op(draw):
+    kind = draw(st.sampled_from("DRI"))
+    source = draw(_NAME.filter(bool)) if kind in "DR" else draw(st.sampled_from([None, ""]))
+    target = draw(_NAME.filter(bool)) if kind in "RI" else None
+    cost = draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+                | st.sampled_from([0.1, 0.2, 0.3, 1e-9, 2.0**20]))
+    return EditOp(kind, source, target, cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_edit_op(), max_size=12))
+def test_script_order_and_total_match_a_sort_by_the_old_key(ops):
+    script = EditScript(tuple(ops))
+    expected = sorted(ops, key=_old_sort_key)
+    assert [id(op) for op in script.ops] == [id(op) for op in expected]
+    assert script.total_cost == float(sum(op.cost for op in expected))
+
+
 # -- csed golden cases ----------------------------------------------------------
 
 

@@ -444,19 +444,23 @@ def test_read_stories_interns_equal_objects(tmp_path, clevr):
 GOOD = {"size": "small", "color": "red", "material": "rubber", "shape": "cube"}
 
 
-@pytest.mark.parametrize(
-    "bad,message",
-    [
-        pytest.param({**GOOD, "color": ["red"]}, "concept name must be a string, got list",
-                     id="unhashable-attribute"),
-        pytest.param({**GOOD, "color": "large"},
-                     "attribute 'large' resolves to category 'size', expected 'color'",
-                     id="misplaced-attribute"),
-        pytest.param("cube", "frame 2 must be a list of objects, got str in it",
-                     id="object-not-a-mapping"),
-        pytest.param(5, "frame 2 must be a list of objects, got int in it", id="object-a-number"),
-    ],
-)
+BAD_OBJECTS = [
+    pytest.param({**GOOD, "color": ["red"]}, "concept name must be a string, got list",
+                 id="unhashable-attribute"),
+    pytest.param({**GOOD, "color": "large"},
+                 "attribute 'large' resolves to category 'size', expected 'color'",
+                 id="misplaced-attribute"),
+    pytest.param("cube", "frame 2 must be a list of objects, got str in it",
+                 id="object-not-a-mapping"),
+    pytest.param(5, "frame 2 must be a list of objects, got int in it", id="object-a-number"),
+]
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad,message", BAD_OBJECTS)
 def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, tmp_path, clevr):
     path = tmp_path / "stories.jsonl"
     lines = [{"id": "s", "frames": [[GOOD]]}, {"id": "t", "frames": [[GOOD], [GOOD, bad]]}]
@@ -464,6 +468,58 @@ def test_read_stories_after_an_interned_object_keeps_the_message(bad, message, t
     with pytest.raises(MalformedObject) as info:
         read_stories(path, clevr)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_read_stories_shares_objects_across_files_of_one_taxonomy(tmp_path):
+    tax = resolve_taxonomy("clevr")  # its own object table, whatever other tests read
+    gen, gt = golden_story_pair()
+    gen_path, gt_path = tmp_path / "gen.jsonl", tmp_path / "gt.jsonl"
+    write_stories(gen_path, [gen])
+    write_stories(gt_path, [gt])
+    [read_gen], [read_gt] = read_stories(gen_path, tax), read_stories(gt_path, tax)
+    generated = {o: o for frame in read_gen.frames for o in frame}
+    shared = [o for frame in read_gt.frames for o in frame if o in generated]
+    assert shared and all(generated[o] is o for o in shared)
+    # another taxonomy keeps its own table
+    [again] = read_stories(gt_path, resolve_taxonomy("clevr"))
+    assert again.frames == read_gt.frames
+    assert all(a is not b for fa, fb in zip(again.frames, read_gt.frames) for a, b in zip(fa, fb))
+
+
+@pytest.mark.parametrize("bad,message", BAD_OBJECTS)
+def test_read_stories_fails_a_bad_object_in_every_file_at_its_own_line(bad, message, tmp_path):
+    tax = resolve_taxonomy("clevr")
+    first, alone, second = (tmp_path / f"{name}.jsonl" for name in ("first", "alone", "second"))
+    _write_lines(first, [{"id": "s", "frames": [[GOOD]]}])
+    _write_lines(alone, [{"id": "t", "frames": [[GOOD], [bad]]}])
+    _write_lines(second, [{"id": "s", "frames": [[GOOD]]},
+                          {"id": "t", "frames": [[GOOD], [GOOD, bad]]}])
+    read_stories(first, tax)  # interns GOOD
+    kept = dict(tax.objects)
+    for path, line in ((alone, 1), (second, 2), (alone, 1)):
+        with pytest.raises(MalformedObject) as info:
+            read_stories(path, tax)
+        assert str(info.value) == f"{path}:{line}: {message}"
+        assert tax.objects == kept  # a failure is never kept
+
+
+@pytest.mark.parametrize("interned", [False, True])
+def test_read_stories_builds_every_object_of_a_line_before_validating_any(interned, tmp_path):
+    # the misplaced object comes first, but the line fails on the later
+    # object that cannot be built, whether or not GOOD is in the table
+    tax = resolve_taxonomy("clevr")
+    if interned:
+        _write_lines(tmp_path / "good.jsonl", [{"id": "g", "frames": [[GOOD]]}])
+        read_stories(tmp_path / "good.jsonl", tax)
+    path = tmp_path / "stories.jsonl"
+    misplaced = {**GOOD, "color": "large"}
+    _write_lines(path, [{"id": "s", "frames": [[misplaced], [GOOD, {"size": "small"}]]}])
+    with pytest.raises(MalformedObject) as info:
+        read_stories(path, tax)
+    assert str(info.value) == (
+        f"{path}:1: object record missing attributes ['color', 'material', 'shape']: "
+        "{'size': 'small'}"
+    )
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,26 @@ def test_depth_is_path_length_to_root(seed):
 _WEIGHT = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
+def _random_dag_text(rng):
+    """A random tree with random extra parents, each an earlier node, so the
+    hierarchy stays acyclic and some nodes sit under two root children."""
+    tree = random_taxonomy(rng, n_nodes=rng.randint(2, 10))
+    names = sorted(tree.nodes)  # n00 to n09: the order they were made in, root first
+    extra = "".join(f"{names[i]}\t{names[rng.randrange(i)]}\n"
+                    for i in range(2, len(names)) if rng.random() < 0.5)
+    return tree.to_text() + extra
+
+
+def test_random_dags_put_nodes_under_two_root_children():
+    # the pricing oracle below sees concepts with more than one category
+    counts = []
+    for seed in range(40):
+        tax = load_taxonomy(_random_dag_text(random.Random(seed)))
+        top = set(tax.categories)
+        counts.append(max(len(tax.ancestors_or_self(n) & top) for n in tax.nodes))
+    assert max(counts) >= 2 and counts.count(1) > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -382,9 +402,7 @@ _WEIGHT = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infini
 def test_cost_model_prices_match_the_free_functions(
     seed, replace_mode, flattened, weights, attach_unknown
 ):
-    rng = random.Random(seed)
-    tree = random_taxonomy(rng, n_nodes=rng.randint(2, 10))
-    tax = load_taxonomy(tree.to_text(), attach_unknown=attach_unknown)
+    tax = load_taxonomy(_random_dag_text(random.Random(seed)), attach_unknown=attach_unknown)
     cfg = CostConfig(*weights, replace_mode=replace_mode, flattened=flattened)
     model = tax.cost_model(cfg)
     assert tax.cost_model(CostConfig(*weights, replace_mode, flattened)) is model
