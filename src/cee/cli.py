@@ -8,11 +8,14 @@ insert/delete frequency tables), ``gen-synthetic`` (seeded corpora with known
 expected losses), and ``selftest`` (embedded oracle, golden, and recovery
 suites).
 
-Every run option is a flag, with its default and its check (``type=``,
-``choices=``) in ``_ARGUMENTS``; a subcommand takes only the ones its command
-reads (``_COMMANDS``). ``cee <command> @run.args …`` reads more arguments from
-``run.args``, one per line, checked like the flags they spell; a later
-argument overrides an earlier one.
+Every run option is a flag, with its default and its type or choices in
+``_ARGUMENTS``; a subcommand takes only the ones its command reads
+(``_COMMANDS``). A value's range is checked where the value is used:
+``--show-scripts``, ``--n-stories`` and ``--length`` in their command bodies,
+and ``--threshold``, ``--min-support``, ``--top-k``, ``--max-ops`` and the
+weights by the library calls they reach. ``cee <command> @run.args …``
+reads more arguments from ``run.args``, one per line, checked like the flags
+they spell; a later argument overrides an earlier one.
 
 All outputs are deterministic for fixed inputs and options: ids are sorted,
 floats use fixed formats, and no timestamps or timings are emitted.

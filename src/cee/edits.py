@@ -115,9 +115,6 @@ class EditOp:
             return f"D:{self.source}"
         return f"I:{self.target}"
 
-    def sort_key(self) -> tuple:
-        return self._key
-
 
 _op_key = attrgetter("_key")
 _op_cost = attrgetter("cost")

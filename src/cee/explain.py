@@ -14,11 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .edits import ARROW, DELETE, INSERT, REPLACE, EditScript, format_cost
+from .edits import ARROW, DELETE, INSERT, REPLACE, EditOp, EditScript, format_cost
 from .errors import MalformedObject, _read_jsonl
 from .taxonomy import Taxonomy, normalize_concept
 
@@ -237,46 +238,35 @@ def _quoted(names: Iterable[str]) -> str:
     return "{" + ",".join(f"'{n}'" for n in names) + "}"
 
 
-def _semantic_label(name: str, tax: Taxonomy | None) -> str:
-    if tax is None:
-        return "?"
-    cat = tax.category_of(name)
-    return cat.capitalize() if cat else "?"
+def _runs(script: EditScript) -> dict[str, list[EditOp]]:
+    """Each kind's ops in script order; a script holds its ops sorted by kind."""
+    return {kind: list(ops) for kind, ops in groupby(script, attrgetter("kind"))}
 
 
-def format_local(script: EditScript, tax: Taxonomy | None = None) -> str:
+def format_local(script: EditScript, tax: Taxonomy) -> str:
     """Single-row rendering: edit path | op letters | cost | semantics.
 
     Matches the story-table layout, e.g.
     ``{'rubber','sphere'} → {'metallic','cylinder'} | R,R | 4 | Material, Shape``.
+    A concept with no category (the root, an attached unknown) reads ``?``.
     """
     if not script.ops:
         return "no edits"
-    segments: list[str] = []
-    deletes = [op for op in script if op.kind == DELETE]
-    replaces = [op for op in script if op.kind == REPLACE]
-    inserts = [op for op in script if op.kind == INSERT]
-    if deletes:
-        segments.append(f"D {_quoted(op.source for op in deletes)}")
-    if replaces:
-        if len(replaces) == 1:
-            segments.append(f"'{replaces[0].source}' {ARROW} '{replaces[0].target}'")
-        else:
-            srcs = _quoted(op.source for op in replaces)
-            tgts = _quoted(op.target for op in replaces)
-            segments.append(f"{srcs} {ARROW} {tgts}")
-    if inserts:
-        segments.append(f"I {_quoted(op.target for op in inserts)}")
+    runs = _runs(script)
+    segments = [f"D {_quoted(op.source for op in runs[DELETE])}"] if DELETE in runs else []
+    replaces = runs.get(REPLACE, [])
+    if len(replaces) == 1:
+        segments.append(f"'{replaces[0].source}' {ARROW} '{replaces[0].target}'")
+    elif replaces:
+        srcs = _quoted(op.source for op in replaces)
+        segments.append(f"{srcs} {ARROW} {_quoted(op.target for op in replaces)}")
+    if INSERT in runs:
+        segments.append(f"I {_quoted(op.target for op in runs[INSERT])}")
 
     letters = ",".join(op.kind for op in script)
-    semantics: list[str] = []
-    for op in script:
-        for name in (op.source, op.target):
-            if name is None:
-                continue
-            label = _semantic_label(name, tax)
-            if label not in semantics:
-                semantics.append(label)
+    names = (name for op in script for name in (op.source, op.target) if name is not None)
+    cats = map(tax.category_of, names)
+    semantics = dict.fromkeys(cat.capitalize() if cat else "?" for cat in cats)
     return " | ".join(
         ["; ".join(segments), letters, format_cost(script.total_cost), ", ".join(semantics)]
     )
@@ -289,20 +279,10 @@ def format_local_grouped(script: EditScript) -> str:
     D: {'car','car','car'}
     R: {'traffic light'→'light'}
     """
-    def group(kind: str, render) -> str:
-        ops = [op for op in script if op.kind == kind]
-        if not ops:
-            return f"{kind}: {{ }}"
-        return f"{kind}: {_quoted(render(op) for op in ops)}"
-
-    lines = [
-        group(INSERT, lambda op: op.target),
-        group(DELETE, lambda op: op.source),
-    ]
-    replaces = [op for op in script if op.kind == REPLACE]
-    if not replaces:
-        lines.append("R: { }")
-    else:
-        body = ",".join(f"'{op.source}'{ARROW}'{op.target}'" for op in replaces)
-        lines.append("R: {" + body + "}")
-    return "\n".join(lines)
+    runs = _runs(script)
+    bodies = {
+        INSERT: [f"'{op.target}'" for op in runs.get(INSERT, ())],
+        DELETE: [f"'{op.source}'" for op in runs.get(DELETE, ())],
+        REPLACE: [f"'{op.source}'{ARROW}'{op.target}'" for op in runs.get(REPLACE, ())],
+    }
+    return "\n".join(f"{kind}: {{{','.join(body) or ' '}}}" for kind, body in bodies.items())

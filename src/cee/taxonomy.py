@@ -125,12 +125,16 @@ class Taxonomy:
             for p in ps:
                 children[p].add(child)
         self._children = {n: frozenset(c) for n, c in children.items()}
+        top = self._children[root]
+        # the root children at or above each node: two nodes share an ancestor
+        # below the root exactly when these sets meet, and they give the category
+        self._tops = {n: above & top for n, above in self._ancestors.items()}
+        self._category = {n: n if n in top else min(tops) for n, tops in self._tops.items() if tops}
         self._resolved: dict[str, str] = {}
         self._dist: dict[str, dict[str, int]] = {}
         self._depth = self._bfs(root)
         self._models: dict[CostConfig, CostModel] = {}
         self.objects: dict[tuple, ClevrObject] = {}
-        self._category = self._derive_categories()
 
     # -- basic queries --------------------------------------------------
 
@@ -192,17 +196,6 @@ class Taxonomy:
         """Nearest category (direct root child) at or above ``name``.
         Root and attached unknowns have no category."""
         return self._category.get(name if name in self._nodes else self._unknown(name))
-
-    def _derive_categories(self) -> dict[str, str]:
-        top = self._children[self.root]
-        out: dict[str, str] = {}
-        for node in self._nodes:
-            if node == self.root:
-                continue
-            hits = sorted(self._ancestors[node] & top)
-            if hits:
-                out[node] = node if node in top else hits[0]
-        return out
 
     # -- path queries ----------------------------------------------------
 
@@ -370,11 +363,12 @@ class CostModel:
     Reached through ``Taxonomy.cost_model``. Every price comes from the free
     functions above, which stay the reference for each formula (a pair is
     free when ``is_descendant_or_equal``, the test ``distance`` starts with);
-    the model remembers one entry per concept, its (delete, insert) prices
-    and the root children at or above it, and one price per (s, t) name
-    pair. It takes names as ``Taxonomy.resolve`` returns them, as the
-    readers and ``ConceptMultiset`` hold them; any other name raises
-    ``UnknownConcept`` on every call, since failures are not remembered.
+    the model remembers the (delete, insert) prices of each concept and one
+    price per (s, t) name pair, and reads which root children lie at or
+    above a concept from the taxonomy, which derives that once. It takes
+    names as ``Taxonomy.resolve`` returns them, as the readers and
+    ``ConceptMultiset`` hold them; any other name raises ``UnknownConcept``
+    on every call, since failures are not remembered.
 
     ``scripts`` holds every edit script solved under this model, keyed by
     the (S, T) multiset pair; ``edits.csed`` and ``story.frame_csed`` read
@@ -390,29 +384,19 @@ class CostModel:
     def __init__(self, tax: Taxonomy, cfg: CostConfig):
         self.tax = tax
         self.cfg = cfg
-        self._concepts: dict[str, tuple[tuple[float, float], frozenset[str]]] = {}
+        self._costs: dict[str, tuple[float, float]] = {}
         self._pairs: dict[tuple[str, str], float | None] = {}
         self.scripts: dict[tuple[tuple[str, ...], tuple[str, ...]], EditScript] = {}
         self.ops: dict[tuple[str, str | None, str | None], EditOp] = {}
         self.closed_form: dict[tuple[str, ...], bool] = {}
 
-    def _concept(self, name: str) -> tuple[tuple[float, float], frozenset[str]]:
-        """(delete, insert) price of one concept, and the root children at or
-        above it: none for the root, the name itself for an attached unknown."""
-        entry = self._concepts.get(name)
-        if entry is None:
-            tax, cfg = self.tax, self.cfg
-            prices = (delete_cost(tax, name, cfg), insert_cost(tax, name, cfg))
-            if name in tax.nodes:
-                above = tax.ancestors_or_self(name) & tax._children[tax.root]
-            else:  # an attached unknown hangs from the root (prices raise for any other)
-                above = frozenset({name})
-            entry = self._concepts[name] = (prices, above)
-        return entry
-
     def costs(self, name: str) -> tuple[float, float]:
         """(delete, insert) price of one concept."""
-        return self._concept(name)[0]
+        prices = self._costs.get(name)
+        if prices is None:
+            tax, cfg = self.tax, self.cfg
+            prices = self._costs[name] = (delete_cost(tax, name, cfg), insert_cost(tax, name, cfg))
+        return prices
 
     def pair(self, s: str, t: str) -> float | None:
         """Price of turning generated s into target t: 0.0 when s satisfies
@@ -424,15 +408,18 @@ class CostModel:
         return price
 
     def _price(self, s: str, t: str) -> float | None:
-        tax, cfg = self.tax, self.cfg
+        """``is_replaceable``'s rule on remembered prices: an ancestor below
+        the root is shared exactly when some root child lies at or above both
+        concepts, and under delete-plus-insert the replace cost is the very
+        sum its price test compares with, so that test never holds there."""
+        tax = self.tax
         if tax.is_descendant_or_equal(s, t):
             return 0.0
-        if cfg.replace_mode == REPLACE_SHORTEST_PATH:
-            return replace_cost(tax, s, t, cfg) if is_replaceable(tax, s, t, cfg) else None
-        # Under delete-plus-insert, replace_cost is this very sum, so
-        # is_replaceable's price test never holds and only its shared-ancestor
-        # test decides: an ancestor below the root is shared exactly when some
-        # root child lies at or above both concepts.
-        (delete, _), above_s = self._concept(s)
-        (_, insert), above_t = self._concept(t)
-        return None if above_s.isdisjoint(above_t) else delete + insert
+        # prices first, so a name that is no concept raises before the table is read
+        (delete, _), (_, insert) = self.costs(s), self.costs(t)
+        # an attached unknown hangs from the root: it is its own root child
+        shared = not tax._tops.get(s, {s}).isdisjoint(tax._tops.get(t, {t}))
+        if self.cfg.replace_mode == REPLACE_SHORTEST_PATH:
+            price = distance(tax, s, t, self.cfg)
+            return price if shared or price < delete + insert else None
+        return delete + insert if shared else None

@@ -2,9 +2,12 @@
 
 perfbench/tracer.py rebinds module-level names of cee (for example
 ``cli.corpus_report`` or ``edits.linear_sum_assignment``) with ``getattr``;
-a renamed or removed name would crash every traced benchmark run.
+a renamed or removed name would crash every traced benchmark run. An import
+that ``src/cee`` keeps only for the tracer (``# noqa: F401``) must be one the
+tracer rebinds.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -69,3 +72,37 @@ def test_traced_scene_run_builds_and_solves_each_threshold_once(tmp_path):
     totals = _traced("eval-scene", tmp_path)["totals"]  # span name -> [calls, s, self s]
     assert totals["scene.build_samples"][0] == 2
     assert totals["scene.scene_csed"][0] == 2
+
+
+def _pinned_imports() -> list[tuple[str, str]]:
+    """(module, name) of every ``# noqa: F401`` import in ``src/cee``: names a
+    module binds only so that the tracer can rebind them there."""
+    found = []
+    for path in sorted((ROOT / "src" / "cee").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [(path.stem, alias.asname or alias.name) for alias in node.names
+                          if "# noqa: F401" in lines[alias.lineno - 1]]
+    return sorted(found)
+
+
+def test_tracer_rebinds_every_import_kept_only_for_it():
+    pinned = _pinned_imports()
+    assert pinned  # the scan sees the imports it guards
+    script = (
+        "import importlib, json, sys\n"
+        "from tracer import Tracer\n"
+        "pinned = json.loads(sys.argv[1])\n"
+        "mods = {m: importlib.import_module('cee.' + m) for m, _ in pinned}\n"
+        "before = [getattr(mods[m], name) for m, name in pinned]\n"
+        "Tracer().install()\n"
+        "print(json.dumps([f'{m}.{name}' for (m, name), old in zip(pinned, before)\n"
+        "                  if getattr(mods[m], name) is old]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(pinned)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []  # a name here is imported for nothing

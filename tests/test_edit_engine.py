@@ -97,8 +97,8 @@ def test_edit_op_stored_key_leaves_equality_hash_and_repr_alone():
     assert op != EditOp("R", source="a", target="b", cost=3.0)
     assert repr(op) == "EditOp(kind='R', source='a', target='b', cost=2.5)"
     for built in (op, EditOp("D", source="m", cost=1), EditOp("I", target="q", cost=0.5)):
-        assert built.sort_key() == _old_sort_key(built)
-    assert EditOp("I", source="", target="q").sort_key() == (2, "", "q", 0.0)
+        assert built._key == _old_sort_key(built)
+    assert EditOp("I", source="", target="q")._key == (2, "", "q", 0.0)
 
 
 _NAME = st.sampled_from(["", "a", "b", "car", "z"])

@@ -503,13 +503,8 @@ def test_format_local_single_replacement(clevr):
     assert format_local(script, clevr) == "'rubber' → 'metallic' | R | 2 | Material"
 
 
-def test_format_local_without_a_taxonomy_labels_semantics_unknown():
-    script = _script(EditOp("R", source="rubber", target="metallic", cost=2))
-    assert format_local(script) == "'rubber' → 'metallic' | R | 2 | ?"
-
-
-def test_format_local_empty():
-    assert format_local(_script()) == "no edits"
+def test_format_local_empty(clevr):
+    assert format_local(_script(), clevr) == "no edits"
 
 
 def test_format_local_mixed_ops_order(clevr):

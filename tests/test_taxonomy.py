@@ -407,10 +407,15 @@ def test_cost_model_prices_match_the_free_functions(
     model = tax.cost_model(cfg)
     assert tax.cost_model(CostConfig(*weights, replace_mode, flattened)) is model
 
-    names = sorted(tax.nodes) + (["stray"] if attach_unknown else [])
+    top = set(tax.categories)
+    names = sorted(tax.nodes) + (["stray", "stray2"] if attach_unknown else [])
     for _ in range(2):  # the second pass reads remembered prices
         for s in names:
             assert model.costs(s) == (delete_cost(tax, s, cfg), insert_cost(tax, s, cfg))
+            # a root child is its own category, any other node takes the smallest
+            # root child above it, and the root and attached unknowns have none
+            above = tax.ancestors_or_self(s) & top
+            assert tax.category_of(s) == (s if s in top else min(above, default=None))
             for t in names:
                 price = model.pair(s, t)
                 if distance(tax, s, t, cfg) == 0.0:
