@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import random
@@ -37,7 +38,6 @@ from .edits import brute_force_csed, csed, format_cost, operation_census
 from .errors import CeeError, EmptyCorpus
 from .explain import (
     Transaction,
-    edit_set_counts,
     format_local_grouped,
     id_frequency_table,
     mine_rules,
@@ -242,8 +242,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    transactions = read_transactions(args.transactions)
-    edit_sets = edit_set_counts(t.items for t in transactions)
+    edit_sets = read_transactions(args.transactions)  # each distinct edit set, counted
     rules = mine_rules(edit_sets, args.min_support)
     table = id_frequency_table(edit_sets, args.top_k)  # checks top_k before the first write
     rules_text = _emit(
@@ -490,13 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. The cycle collector is paused meanwhile, and the caller's
+    setting restored after: no command makes a reference cycle per item, so the
+    collector's passes over a run's objects would find nothing to free."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (CeeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except (CeeError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -27,14 +27,12 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .taxonomy import PATH_CONFIG, CostConfig, CostModel, Taxonomy, normalize_concept
+from .taxonomy import ARROW, PATH_CONFIG, CostConfig, CostModel, Taxonomy, normalize_concept
 
 DELETE = "D"
 REPLACE = "R"
 INSERT = "I"
 _KIND_ORDER = {DELETE: 0, REPLACE: 1, INSERT: 2}
-
-ARROW = "→"
 
 # Bias on every dummy route, so a cost tie between a matched pair and
 # routing both items through dummies resolves to the pair. Small enough that
@@ -84,14 +82,15 @@ class ConceptMultiset(tuple):
 
 @dataclass(frozen=True)
 class EditOp:
-    """One Replace / Delete / Insert with its cost. Its sort key is built
-    once, with the op, and takes no part in equality, hashing or repr."""
+    """One Replace / Delete / Insert with its cost. Its sort key and its token
+    are built once, with the op, and take no part in equality, hashing or repr."""
 
     kind: str
     source: str | None = None
     target: str | None = None
     cost: float = 0.0
     _key: tuple = field(init=False, repr=False, compare=False)
+    token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
@@ -106,14 +105,11 @@ class EditOp:
             raise ValueError("op cost must be non-negative")
         key = (_KIND_ORDER[self.kind], self.source or "", self.target or "", self.cost)
         object.__setattr__(self, "_key", key)
-
-    @property
-    def token(self) -> str:
         if self.kind == REPLACE:
-            return f"R:{self.source}{ARROW}{self.target}"
-        if self.kind == DELETE:
-            return f"D:{self.source}"
-        return f"I:{self.target}"
+            token = f"R:{self.source}{ARROW}{self.target}"
+        else:
+            token = f"{self.kind}:{self.source or self.target}"
+        object.__setattr__(self, "token", token)
 
 
 _op_key = attrgetter("_key")

@@ -7,6 +7,7 @@ actionable messages without string-parsing tracebacks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -89,7 +90,9 @@ class SpecOutOfRange(CeeError):
     pass
 
 
-_DECODER = json.JSONDecoder()
+# JSONDecoder.raw_decode's scanner, called without raw_decode's own frame: it
+# returns (value, end) and raises StopIteration where no value starts
+_SCAN = json.JSONDecoder().scan_once
 _JSON_WS = " \t\n\r"  # the whitespace JSON allows around a value; str.strip() strips more
 
 
@@ -98,8 +101,8 @@ def _parse_line(line: str) -> Any:
     object; anything else, or an error, goes to ``json.loads`` for its message."""
     if line.startswith("{"):
         try:
-            record, end = _DECODER.raw_decode(line)
-        except ValueError:
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):
             pass
         else:
             if not line[end:].strip(_JSON_WS):
@@ -107,54 +110,69 @@ def _parse_line(line: str) -> Any:
     return json.loads(line)
 
 
+# a line that fails with one of these is reported as ``path:line: message``;
+# RecursionError is JSON nested too deep, OverflowError an int too large
+_LINE_ERRORS = (MalformedObject, UnknownConcept, ValueError, TypeError, OverflowError,
+                RecursionError)
+
+
+def _record(raw: bytes, id_key: str, list_key: str) -> tuple[str, list] | None:
+    """The string id and the list of one line, or None when only JSON whitespace
+    is on it."""
+    line = raw.decode("utf-8")
+    if not line.strip(_JSON_WS):
+        return None
+    record = _parse_line(line)
+    if not isinstance(record, dict):
+        raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
+    try:
+        record_id, values = record[id_key], record[list_key]
+    except KeyError:
+        raise MalformedObject(f"line needs {id_key!r} and {list_key!r}") from None
+    if not isinstance(values, list):
+        raise MalformedObject(f"{list_key!r} must be a list, got {type(values).__name__}")
+    if not isinstance(record_id, str):
+        raise MalformedObject(f"{id_key!r} must be a string, got {type(record_id).__name__}")
+    return record_id, values
+
+
 def _read_jsonl(
     path: str | Path, id_key: str, list_key: str, build: Callable[[str, list], Any],
     unique: str | None,
-) -> list:
+) -> list | Counter:
     """``build(id, values)`` per non-blank line of ``path``, where each line is a JSON
     object holding a string ``id`` under ``id_key`` and a list ``values`` under
     ``list_key``; failures get a ``path:line`` prefix. The file is read at once and
-    split once. A line is blank when only JSON whitespace is on it.
-    ``unique`` names what ids identify ("story", "image") and forbids repeats; None allows
-    them, and then a line that repeats a built line byte for byte gets the same item,
-    without being decoded, parsed or built again. Only built lines are kept, so a failing
-    line still fails at its own number."""
-    items, seen = [], set()
-    built: dict[bytes, Any] | None = {} if unique is None else None
+    split once.
+    ``unique`` names what ids identify ("story", "image") and forbids repeats; the
+    built items come back as a list, in file order. None allows repeats, and then the
+    items come back counted: each distinct line is decoded, parsed and built once, in
+    first-occurrence order, and its item counts once per line that holds it. A failing
+    line fails at its first occurrence, which is its own number."""
     # bytes, decoded line by line, so a bad byte is reported with its line;
     # splitlines() breaks at "\n", "\r\n" and "\r", as text mode would
-    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        if built is not None:
-            item = built.get(raw)
-            if item is not None:
-                items.append(item)
-                continue
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip(_JSON_WS):
-                continue
-            record = _parse_line(line)
-            if not isinstance(record, dict):
-                raise MalformedObject(f"expected a JSON object, got {type(record).__name__}")
+    lines = Path(path).read_bytes().splitlines()
+    if unique is None:
+        counts: Counter = Counter()
+        for raw, n in Counter(lines).items():
             try:
-                record_id, values = record[id_key], record[list_key]
-            except KeyError:
-                raise MalformedObject(f"line needs {id_key!r} and {list_key!r}") from None
-            if not isinstance(values, list):
-                raise MalformedObject(f"{list_key!r} must be a list, got {type(values).__name__}")
-            if not isinstance(record_id, str):
-                raise MalformedObject(
-                    f"{id_key!r} must be a string, got {type(record_id).__name__}"
-                )
-            if unique is not None:
-                if record_id in seen:
-                    raise MalformedObject(f"duplicate {unique} id {record_id!r}")
-                seen.add(record_id)
-            item = build(record_id, values)
-        except (MalformedObject, UnknownConcept, ValueError, TypeError,
-                OverflowError, RecursionError) as exc:  # nested too deep, or an int too large
+                record = _record(raw, id_key, list_key)
+                if record is not None:
+                    item = build(*record)
+                    counts[item] = counts.get(item, 0) + n  # no __missing__ call per new item
+            except _LINE_ERRORS as exc:
+                raise MalformedObject(f"{path}:{lines.index(raw) + 1}: {exc}") from exc
+        return counts
+    items, seen = [], set()
+    for number, raw in enumerate(lines, start=1):
+        try:
+            record = _record(raw, id_key, list_key)
+            if record is None:
+                continue
+            if record[0] in seen:
+                raise MalformedObject(f"duplicate {unique} id {record[0]!r}")
+            seen.add(record[0])
+            items.append(build(*record))
+        except _LINE_ERRORS as exc:
             raise MalformedObject(f"{path}:{number}: {exc}") from exc
-        items.append(item)
-        if built is not None:
-            built[raw] = item
     return items

@@ -5,7 +5,7 @@ grouped I/D/R listing (scenes). Global: replacement rules counted from the
 R tokens of each transaction, plus insert/delete frequency tables; apriori
 mines general frequent itemsets over the same transactions. All three take
 ``edit_set_counts``: each distinct edit set once, weighted by how many
-transactions hold it.
+transactions hold it. ``read_transactions`` returns that count for a file.
 """
 
 from __future__ import annotations
@@ -46,31 +46,42 @@ class Transaction(NamedTuple):
 
 def _check_edit(item: object) -> None:
     """``item`` must be a token as ``EditOp.token`` writes it: ``D:<c>``, ``I:<c>``
-    or ``R:<c>→<c>``, each ``c`` a concept name that normalisation leaves as is."""
+    or ``R:<c>→<c>``, each ``c`` a concept name that normalisation leaves as is and
+    that holds no ``→``, as no concept name does."""
     if not isinstance(item, str):
         raise MalformedObject(f"edit {item!r} is not a string")
     names = (item[2:],) if item[:2] in ("D:", "I:") else split_replace_token(item)
-    if not names or not all(name.strip() and normalize_concept(name) == name for name in names):
+    if not names or not all(
+        name.strip() and ARROW not in name and normalize_concept(name) == name for name in names
+    ):
         raise MalformedObject(
             f"edit {item!r} is not D:<concept>, I:<concept> or R:<concept>{ARROW}<concept>"
             " over normalised concept names"
         )
 
 
-def read_transactions(path: str | Path) -> list[Transaction]:
-    """Ids may repeat: pooled per-threshold files hold each image once per threshold.
+def read_transactions(path: str | Path) -> Counter[frozenset[str]]:
+    """Each distinct edit set of the file, with the number of lines that hold it:
+    ``edit_set_counts`` of its transactions, without building one per line. Ids
+    may repeat (pooled per-threshold files hold each image once per threshold)
+    and are checked, then dropped.
 
-    A line that repeats an earlier line byte for byte is parsed once: it gets
-    the same ``Transaction``. Each distinct edit of the file passes
-    ``_check_edit`` once."""
+    A line that repeats an earlier line byte for byte is parsed once. Each
+    distinct edit of the file passes ``_check_edit`` once."""
     checked: set[str] = set()
 
-    def build(id: str, edits: list) -> Transaction:
+    def build(id: str, edits: list) -> frozenset[str]:
+        try:
+            items = frozenset(edits)
+            if items <= checked:
+                return items
+        except TypeError:  # an unhashable edit, which the loop names
+            pass
         for item in edits:  # in list order, so the first bad edit is named
             if not isinstance(item, str) or item not in checked:
                 _check_edit(item)
                 checked.add(item)
-        return Transaction(id, frozenset(edits))
+        return frozenset(edits)
 
     return _read_jsonl(path, "id", "edits", build, unique=None)
 

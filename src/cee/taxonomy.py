@@ -35,6 +35,8 @@ REPLACE_DELETE_PLUS_INSERT = "delete-plus-insert"
 REPLACE_SHORTEST_PATH = "shortest-path"
 REPLACE_MODES = (REPLACE_DELETE_PLUS_INSERT, REPLACE_SHORTEST_PATH)
 
+ARROW = "→"  # joins a replace token's source and target, so no concept name holds it
+_ARROW_IN_NAME = "concept name {!r} holds '→', which replace tokens put between source and target"
 _WS = re.compile(r"\s+")
 _UNPRICED = object()  # marks a (s, t) pair the cost model has not priced yet
 
@@ -165,6 +167,8 @@ class Taxonomy:
         depth 1, ancestors ``{name, root}``, no category."""
         if not self.attach_unknown:
             raise UnknownConcept(name)
+        if ARROW in name:
+            raise ValueError(_ARROW_IN_NAME.format(name))
         return name
 
     def _walk_up(self, node: str) -> frozenset[str]:
@@ -253,7 +257,7 @@ def load_taxonomy(source: str, attach_unknown: bool = False) -> Taxonomy:
 
     Format: one ``child<TAB>parent`` edge per line, ``#`` comments, optional
     ``!root<TAB>name`` declaration. Without one, the root is inferred as the
-    unique parentless node.
+    unique parentless node. No name may hold ``ARROW``.
     """
     declared_root: str | None = None
     parents: dict[str, set[str]] = {}
@@ -265,6 +269,9 @@ def load_taxonomy(source: str, attach_unknown: bool = False) -> Taxonomy:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'child<TAB>parent', got {raw!r}")
         left, right = normalize_concept(fields[0]), normalize_concept(fields[1])
+        for name in (left, right):
+            if ARROW in name:
+                raise ValueError(f"line {lineno}: {_ARROW_IN_NAME.format(name)}")
         if left == "!root":
             if declared_root is not None and declared_root != right:
                 raise MultipleRoots([declared_root, right])

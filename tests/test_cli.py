@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -576,6 +577,8 @@ def test_render_table_rejects_an_unknown_format():
         pytest.param("R:x→", id="replace-without-target"),
         pytest.param("R:x", id="replace-without-arrow"),
         pytest.param("I:Big Dog", id="concept-not-normalised"),
+        pytest.param("R:a→b→c", id="replace-with-a-second-arrow"),
+        pytest.param("D:a→b", id="arrow-in-a-deleted-concept"),
     ],
 )
 def test_explain_rejects_a_malformed_edit_token(edit, tmp_path, capsys):
@@ -860,7 +863,8 @@ def test_non_string_id_names_path_and_line(command, lines, bad_file, id_key, bad
     assert not out.exists()
 
 
-# each reader with three good lines; only transactions may repeat an id, and do
+# each reader with three good lines; only transactions may repeat an id, and do.
+# The transactions reader counts edit sets; its entry lists each once per line.
 READERS = {
     "stories": (lambda path: read_stories(path, resolve_taxonomy("clevr")),
                 [GOOD_STORY.replace('"s"', f'"s{k}"') for k in range(3)]),
@@ -868,7 +872,7 @@ READERS = {
                    [GOOD_DETECTIONS.replace('"a"', f'"a{k}"') for k in range(3)]),
     "targets": (lambda path: read_targets(path, resolve_taxonomy("street")),
                 [GOOD_TARGETS.replace('"a"', f'"a{k}"') for k in range(3)]),
-    "transactions": (read_transactions,
+    "transactions": (lambda path: list(read_transactions(path).elements()),
                      ['{"id": "t0", "edits": ["R:a→b"]}', '{"id": "t1", "edits": ["D:x"]}',
                       '{"id": "t0", "edits": ["R:a→b"]}']),
 }
@@ -916,6 +920,22 @@ def test_attach_unknown_accepts_unknown_scene_concepts(texts, tmp_path):
     rc = cli.main(["eval-scene", *_write_inputs(tmp_path, texts), "--taxonomy", "street", "--attach-unknown",
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 0
+
+
+def test_attach_unknown_rejects_an_unknown_concept_holding_an_arrow(tmp_path, capsys):
+    # "R:x→y→z" would not say which arrow splits source from target
+    detections = GOOD_DETECTIONS + '\n{"image_id": "b", "detections": [{"concept": "x→y", ' \
+        '"confidence": 0.9}]}'
+    paths = _write_inputs(tmp_path, [detections, GOOD_TARGETS])
+    out = tmp_path / "out"
+    rc = cli.main(["eval-scene", *paths, "--taxonomy", "street", "--attach-unknown",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {paths[0]}:2: concept name 'x→y' holds '→', which replace tokens put"
+            " between source and target\n"
+    )
+    assert not out.exists()
 
 
 # -- gen-synthetic + round trip -----------------------------------------------------
@@ -1188,6 +1208,9 @@ def test_gen_synthetic_reads_its_taxonomy(tmp_path, capsys):
         pytest.param(b"a\tb\nb\ta\n", "cycle detected through concept 'a'", id="cycle"),
         pytest.param(b"!root\tr\na\tr\xff\n", "'utf-8' codec can't decode byte 0xff in "
                      "position 11: invalid start byte", id="non-utf8"),
+        pytest.param("!root\tthing\nx\tthing\nX→Y\tx\nz\tx\n".encode(),
+                     "line 3: concept name 'x→y' holds '→', which replace tokens put between"
+                     " source and target", id="arrow-in-a-concept"),
     ],
 )
 @pytest.mark.parametrize("command", [["gen-synthetic"], ["eval-scene", "det.jsonl", "tgt.jsonl"]])
@@ -1492,6 +1515,21 @@ _PROFILES = ([], ["--delete-weight", "0.5", "--insert-weight", "2"],
              ["--replace-mode", "shortest-path"])
 
 
+def _street_corpus(folder, n_images, seed):
+    """Paths of a random street detections and targets file pair of ``n_images`` images."""
+    detections, targets = random_scene_corpus(random.Random(seed), resolve_taxonomy("street"),
+                                              n_images=n_images)
+    _write_detections(folder / "det.jsonl", [
+        {"image_id": i, "detections": [
+            {"concept": d.concept, "confidence": d.confidence} for d in detections[i]]}
+        for i in sorted(detections)
+    ])
+    _write_detections(folder / "tgt.jsonl", [
+        {"image_id": i, "concepts": list(targets[i])} for i in sorted(targets)
+    ])
+    return str(folder / "det.jsonl"), str(folder / "tgt.jsonl")
+
+
 def _outputs(argv, out, closed_form):
     """Every file one in-process run writes, with the closed forms on or
     forced to decline, those of object scripts (``edits._direct``) and of
@@ -1534,18 +1572,7 @@ def test_closed_form_writes_the_solvers_story_outputs(profile, tmp_path, capsys)
 
 @pytest.mark.parametrize("profile", _PROFILES, ids=["default", "weights", "shortest-path"])
 def test_closed_form_writes_the_solvers_scene_outputs(profile, tmp_path, capsys):
-    tax = resolve_taxonomy("street")
-    detections, targets = random_scene_corpus(random.Random(5), tax, n_images=40)
-    _write_detections(tmp_path / "det.jsonl", [
-        {"image_id": i, "detections": [
-            {"concept": d.concept, "confidence": d.confidence} for d in detections[i]]}
-        for i in sorted(detections)
-    ])
-    _write_detections(tmp_path / "tgt.jsonl", [
-        {"image_id": i, "concepts": list(targets[i])} for i in sorted(targets)
-    ])
-    argv = ["eval-scene", str(tmp_path / "det.jsonl"), str(tmp_path / "tgt.jsonl"),
-            "--taxonomy", "street", *profile]
+    argv = ["eval-scene", *_street_corpus(tmp_path, 40, seed=5), "--taxonomy", "street", *profile]
     _, n_closed = _assert_same_outputs(argv, tmp_path, "scene")
     assert n_closed > 0
 
@@ -1591,3 +1618,74 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy(argv, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# -- the paused cycle collector ------------------------------------------------------
+
+
+def _inputs_of(command, n, folder):
+    """The arguments of ``command`` on ``n`` items, written under ``folder``."""
+    folder.mkdir()
+    if command == "eval-scene":
+        return [*_street_corpus(folder, n, seed=n), "--taxonomy", "street"]
+    assert cli.main(["gen-synthetic", "--n-stories", str(n), "--seed", str(n),
+                     "--out-dir", str(folder)]) == 0
+    stories = [str(folder / "generated.jsonl"), str(folder / "ground_truth.jsonl")]
+    if command == "eval-story":
+        return stories
+    assert cli.main(["eval-story", *stories, "--out-dir", str(folder)]) == 0
+    return [str(folder / "transactions.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "explain"])
+def test_a_run_leaves_no_cyclic_garbage_per_item(command, tmp_path, monkeypatch, capsys):
+    # a run's taxonomy is held, so its cost-model cycle is no garbage; what
+    # is left is the argument parser's own cycles, the same on 2 items as on 20
+    held = []
+
+    def holding(*args, _real=cli.resolve_taxonomy, **kwargs):
+        held.append(_real(*args, **kwargs))
+        return held[-1]
+
+    monkeypatch.setattr(cli, "resolve_taxonomy", holding)
+    runs = [_inputs_of(command, n, tmp_path / f"in{k}") for k, n in enumerate((2, 2, 20))]
+    found = []
+    for k, inputs in enumerate(runs):
+        gc.collect()
+        assert cli.main([command, *inputs, "--out-dir", str(tmp_path / f"out{k}")]) == 0
+        found.append(gc.collect())
+    assert found[1] == found[2] > 0  # the first run is a warm-up
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused-by-caller"])
+def collector(request):
+    """The collector switched on or off for the test, and the test's setting restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv,rc", [(["selftest"], 0), (["explain", "missing.jsonl"], 2)],
+                         ids=["exit-0", "exit-2"])
+def test_main_restores_the_callers_collector_setting(argv, rc, collector, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    real = cli.build_parser
+
+    def parser():
+        seen.append(gc.isenabled())
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", parser)
+    assert cli.main(argv) == rc
+    assert gc.isenabled() is collector
+    assert seen == [False]
+
+
+def test_main_restores_the_collector_after_a_usage_error(collector, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["explain"])  # no transactions file: argparse exits 2
+    assert info.value.code == 2
+    assert gc.isenabled() is collector

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cee import errors
 from cee import (
     ConceptMultiset,
     EditOp,
@@ -52,7 +54,7 @@ def test_jsonl_round_trip_preserves_arrow(tmp_path):
     write_transactions(path, [t])
     text = path.read_text(encoding="utf-8")
     assert "→" in text  # not escaped to →
-    assert read_transactions(path) == [t]
+    assert read_transactions(path) == Counter({t.items: 1})
 
 
 def test_read_transactions_requires_keys(tmp_path):
@@ -75,10 +77,7 @@ def test_read_transactions_rejects_trailing_text_json_does_not_allow(trailer, tm
 def test_read_transactions_accepts_json_whitespace_around_the_object(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('\t{"id": "a", "edits": ["D:x"]}  \n{"id": "b", "edits": []} \t\n', encoding="utf-8")
-    assert read_transactions(path) == [
-        Transaction(id="a", items=frozenset({"D:x"})),
-        Transaction(id="b", items=frozenset()),
-    ]
+    assert read_transactions(path) == Counter({frozenset({"D:x"}): 1, frozenset(): 1})
 
 
 @pytest.mark.parametrize(
@@ -103,24 +102,31 @@ def test_read_transactions_bad_edit_message(lines, message, tmp_path):
     assert str(info.value) == f"{path}:{message}"
 
 
-def test_read_transactions_interns_equal_edit_lists(tmp_path):
-    path = tmp_path / "t.jsonl"
-    lines = ['{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "b", "edits": ["I:z"]}',
-             '{"id": "a", "edits": ["D:x", "I:y"]}']
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    first, other, again = read_transactions(path)
-    assert first.items == frozenset({"D:x", "I:y"}) and other.items == frozenset({"I:z"})
-    assert first.items is again.items
+@pytest.mark.parametrize(
+    "lines,counts,parsed",
+    [
+        pytest.param(['{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "b", "edits": ["I:z"]}',
+                      '{"id": "a", "edits": ["D:x", "I:y"]}', '{"id": "c", "edits": ["I:y", "D:x"]}'],
+                     {frozenset({"D:x", "I:y"}): 3, frozenset({"I:z"}): 1}, 3,
+                     id="equal-edit-sets-counted-together"),
+        pytest.param(['{"id": "a", "edits": ["D:x"]}', '{"id": "a", "edits": ["D:x"]} ',
+                      '{"id": "a", "edits": ["D:x"]}'],
+                     {frozenset({"D:x"}): 3}, 2, id="a-spaced-line-is-no-verbatim-repeat"),
+    ],
+)
+def test_read_transactions_parses_a_verbatim_repeat_once(lines, counts, parsed, tmp_path,
+                                                         monkeypatch):
+    calls, real = [], errors._parse_line
 
+    def counted(line):
+        calls.append(line)
+        return real(line)
 
-def test_read_transactions_builds_a_verbatim_repeat_once(tmp_path):
+    monkeypatch.setattr(errors, "_parse_line", counted)
     path = tmp_path / "t.jsonl"
-    lines = ['{"id": "a", "edits": ["D:x"]}', '{"id": "a", "edits": ["D:x"]} ',
-             '{"id": "a", "edits": ["D:x"]}']
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    first, spaced, again = read_transactions(path)
-    assert first == spaced == again
-    assert again is first and spaced is not first
+    assert read_transactions(path) == counts
+    assert len(calls) == parsed == len(set(calls))
 
 
 GOOD_LINE = '{"id": "a", "edits": ["D:x", "I:y"]}'
@@ -177,13 +183,10 @@ def test_read_transactions_matches_a_json_loads_reference(records, data, tmp_pat
                                  max_size=len(lines)))
     path = tmp_path_factory.mktemp("tx") / "t.jsonl"
     path.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
-    reference = [
-        Transaction(r["id"], frozenset(r["edits"]))
-        for r in (json.loads(line) for line in lines if line.strip())
-    ]
-    read = read_transactions(path)
-    assert read == reference
-    read_sets, reference_sets = (edit_set_counts(t.items for t in ts) for ts in (read, reference))
+    reference_sets = edit_set_counts(
+        r["edits"] for r in (json.loads(line) for line in lines if line.strip())
+    )
+    read_sets = read_transactions(path)
     assert read_sets == reference_sets
     for min_support in (0.01, 0.3, 1.0):
         assert mine_rules(read_sets, min_support) == mine_rules(reference_sets, min_support)
