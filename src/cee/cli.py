@@ -9,10 +9,11 @@ expected losses), and ``selftest`` (embedded oracle, golden, and recovery
 suites).
 
 Every run option is a flag, with its default and its type or choices in
-``_ARGUMENTS``; a subcommand takes only the ones its command reads
-(``_COMMANDS``). A value's range is checked where the value is used:
-``--show-scripts``, ``--n-stories`` and ``--length`` in their command bodies,
-and ``--threshold``, ``--min-support``, ``--top-k``, ``--max-ops`` and the
+``_ARGUMENTS``; subcommand ``<name>`` runs ``cmd_<name>`` (a dash read as an
+underscore) and takes only the options that function reads (``_COMMANDS``).
+A value's range is checked where the value is used: ``--show-scripts``,
+``--n-stories`` and ``--length`` in their command bodies, and
+``--threshold``, ``--min-support``, ``--top-k``, ``--max-ops`` and the
 weights by the library calls they reach. ``cee <command> @run.args …``
 reads more arguments from ``run.args``, one per line, checked like the flags
 they spell; a later argument overrides an earlier one.
@@ -37,11 +38,11 @@ from typing import Sequence
 from .edits import brute_force_csed, csed, format_cost, operation_census
 from .errors import CeeError, EmptyCorpus
 from .explain import (
-    Transaction,
     format_local_grouped,
     id_frequency_table,
     mine_rules,
     read_transactions,
+    transaction_line,
     write_transactions,
 )
 from .harness import VOCABULARY, corrupt, generate_story, golden_story_pair, random_multiset
@@ -149,7 +150,7 @@ def cmd_eval_story(args: argparse.Namespace) -> int:
     for story_id in common:
         metrics = evaluate_story(gen_by_id[story_id], gt_by_id[story_id], tax, cost)
         per_story.append(metrics)
-        transactions.append(Transaction.from_scripts(story_id, metrics.frame_scripts))
+        transactions.append(transaction_line(story_id, metrics.frame_scripts))
         for k, script in enumerate(metrics.frame_scripts, start=1):
             indexed_scripts.append((k, script))
         for k, frame in enumerate(gt_by_id[story_id].frames, start=1):
@@ -210,7 +211,7 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
     thresholds = args.thresholds or (0.5, 0.6, 0.7)  # --threshold would append to a default
 
     report = []
-    files = []  # (name, text) per threshold, held as text: it is smaller than the transactions
+    files = []  # (name, lines) per threshold; equal lines are one string
     lines: dict[tuple, str] = {}  # an image's line per (image id, passing set)
     costliest = []  # (threshold, [(script, sample)]) when --show-scripts asks for them
     for t_d, samples, scripts in solve_thresholds(detections, targets, thresholds, tax, cost):
@@ -218,17 +219,19 @@ def cmd_eval_scene(args: argparse.Namespace) -> int:
         if args.show_scripts:  # samples come in image-id order, and sorted() keeps it on ties
             ranked = sorted(zip(scripts, samples), key=lambda pair: -pair[0].total_cost)
             costliest.append((t_d, ranked[: args.show_scripts]))
-        text = []
+        file_lines = []
         for s, script in zip(samples, scripts):
             key = (s.image_id, s.generated)
             line = lines.get(key)
             if line is None:
-                line = lines[key] = Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
-            text.append(line)
-        files.append((f"transactions_td{format_cost(t_d)}.jsonl", "".join(text)))
-    for name, text in files:  # only once every threshold solved: a failed run writes nothing
-        _write(args.out_dir, name, text)
+                line = lines[key] = transaction_line(s.image_id, [script])
+            file_lines.append(line)
+        files.append((f"transactions_td{format_cost(t_d)}.jsonl", file_lines))
+    # written only once every threshold solved, so a failed run writes nothing;
+    # the census goes first, as _emit makes the output directory
     census_text = _emit(args, "census", CENSUS_COLUMNS, census_rows(report))
+    for name, file_lines in files:
+        write_transactions(Path(args.out_dir) / name, file_lines)
     print(census_text, end="")
     for t_d, shown in costliest:
         print(f"# costliest images at threshold {format_cost(t_d)}")
@@ -441,20 +444,18 @@ _ARGUMENTS = {  # add_argument keywords by name
     "--length": {"type": int, "default": 4},
     "--max-ops": {"type": int, "default": 2},
 }
-_COMMANDS = {  # help, the arguments the command reads (and no others), defaults
+_COMMANDS = {  # help, the arguments cmd_<name> reads (and no others), defaults
     "eval-story": ("story metrics (SL/CL and aggregates) plus transactions",
-                   (*_EVAL, "generated", "ground_truth"), {"func": cmd_eval_story}),
+                   (*_EVAL, "generated", "ground_truth"), {}),
     "eval-scene": ("operation census over detection thresholds",
                    (*_EVAL, "--attach-unknown", "detections", "targets", "--threshold",
-                    "--show-scripts"), {"func": cmd_eval_scene, "cost_profile": "path"}),
+                    "--show-scripts"), {"cost_profile": "path"}),
     "explain": ("association rules and I/D frequency tables",
-                ("--format", "--out-dir", "transactions", "--min-support", "--top-k"),
-                {"func": cmd_explain}),
+                ("--format", "--out-dir", "transactions", "--min-support", "--top-k"), {}),
     "gen-synthetic": ("seeded story corpora with known expected losses",
                       ("--taxonomy", *_COST, "--seed", "--out-dir", "--n-stories", "--length",
-                       "--max-ops"), {"func": cmd_gen_synthetic}),
-    "selftest": ("run embedded oracle, golden, and recovery suites", (*_COST, "--seed"),
-                 {"func": cmd_selftest}),
+                       "--max-ops"), {}),
+    "selftest": ("run embedded oracle, golden, and recovery suites", (*_COST, "--seed"), {}),
 }
 
 
@@ -489,16 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command. The cycle collector is paused meanwhile, and the caller's
-    setting restored after: no command makes a reference cycle per item, so the
-    collector's passes over a run's objects would find nothing to free."""
+    """Run one command, ``cmd_<command>`` looked up by name when it runs. The
+    cycle collector is paused meanwhile, and the caller's setting restored
+    after: no command makes a reference cycle per item, so the collector's
+    passes over a run's objects would find nothing to free."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
-            return args.func(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
         except (CeeError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -1,11 +1,14 @@
 """Local explanation rendering and global explanation mining.
 
 Local: an edit script rendered as a human-readable row (story frames) or a
-grouped I/D/R listing (scenes). Global: replacement rules counted from the
-R tokens of each transaction, plus insert/delete frequency tables; apriori
-mines general frequent itemsets over the same transactions. All three take
-``edit_set_counts``: each distinct edit set once, weighted by how many
-transactions hold it. ``read_transactions`` returns that count for a file.
+grouped I/D/R listing (scenes). Transactions: the eval commands render each
+story's or image's distinct edit tokens as one JSON line
+(``transaction_line``) and write a file of them (``write_transactions``).
+Global: replacement rules counted from the R tokens of each transaction,
+plus insert/delete frequency tables; apriori mines general frequent itemsets
+over the same transactions. All three take ``edit_set_counts``: each
+distinct edit set once, weighted by how many transactions hold it.
+``read_transactions`` returns that count for a file.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping
 
 from .edits import ARROW, DELETE, INSERT, REPLACE, EditOp, EditScript, format_cost
 from .errors import MalformedObject, _read_jsonl
@@ -27,21 +30,11 @@ from .taxonomy import Taxonomy, normalize_concept
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
-class Transaction(NamedTuple):
-    """Deduplicated edit tokens for one story or image."""
-
-    id: str
-    items: frozenset[str]
-
-    @classmethod
-    def from_scripts(cls, id: str, scripts: Iterable[EditScript]) -> "Transaction":
-        tokens: set[str] = set()
-        for script in scripts:
-            tokens.update(script.edit_tokens())
-        return cls(id=id, items=frozenset(tokens))
-
-    def to_json(self) -> str:
-        return _ENCODER.encode({"id": self.id, "edits": sorted(self.items)})
+def transaction_line(id: str, scripts: Iterable[EditScript]) -> str:
+    """One story's or image's transaction as its JSON line: the id and the
+    distinct edit tokens of ``scripts``, sorted."""
+    tokens = {token for script in scripts for token in script.edit_tokens()}
+    return _ENCODER.encode({"id": id, "edits": sorted(tokens)}) + "\n"
 
 
 def _check_edit(item: object) -> None:
@@ -86,9 +79,9 @@ def read_transactions(path: str | Path) -> Counter[frozenset[str]]:
     return _read_jsonl(path, "id", "edits", build, unique=None)
 
 
-def write_transactions(path: str | Path, transactions: Iterable[Transaction]) -> None:
-    text = "".join(t.to_json() + "\n" for t in transactions)
-    Path(path).write_text(text, encoding="utf-8")
+def write_transactions(path: str | Path, lines: Iterable[str]) -> None:
+    """Write the lines ``transaction_line`` rendered; the directory must exist."""
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def split_replace_token(token: str) -> tuple[str, str] | None:

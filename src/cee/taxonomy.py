@@ -102,13 +102,16 @@ class Taxonomy:
         parents: dict[str, frozenset[str]],
         attach_unknown: bool = False,
     ):
-        """Check the hierarchy once: no cycle, one root (inferred as the one
-        parentless concept when ``root`` is None), and every other concept
-        under it. The nodes are the keys and parents of ``parents``, and
-        ``root``."""
+        """Check the hierarchy once: no name holding ``ARROW``, no cycle, one
+        root (inferred as the one parentless concept when ``root`` is None),
+        and every other concept under it. The nodes are the keys and parents
+        of ``parents``, and ``root``."""
         self.attach_unknown = attach_unknown
         self._parents = parents
         self._nodes = frozenset(parents).union(*parents.values(), () if root is None else (root,))
+        arrowed = min((n for n in self._nodes if ARROW in n), default=None)
+        if arrowed is not None:
+            raise ValueError(_ARROW_IN_NAME.format(arrowed))
         # sorted, so a cycle is reported through the same node on every run
         self._ancestors = {n: self._walk_up(n) for n in sorted(self._nodes)}
         parentless = sorted(n for n in self._nodes if not parents.get(n))

@@ -74,6 +74,21 @@ def test_traced_scene_run_builds_and_solves_each_threshold_once(tmp_path):
     assert totals["scene.scene_csed"][0] == 2
 
 
+@pytest.mark.parametrize("command", ["eval-story", "eval-scene", "explain"])
+def test_traced_run_enters_its_command_once(command, tmp_path):
+    # main looks the command up by name, so the tracer's rebinding of cli.cmd_* is the one run
+    assert _traced(command, tmp_path)["totals"]["cli.command"][0] == 1
+
+
+@pytest.mark.parametrize("command,files", [("eval-story", 1), ("eval-scene", 2)])
+def test_traced_eval_run_writes_each_transaction_file_through_write_transactions(
+    command, files, tmp_path
+):
+    # eval-scene writes one file per threshold, at 0.3 and 0.5 here
+    totals = _traced(command, tmp_path)["totals"]
+    assert totals["explain.write_transactions"][0] == files
+
+
 def _pinned_imports() -> list[tuple[str, str]]:
     """(module, name) of every ``# noqa: F401`` import in ``src/cee``: names a
     module binds only so that the tracer can rebind them there."""

@@ -1332,8 +1332,16 @@ PARSED_DEFAULTS = {
 def test_parsed_defaults_of_each_subcommand(command):
     args = vars(cli.build_parser().parse_args([command, *["in.jsonl"] * POSITIONALS[command]]))
     assert args.pop("command") == command
-    assert args.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_"))
+    assert "func" not in args  # main looks cmd_<command> up by name
+    assert callable(getattr(cli, "cmd_" + command.replace("-", "_")))
     assert args == PARSED_DEFAULTS[command]
+
+
+def test_main_runs_the_command_bound_to_its_name_when_it_runs(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_selftest", lambda args: seen.append(args.command) or 7)
+    assert cli.main(["selftest"]) == 7
+    assert seen == ["selftest"]
 
 
 UNREAD_OPTIONS = [  # options another subcommand takes, which these commands would not read

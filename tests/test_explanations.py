@@ -19,13 +19,13 @@ from cee import (
 )
 from cee.explain import (
     AssociationRule,
-    Transaction,
     edit_set_counts,
     format_local_grouped,
     id_frequency_table,
     mine_rules,
     read_transactions,
     split_replace_token,
+    transaction_line,
     write_transactions,
 )
 
@@ -44,17 +44,19 @@ I_Y = EditOp("I", target="y", cost=1)
 
 
 def test_from_scripts_dedups_tokens():
-    t = Transaction.from_scripts("s1", [_script(R_AB, D_X), _script(R_AB, I_Y)])
-    assert t.items == {"R:a→b", "D:x", "I:y"}
+    line = transaction_line("s1", [_script(R_AB, D_X), _script(R_AB, I_Y)])
+    assert line == '{"edits": ["D:x", "I:y", "R:a→b"], "id": "s1"}\n'
 
 
 def test_jsonl_round_trip_preserves_arrow(tmp_path):
-    t = Transaction(id="s1", items=frozenset({"R:rubber→metallic", "I:dog"}))
+    rubber = EditOp("R", source="rubber", target="metallic", cost=2)
+    line = transaction_line("s1", [_script(rubber, EditOp("I", target="dog", cost=1))])
     path = tmp_path / "t.jsonl"
-    write_transactions(path, [t])
+    write_transactions(path, [line])
     text = path.read_text(encoding="utf-8")
-    assert "→" in text  # not escaped to →
-    assert read_transactions(path) == Counter({t.items: 1})
+    assert text == line
+    assert "→" in text  # not escaped to \u2192
+    assert read_transactions(path) == Counter({frozenset({"R:rubber→metallic", "I:dog"}): 1})
 
 
 def test_read_transactions_requires_keys(tmp_path):
@@ -445,8 +447,8 @@ def test_rules_from_real_scripts(clevr):
         csed(ConceptMultiset(["rubber"]), ConceptMultiset(["metallic"]), clevr, FLATTENED_CONFIG)
         for _ in range(3)
     ] + [csed(ConceptMultiset(["red"]), ConceptMultiset(["blue"]), clevr, FLATTENED_CONFIG)]
-    transactions = [Transaction.from_scripts(f"s{i}", [s]) for i, s in enumerate(scripts)]
-    rules = mine_rules(edit_set_counts(t.items for t in transactions), min_support=0.5)
+    lines = [transaction_line(f"s{i}", [s]) for i, s in enumerate(scripts)]
+    rules = mine_rules(edit_set_counts(json.loads(line)["edits"] for line in lines), 0.5)
     assert len(rules) == 1
     assert rules[0] == AssociationRule(
         source="rubber",

@@ -17,7 +17,6 @@ from cee import (
     read_targets,
 )
 from cee.edits import csed, format_cost, operation_census
-from cee.explain import Transaction
 from cee.harness import random_scene_corpus
 from cee.scene import (
     CENSUS_COLUMNS,
@@ -385,7 +384,8 @@ def _reference_sweep(det_path, tgt_path, thresholds, profile, fmt):
         scripts = [csed(s.generated, s.target, tax, cost) for s in samples]
         report.append((t_d, operation_census(scripts)))
         files[f"transactions_td{format_cost(t_d)}.jsonl"] = "".join(
-            Transaction.from_scripts(s.image_id, [script]).to_json() + "\n"
+            json.dumps({"id": s.image_id, "edits": sorted(set(script.edit_tokens()))},
+                       sort_keys=True, ensure_ascii=False) + "\n"
             for s, script in zip(samples, scripts)
         )
     files[f"census.{cli._EXT[fmt]}"] = cli.render_table(CENSUS_COLUMNS, census_rows(report), fmt)
@@ -471,13 +471,13 @@ def test_eval_scene_solves_each_distinct_pair_and_renders_each_distinct_line_onc
     ]
     targets = [{"image_id": i, "concepts": ["car"]} for i in ("all", "steps", "none", "tied")]
     scored, solved, rendered = [], [], []
-    real_score, real_solve, real_render = scene.scene_csed, edits._solve, Transaction.to_json
+    real_score, real_solve, real_render = scene.scene_csed, edits._solve, cli.transaction_line
     monkeypatch.setattr(scene, "scene_csed",
                         lambda s, *a: scored.append(s.image_id) or real_score(s, *a))
     monkeypatch.setattr(edits, "_solve",
                         lambda s, t, model: solved.append((s, t)) or real_solve(s, t, model))
-    monkeypatch.setattr(Transaction, "to_json",
-                        lambda self: rendered.append(self.id) or real_render(self))
+    monkeypatch.setattr(cli, "transaction_line",
+                        lambda id, scripts: rendered.append(id) or real_render(id, scripts))
     rc, *_, out = _eval_scene(tmp_path, detections, targets, ["0.1", "0.3", "0.5", "0.7", "0.9"])
     assert rc == 0
     assert Counter(scored) == {"all": 5, "steps": 5, "none": 5, "tied": 5}

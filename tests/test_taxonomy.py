@@ -333,6 +333,19 @@ def test_taxonomy_direct_construction():
     assert inferred.to_text() == tax.to_text()
 
 
+def test_taxonomy_rejects_a_concept_name_holding_an_arrow():
+    # "R:x→y→z" would not say which arrow splits source from target
+    parents = {"x": frozenset({"thing"}), "x→y": frozenset({"x"}), "z": frozenset({"x"}),
+               "w→v": frozenset({"x"})}
+    with pytest.raises(ValueError) as info:
+        Taxonomy("thing", parents)
+    assert str(info.value) == (
+        "concept name 'w→v' holds '→', which replace tokens put between source and target"
+    )
+    with pytest.raises(ValueError, match="concept name 'a→r' holds"):  # the root is a node too
+        Taxonomy("a→r", {"b": frozenset({"a→r"})})
+
+
 @pytest.mark.parametrize(
     "query",
     [
