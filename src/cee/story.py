@@ -1,9 +1,9 @@
-"""Story-level faithfulness and consistency metrics for CLEVR-style frames.
+"""CLEVR-style objects and stories, their reader, and the story losses.
 
-Faithfulness (story loss, SL) sums per-frame edit script costs between the
-generated and ground-truth frames. Consistency (CL) compares each generated
-frame against its own predecessor: the ideal cumulative trace grows by one
-whole object (|C| concepts) per frame, and any deviation flags the frame.
+Faithfulness (story loss, SL) sums the costs of the frame scripts that
+``edits.frame_csed`` solves against the ground-truth frames. Consistency (CL)
+compares each generated frame against its predecessor: the ideal cumulative
+trace grows by one whole object (|C| concepts) per frame; a deviation flags it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .edits import _DIRECT_LIMIT, ConceptMultiset, EditOp, EditScript, _assign, _script
+from .edits import ConceptMultiset, EditOp, EditScript, frame_csed
 # unused here, but perfbench/tracer.py wraps this name on this module
 from .edits import csed  # noqa: F401
 from .errors import (
@@ -25,19 +25,11 @@ from .errors import (
     UncategorizedConcept,
     _read_jsonl,
 )
-from .taxonomy import FLATTENED_CONFIG, REPLACE_DELETE_PLUS_INSERT, CostConfig, CostModel
-from .taxonomy import Taxonomy, _hops, normalize_concept
+from .taxonomy import FLATTENED_CONFIG, CostConfig, Taxonomy, normalize_concept
 
 ATTRIBUTES = ("size", "color", "material", "shape")
 N_CONCEPTS = len(ATTRIBUTES)
 _raw_key = itemgetter(*ATTRIBUTES)  # a raw object's attribute values, in one call
-_NOTHING = ConceptMultiset()
-_NO_EDITS = EditScript(())
-# Residues are written in closed form only for prices in
-# [_LOWEST_PRICE, _DIRECT_LIMIT). Below it the 1e-9 dummy-route bias swamps
-# the prices; from the top, as in ``edits._direct``, rounding starts to
-# absorb the bias, and prices that overflow must reach the solve to fail.
-_LOWEST_PRICE = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -149,147 +141,6 @@ def validate_attribute(attr: str, value: str, tax: Taxonomy) -> None:
         raise MalformedObject(
             f"attribute {value!r} resolves to category {category!r}, expected {attr!r}"
         )
-
-
-def frame_csed(
-    gen_frame: Sequence[ClevrObject],
-    gt_frame: Sequence[ClevrObject],
-    tax: Taxonomy,
-    cfg: CostConfig = FLATTENED_CONFIG,
-) -> EditScript:
-    """Align objects by minimum-cost assignment, every price a CSED: an
-    object pair costs the CSED of their attribute multisets, a surplus
-    generated object its CSED to nothing (a whole-object delete), a missing
-    object its CSED from nothing (a whole-object insert).
-
-    The model is looked up once per call, and each of those scripts is read
-    from, or solved into, its memo through ``edits._script``, as ``csed``
-    reads it; the frame's script is made of the model's own ops.
-
-    Most frames skip the solve, told apart by their residue: the objects
-    left on each side once the shared ones cancel (a multiset difference),
-    which ``_residue_scripts`` writes where it can. Frames of the same
-    objects, in any order, leave none and get the empty script unpriced: a
-    zero-cost matching exists and no cell is below 0, so the solver keeps
-    u = v = 0 and picks zero-cost cells only, which are pair scripts of
-    total 0 (no op) or dummy-to-dummy, the one route without ``_TIE_EPS``.
-
-    A residue that keeps at most one object on one side is written in
-    closed form where ``_residue_exact`` holds: replaces priced as delete
-    plus insert, leaf concepts only, and every delete and insert price in
-    [2**-20, 2**20). There a pair of objects (a, b) costs del(a) + ins(b)
-    less what they share, the del + ins of the concepts both hold, since
-    equal concepts are the only free pairs between leaves. So an assignment
-    costs del(G) + ins(T), less what its pairs share, plus the bias on each
-    dummy route. What an object c shares with x plus what it shares with y
-    is at most all of c plus what x and y share, so some optimum pairs each
-    shared object with its copy (the swap argument of
-    ``harness._frame_cost``), and only the lone object's partner is left to
-    decide. With no lone object (a one-sided frame) each leftover object is
-    deleted or inserted whole; otherwise the lone object pairs with the
-    leftover object that shares strictly the most with it, and more than
-    nothing, and every other leftover object is deleted or inserted whole.
-    Every optimum writes those ops, and any assignment that writes others
-    is dearer by a concept's del + ins, at least 2**-19, and takes no fewer
-    dummy routes, so at these prices neither the bias nor float rounding
-    can pick it. A tie for the best partner, a best partner that shares
-    nothing, two or more objects left on both sides, and frames that fail
-    the guard go to the padded solve.
-
-    Objects are expected to have passed ``validate_object`` against ``tax``."""
-    extra, missing = [], [o.multiset for o in gt_frame]  # the multiset difference
-    for obj in gen_frame:
-        if obj.multiset in missing:
-            missing.remove(obj.multiset)
-        else:
-            extra.append(obj.multiset)
-    model = tax.cost_model(cfg)
-    chosen = _residue_scripts(extra, missing, (gen_frame, gt_frame), model)
-    if chosen is None:
-        n, m = len(gen_frame), len(gt_frame)
-        pair_scripts = [
-            [_script(gen_obj.multiset, gt_obj.multiset, model) for gt_obj in gt_frame]
-            for gen_obj in gen_frame
-        ]
-        deletes = [_script(obj.multiset, _NOTHING, model) for obj in gen_frame]
-        inserts = [_script(_NOTHING, obj.multiset, model) for obj in gt_frame]
-        pair = [[script.total_cost for script in row] for row in pair_scripts]
-        cells = _assign(pair, [s.total_cost for s in deletes], [s.total_cost for s in inserts])
-        chosen = [
-            deletes[i] if j >= m else inserts[j] if i >= n else pair_scripts[i][j]
-            for i, j in cells
-        ]
-    if len(chosen) == 1:  # already ordered and summed
-        return chosen[0]
-    return EditScript(tuple(op for script in chosen for op in script.ops))
-
-
-def _residue_scripts(
-    extra: list[ConceptMultiset],
-    missing: list[ConceptMultiset],
-    frames: tuple[Sequence[ClevrObject], Sequence[ClevrObject]],
-    model: CostModel,
-) -> list[EditScript] | None:
-    """The scripts of the frame's optimum, from the objects left on the
-    generated side (``extra``) and the target side (``missing``), or None
-    where the padded solve must decide (see ``frame_csed``)."""
-    lone, rest = (extra, missing) if len(extra) <= len(missing) else (missing, extra)
-    if not rest:  # the same objects on both sides
-        return [_NO_EDITS]
-    if len(lone) > 1 or not _residue_exact(frames, model):
-        return None
-    if lone:
-        # units of a concept's delete plus insert: one flattened, else its depth
-        units = {name: _hops(model.tax, name, model.cfg) for name in lone[0]}
-        shares = [_shared(lone[0], other, units) for other in rest]
-        best = max(shares)
-        if not best or shares.count(best) > 1:
-            return None
-        partner = rest.pop(shares.index(best))
-        pair = (lone[0], partner) if lone is extra else (partner, lone[0])
-        chosen = [_script(*pair, model)]
-    else:
-        chosen = []
-    if rest is extra:  # each other leftover object is deleted, or inserted, whole
-        return chosen + [_script(other, _NOTHING, model) for other in rest]
-    return chosen + [_script(_NOTHING, other, model) for other in rest]
-
-
-def _residue_exact(
-    frames: tuple[Sequence[ClevrObject], Sequence[ClevrObject]], model: CostModel
-) -> bool:
-    """Whether every concept of both ``frames`` meets the conditions under
-    which ``frame_csed`` writes a residue in closed form (see there). Each
-    object multiset is checked once per model, its verdict kept in
-    ``model.closed_form``."""
-    if model.cfg.replace_mode != REPLACE_DELETE_PLUS_INSERT:
-        return False
-    tax, known = model.tax, model.closed_form
-    for frame in frames:
-        for obj in frame:
-            exact = known.get(obj.multiset)
-            if exact is None:
-                exact = known[obj.multiset] = all(
-                    tax.is_leaf(name)
-                    and all(_LOWEST_PRICE <= price < _DIRECT_LIMIT for price in model.costs(name))
-                    for name in obj.multiset
-                )
-            if not exact:
-                return False
-    return True
-
-
-def _shared(a: ConceptMultiset, b: ConceptMultiset, units: Mapping[str, int]) -> int:
-    """Units of the concepts ``a`` and ``b`` both hold, as multisets. A
-    concept's delete plus insert is its units times the delete weight plus
-    the insert weight, so units compare shares exactly, where float sums of
-    the prices could split a tie."""
-    rest, total = list(b), 0
-    for name in a:
-        if name in rest:
-            rest.remove(name)
-            total += units[name]
-    return total
 
 
 def story_loss(

@@ -197,7 +197,7 @@ class Taxonomy:
 
     def is_leaf(self, name: str) -> bool:
         """No concept lies below ``name`` (an attached unknown is a leaf)."""
-        return not self._children.get(name)
+        return not self._children.get(name if name in self._nodes else self._unknown(name))
 
     def category_of(self, name: str) -> str | None:
         """Nearest category (direct root child) at or above ``name``.
@@ -381,14 +381,14 @@ class CostModel:
     on every call, since failures are not remembered.
 
     ``scripts`` holds every edit script solved under this model, keyed by
-    the (S, T) multiset pair; ``edits.csed`` and ``story.frame_csed`` read
+    the (S, T) multiset pair; ``edits.csed`` and ``edits.frame_csed`` read
     and fill it through one helper, ``edits._script``. ``ops`` holds every
     edit op those scripts hold, keyed by (kind, source, target): the solve
     builds and checks an op the first time it chooses it under this model,
     so scripts of one model that make the same edit share one op object,
     and two models never share one. ``closed_form`` holds, per object
-    multiset, whether ``story.frame_csed`` may write a frame holding it
-    without the solve; the frame guard fills it.
+    multiset, whether ``edits.frame_csed`` may write a frame holding it
+    without the solve; edits' frame guard, ``_residue_exact``, fills it.
     """
 
     def __init__(self, tax: Taxonomy, cfg: CostConfig):

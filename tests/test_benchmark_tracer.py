@@ -74,6 +74,13 @@ def test_traced_scene_run_builds_and_solves_each_threshold_once(tmp_path):
     assert totals["scene.scene_csed"][0] == 2
 
 
+def test_traced_story_run_reaches_frame_csed_through_story(tmp_path):
+    # the golden pair has 4 frames: 4 story-loss frames and 3 consistency steps;
+    # the tracer counts only the calls made through story's own binding
+    totals = _traced("eval-story", tmp_path)["totals"]
+    assert totals["story.frame_csed"][0] == 4 + 3
+
+
 @pytest.mark.parametrize("command", ["eval-story", "eval-scene", "explain"])
 def test_traced_run_enters_its_command_once(command, tmp_path):
     # main looks the command up by name, so the tracer's rebinding of cli.cmd_* is the one run

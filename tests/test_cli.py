@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cee import cli, edits, story
+from cee import cli, edits
 from cee.errors import MalformedObject
 from cee.explain import read_transactions
 from cee.harness import golden_story_pair, random_scene_corpus
@@ -1541,7 +1541,7 @@ def _street_corpus(folder, n_images, seed):
 def _outputs(argv, out, closed_form):
     """Every file one in-process run writes, with the closed forms on or
     forced to decline, those of object scripts (``edits._direct``) and of
-    story frames (``story._residue_scripts``), and how many scripts it wrote
+    story frames (``edits._residue_scripts``), and how many scripts it wrote
     without the solve."""
     written = []
 
@@ -1554,7 +1554,7 @@ def _outputs(argv, out, closed_form):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(edits, "_direct", shortcut(edits._direct))
-        mp.setattr(story, "_residue_scripts", shortcut(story._residue_scripts))
+        mp.setattr(edits, "_residue_scripts", shortcut(edits._residue_scripts))
         assert cli.main([*argv, "--out-dir", str(out)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, sum(written)
 

@@ -170,6 +170,17 @@ def test_empty_target_all_deletes(clevr):
     assert script.total_cost == 2.0
 
 
+@pytest.mark.parametrize(
+    "cfg", [FLATTENED_CONFIG, PATH_CONFIG, CostConfig(replace_mode="shortest-path")],
+    ids=["flattened", "path", "shortest-path"],
+)
+@pytest.mark.parametrize("solve", [csed, brute_force_csed], ids=["csed", "brute-force"])
+def test_two_empty_multisets_give_the_empty_script(solve, cfg, clevr):
+    script = solve([], [], clevr, cfg)
+    assert script.ops == ()
+    assert script.total_cost == 0.0
+
+
 def test_duplicates_are_distinct_items(street):
     s = ConceptMultiset(["car", "car", "traffic light", "car", "stop sign"])
     t = ConceptMultiset(["light", "buildings"])

@@ -1,6 +1,6 @@
 """Every imported name is used, unless its import line says ``# noqa: F401``;
-the package exports only names with a caller; README's quickstart and its
-experiment pipeline run."""
+the package exports only names with a caller; only ``cee.edits`` holds the
+solvers' internals; README's quickstart and its experiment pipeline run."""
 
 import ast
 import os
@@ -60,6 +60,35 @@ def test_no_process_wide_memo():
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name in ("lru_cache", "cache")]
+    assert found == []
+
+
+SOLVER_INTERNALS = {"_assign", "linear_sum_assignment", "_TIE_EPS", "_DIRECT_LIMIT", "_LOWEST_PRICE"}
+
+
+def _private_reach(node: ast.AST) -> list[str]:
+    """Solver internals ``node`` names, and private names of ``cee.edits`` or
+    ``cee.taxonomy`` that it imports or reads off either module."""
+    if isinstance(node, ast.ImportFrom):
+        owner = (node.module or "").rpartition(".")[2]
+        return [alias.name for alias in node.names if alias.name in SOLVER_INTERNALS
+                or (owner in ("edits", "taxonomy") and alias.name.startswith("_"))]
+    if isinstance(node, ast.Attribute):
+        owner = getattr(node.value, "id", "")
+        private = owner in ("edits", "taxonomy") and node.attr.startswith("_")
+        return [node.attr] if private or node.attr in SOLVER_INTERNALS else []
+    if isinstance(node, ast.Name) and node.id in SOLVER_INTERNALS:
+        return [node.id]
+    return []
+
+
+def test_only_edits_holds_solver_internals():
+    # edits owns every solve, at both levels: object scripts and story frames
+    found = []
+    for path in sorted((ROOT / "src/cee").glob("*.py")):
+        if path.name != "edits.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                found += [f"{path.name}:{node.lineno}: {name}" for name in _private_reach(node)]
     assert found == []
 
 

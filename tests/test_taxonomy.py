@@ -231,6 +231,21 @@ def test_attach_unknown_mode():
     assert delete_cost(tax, "zebra", PATH_CONFIG) == 1.0
 
 
+def test_is_leaf_rejects_a_name_that_is_no_node(clevr):
+    # like category_of, which raises for the same name
+    assert clevr.is_leaf("red") and not clevr.is_leaf("color")
+    with pytest.raises(UnknownConcept):
+        clevr.is_leaf("nonexistent")
+    with pytest.raises(UnknownConcept):
+        clevr.category_of("nonexistent")
+
+
+def test_is_leaf_holds_for_an_attached_unknown():
+    tax = resolve_taxonomy("clevr", attach_unknown=True)
+    assert tax.is_leaf("nonexistent")
+    assert not tax.is_leaf("color")
+
+
 def test_edge_rule_per_edge(clevr):
     cfg = PATH_CONFIG
     edges = _edges(clevr)
